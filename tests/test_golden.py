@@ -1,0 +1,75 @@
+"""Byte-exact golden CLI outputs for three small fixed problems.
+
+Each case runs one command on one input under ``tests/golden/`` and
+compares the report's bytes with the stored file.  Any rewrite that keeps
+outputs exact must keep every case passing unedited.  After a deliberate
+output change, rewrite the stored files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff before committing it.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from birkhoff.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+LIE_TREES = (
+    ["compute", "--method", "lie"],
+    ["compute", "--method", "trees"],
+    ["compute", "--method", "lie", "--no-kernel-correction"],
+)
+ONEDOF = (
+    ["compute", "--method", "onedof"],
+    ["compute", "--method", "onedof", "--convention", "stated"],
+    ["s-series"],
+)
+
+# (input name, argv); every case exits 0
+CASES = (
+    [("onedof_real", argv) for argv in LIE_TREES + ONEDOF]
+    + [
+        ("onedof_real", ["compute", "--method", "trees", "--no-kernel-correction"]),
+        ("onedof_real", ["check"]),
+        ("onedof_real", ["structure", "--order", "6"]),
+    ]
+    + [("onedof_imaginary", argv) for argv in LIE_TREES + ONEDOF]
+    + [("onedof_imaginary", ["check"])]
+    + [("resonant_2dof", argv) for argv in LIE_TREES]
+    + [
+        ("resonant_2dof", ["compute", "--method", "trees", "--no-kernel-correction"]),
+        ("resonant_2dof", ["check"]),
+        ("resonant_2dof", ["structure"]),
+    ]
+)
+
+
+def golden_path(name: str, argv: list[str]) -> Path:
+    slug = "-".join(arg.lstrip("-") for arg in argv)
+    return GOLDEN / f"{name}.{slug}.json"
+
+
+def run_case(name: str, argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--input", str(GOLDEN / f"{name}.json")])
+    assert code == 0
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "name, argv", CASES, ids=[golden_path(n, a).stem for n, a in CASES]
+)
+def test_golden_output(name, argv):
+    assert run_case(name, argv) == golden_path(name, argv).read_bytes()
+
+
+if __name__ == "__main__":
+    for name, argv in CASES:
+        golden_path(name, argv).write_bytes(run_case(name, argv))
