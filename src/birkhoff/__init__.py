@@ -9,14 +9,11 @@ from .errors import InternalCheckError, InvalidCodeError, ParseError, UsageError
 from .lie import (
     NormalizationResult,
     exp_lie,
-    homological_rhs,
     lie_normalize,
     random_generator,
     random_symplectic_conjugate,
-    validate_hamiltonian,
 )
 from .onedof import (
-    NuSeries,
     OneDofResult,
     WSeries,
     average,
@@ -26,7 +23,6 @@ from .onedof import (
     nf_from_S,
     onedof_normal_form,
     partition_normal_form,
-    revert_series,
     revert_wseries,
 )
 from .operators import (
@@ -35,6 +31,7 @@ from .operators import (
     partial_inverse,
     resonant_pairs,
     resonant_projection,
+    validate_hamiltonian,
 )
 from .scalars import (
     GAUSSIAN_ONE,

@@ -178,8 +178,12 @@ def _load_json(path: str) -> object:
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def _emit(text: str, path: str) -> None:
@@ -201,11 +205,13 @@ def _pairs_json(pairs) -> list[dict]:
     ]
 
 
-def _load_spec(args, default_coeff: bool = False) -> tuple[ProblemSpec, int]:
+def _load_spec(
+    args, default_coeff: bool = False, min_order: int = 3
+) -> tuple[ProblemSpec, int]:
     spec = parse_problem(_load_json(args.input), default_coeff=default_coeff)
     order = spec.order if args.order is None else args.order
-    if order < 3:
-        raise UsageError(f"--order must be at least 3, got {order}")
+    if order < min_order:
+        raise UsageError(f"--order must be at least {min_order}, got {order}")
     return spec, order
 
 
@@ -254,7 +260,7 @@ def cmd_compute(args) -> int:
             "convention": args.convention,
             "normal_form": result.normal_form.to_json_terms(),
             "s_series": result.s_series.to_rows(),
-            "nu": result.nu.to_rows(),
+            "nu": result.nu.to_rows()[1:],  # without the linear row, k = 1
             "resonant_pairs": pairs,
         }
     _emit_json(out, args.output)
@@ -421,7 +427,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_s_series(args) -> int:
-    spec, wmax = _load_spec(args)
+    # --order is the w-degree here, and S is defined from w^1 on
+    spec, wmax = _load_spec(args, min_order=1)
     if spec.n != 1:
         raise UsageError(
             f"the invariant series needs one degree of freedom, got n={spec.n}"

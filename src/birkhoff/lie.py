@@ -43,35 +43,12 @@ from .errors import InternalCheckError, UsageError
 from .operators import (
     FreqVector,
     partial_inverse,
-    resonant_pairs,
     resonant_projection,
+    validate_hamiltonian,
 )
 from .scalars import GAUSSIAN_RING, GaussianRational
-from .series import ExponentPair, PolySeries
+from .series import PolySeries, monomials
 from .trees import compositions
-
-
-def validate_hamiltonian(hamiltonian: PolySeries, freq: FreqVector) -> None:
-    """Check H = H2 + (degree >= 3 tail) with H2 matching the frequencies."""
-    if hamiltonian.n != freq.n:
-        raise UsageError(
-            f"series has {hamiltonian.n} degrees of freedom "
-            f"but frequency vector has {freq.n}"
-        )
-    if hamiltonian.order < 2:
-        raise UsageError(
-            f"truncation order {hamiltonian.order} is too small to hold the quadratic part"
-        )
-    for s in (0, 1):
-        if not hamiltonian.grade(s).is_zero:
-            raise UsageError(f"input has terms of degree {s}; degrees 0 and 1 must vanish")
-    expected = freq.quadratic_part(hamiltonian.order, hamiltonian.ring)
-    if hamiltonian.grade(2) != expected:
-        raise UsageError(
-            "quadratic part must be exactly sum_j lambda_j x_j y_j "
-            "for the given frequencies; got "
-            f"{hamiltonian.grade(2).render()!r}, expected {expected.render()!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -87,16 +64,13 @@ class NormalizationResult:
     resonant_parts: dict[int, PolySeries]
     generator_parts: dict[int, PolySeries]
 
-    def resonant_pair_list(self):
-        return resonant_pairs(self.freq, self.order)
 
-
-def homological_rhs(
+def lie_normalize(
     hamiltonian: PolySeries,
     freq: FreqVector,
     kernel_corrected: bool = True,
 ) -> NormalizationResult:
-    """Run the degree-by-degree recursion up to the series' truncation order."""
+    """Normalize H by the degree-by-degree recursion up to its truncation order."""
     validate_hamiltonian(hamiltonian, freq)
     order = hamiltonian.order
     ring = hamiltonian.ring
@@ -156,15 +130,6 @@ def homological_rhs(
     )
 
 
-def lie_normalize(
-    hamiltonian: PolySeries,
-    freq: FreqVector,
-    kernel_corrected: bool = True,
-) -> NormalizationResult:
-    """Normalize H up to its truncation order; alias of the rhs recursion."""
-    return homological_rhs(hamiltonian, freq, kernel_corrected)
-
-
 def exp_lie(generator: PolySeries, target: PolySeries) -> PolySeries:
     """Time-1 Lie transform: exp(L_F) G = G + {F,G} + (1/2!){F,{F,G}} + ...
 
@@ -215,28 +180,15 @@ def random_generator(
         return PolySeries.zero(n, order)
     rng = random.Random(seed)
     terms = {}
-
-    def exponents(total: int, slots: int):
-        if slots == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in exponents(total - head, slots - 1):
-                yield (head,) + rest
-
     for degree in range(3, max_degree + 1):
-        for da in range(degree + 1):
-            for alpha in exponents(da, n):
-                for beta in exponents(degree - da, n):
-                    if rng.randint(0, 2) != 0:
-                        continue
-                    num = rng.randint(-6, 6)
-                    if num == 0:
-                        continue
-                    den = rng.randint(1, 4)
-                    terms[ExponentPair(alpha, beta)] = GaussianRational.of(
-                        Fraction(num, den)
-                    )
+        for pair in monomials(n, degree):
+            if rng.randint(0, 2) != 0:
+                continue
+            num = rng.randint(-6, 6)
+            if num == 0:
+                continue
+            den = rng.randint(1, 4)
+            terms[pair] = GaussianRational.of(Fraction(num, den))
     return PolySeries(n, order, GAUSSIAN_RING, terms)
 
 

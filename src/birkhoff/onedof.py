@@ -39,6 +39,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import InternalCheckError, UsageError
+from .operators import FreqVector, validate_hamiltonian
 from .scalars import GAUSSIAN_RING, CoefficientRing, GaussianRational
 from .series import ExponentPair, PolySeries
 
@@ -194,6 +195,13 @@ class WSeries:
     def to_rows(self) -> list[list[str]]:
         return [[str(k), self.ring.render_plain(v)] for k, v in self.sorted_items()]
 
+    def diagonal_series(self, order: int) -> PolySeries:
+        """This series at w = x y, in one degree of freedom, truncated at order."""
+        return PolySeries(
+            1, order, self.ring,
+            {ExponentPair((k,), (k,)): v for k, v in self.coeffs.items()},
+        )
+
 
 def average(series: PolySeries) -> WSeries:
     """Diagonal projection <G> = sum_{a>=2} G_{aa} w^a (one degree of freedom)."""
@@ -209,29 +217,6 @@ def average(series: PolySeries) -> WSeries:
     return WSeries(series.order // 2, series.ring, out)
 
 
-def _validate_onedof(hamiltonian: PolySeries, lam: GaussianRational) -> None:
-    if hamiltonian.n != 1:
-        raise UsageError(
-            f"this pipeline needs one degree of freedom, got n={hamiltonian.n}"
-        )
-    if lam.is_zero:
-        raise UsageError("the frequency lambda must be nonzero")
-    for s in (0, 1):
-        if not hamiltonian.grade(s).is_zero:
-            raise UsageError(f"input has terms of degree {s}; degrees 0 and 1 must vanish")
-    quad = hamiltonian.grade(2)
-    expected = PolySeries.monomial(
-        1, hamiltonian.order, (1,), (1,),
-        hamiltonian.ring.scale_by_gaussian(hamiltonian.ring.one, lam),
-        hamiltonian.ring,
-    )
-    if quad != expected:
-        raise UsageError(
-            "quadratic part must be exactly lambda x y; got "
-            f"{quad.render()!r}, expected {expected.render()!r}"
-        )
-
-
 def compute_S(
     hamiltonian: PolySeries, lam: GaussianRational, wmax: int
 ) -> WSeries:
@@ -241,7 +226,11 @@ def compute_S(
     part are formed at whatever working order each summand needs, regardless
     of the truncation order the input series was carried at.
     """
-    _validate_onedof(hamiltonian, lam)
+    if hamiltonian.n != 1:
+        raise UsageError(
+            f"this pipeline needs one degree of freedom, got n={hamiltonian.n}"
+        )
+    validate_hamiltonian(hamiltonian, FreqVector((lam,)))
     if wmax < 1:
         raise UsageError(f"wmax must be at least 1, got {wmax}")
     ring = hamiltonian.ring
@@ -277,69 +266,6 @@ def is_linearizable(
     return compute_S(hamiltonian, lam, wmax).is_zero
 
 
-@dataclass(frozen=True)
-class NuSeries:
-    """nu(z) = lambda z + N_2 z^2 + ... + N_M z^M."""
-
-    lam: GaussianRational
-    order: int
-    tail: tuple[tuple[int, GaussianRational], ...]
-
-    @staticmethod
-    def build(
-        lam: GaussianRational, order: int, coeffs: dict[int, GaussianRational]
-    ) -> "NuSeries":
-        if lam.is_zero:
-            raise UsageError("the linear coefficient lambda must be nonzero")
-        if order < 1:
-            raise UsageError(f"order must be at least 1, got {order}")
-        items = []
-        for k in sorted(coeffs):
-            if k < 2:
-                raise UsageError(f"tail coefficients start at z^2, got z^{k}")
-            if k > order:
-                continue
-            value = coeffs[k]
-            if not value.is_zero:
-                items.append((k, value))
-        return NuSeries(lam=lam, order=order, tail=tuple(items))
-
-    def coefficient(self, k: int) -> GaussianRational:
-        if k == 1:
-            return self.lam
-        for j, value in self.tail:
-            if j == k:
-                return value
-        return GaussianRational.of(0)
-
-    def as_wseries(self) -> WSeries:
-        coeffs = {1: self.lam}
-        for k, value in self.tail:
-            coeffs[k] = value
-        return WSeries(self.order, GAUSSIAN_RING, coeffs)
-
-    def diagonal_series(self, order: int) -> PolySeries:
-        """nu(x y) as a series in one degree of freedom, truncated at order."""
-        terms = {}
-        for k, value in ((1, self.lam),) + self.tail:
-            if 2 * k > order:
-                continue
-            terms[ExponentPair((k,), (k,))] = value
-        return PolySeries(1, order, GAUSSIAN_RING, terms)
-
-    def rescaled(self) -> "NuSeries":
-        """Divide through by lambda: the tilde-series with unit linear term."""
-        inv = self.lam.inverse()
-        return NuSeries.build(
-            GaussianRational.of(1),
-            self.order,
-            {k: value * inv for k, value in self.tail},
-        )
-
-    def to_rows(self) -> list[list[str]]:
-        return [[str(k), str(value)] for k, value in self.tail]
-
-
 def invert_unit_series(
     coeffs: Sequence[GaussianRational], order: int
 ) -> list[GaussianRational]:
@@ -355,14 +281,6 @@ def invert_unit_series(
             total = total + series[i] * out[k - i]
         out.append(-(lead_inv * total))
     return out
-
-
-def revert_series(nu: NuSeries) -> WSeries:
-    """The inverse function of nu as a series in w, to the same order.
-
-    Uses the Lagrange-Buermann coefficients g_s = (1/s)[z^{s-1}](z/nu(z))^s.
-    """
-    return revert_wseries(nu.as_wseries())
 
 
 def revert_wseries(series: WSeries) -> WSeries:
@@ -435,9 +353,10 @@ def partition_normal_form(s_series: WSeries, m: int) -> GaussianRational:
 
 def nf_from_S(
     s_series: WSeries, lam: GaussianRational, convention: str = "proof"
-) -> NuSeries:
-    """Recover nu from S by series reversion.
+) -> WSeries:
+    """Recover nu from S by series reversion, as a series in w.
 
+    Coefficient 1 of the result is lambda, coefficient k >= 2 is N_k.
     Under the default convention the tail is cross-checked against the
     partition-sum formula in rescaled variables; a mismatch raises
     InternalCheckError.
@@ -466,18 +385,15 @@ def nf_from_S(
         else:
             coeffs[k] = value
     psi = WSeries(order, GAUSSIAN_RING, coeffs)
-    nu_coeffs = revert_wseries(psi)
-    lead = nu_coeffs.coefficient(1)
+    nu = revert_wseries(psi)
+    lead = nu.coefficient(1)
     if lead != lam:
         raise InternalCheckError(
             f"reversion produced linear coefficient {lead}, expected {lam}"
         )
-    nu = NuSeries.build(
-        lam, order, {k: v for k, v in nu_coeffs.sorted_items() if k >= 2}
-    )
     if convention == "proof":
         rescaled_s = s_series.scale_by_gaussian(lam_inv)
-        rescaled_nu = nu.rescaled()
+        rescaled_nu = nu.scale_by_gaussian(lam_inv)
         for m in range(2, order + 1):
             expected = partition_normal_form(rescaled_s, m)
             actual = rescaled_nu.coefficient(m)
@@ -485,7 +401,7 @@ def nf_from_S(
                 raise InternalCheckError(
                     "partition cross-check failed at degree "
                     f"{m}: reversion gives {actual}, partition sum gives {expected}; "
-                    f"S = {s_series.render()}, nu tail = {nu.to_rows()}"
+                    f"S = {s_series.render()}, nu = {nu.render()}"
                 )
     return nu
 
@@ -495,7 +411,7 @@ class OneDofResult:
     """Full output of the closed-form pipeline."""
 
     s_series: WSeries
-    nu: NuSeries
+    nu: WSeries
     normal_form: PolySeries
     order: int
     convention: str
@@ -507,7 +423,6 @@ def onedof_normal_form(
     convention: str = "proof",
 ) -> OneDofResult:
     """Normal form of a 1-DOF Hamiltonian through its truncation order."""
-    _validate_onedof(hamiltonian, lam)
     order = hamiltonian.order
     wmax = max(1, order // 2)
     s_series = compute_S(hamiltonian, lam, wmax)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import UsageError
 from .scalars import GAUSSIAN_RING, GAUSSIAN_ZERO, CoefficientRing, GaussianRational
-from .series import ExponentPair, PolySeries
+from .series import ExponentPair, PolySeries, monomials
 
 
 class FreqVector:
@@ -107,6 +107,25 @@ class FreqVector:
         return f"FreqVector({', '.join(str(v) for v in self.entries)})"
 
 
+def validate_hamiltonian(hamiltonian: PolySeries, freq: FreqVector) -> None:
+    """Check H = H2 + (degree >= 3 tail) with H2 matching the frequencies."""
+    _check_dimension(hamiltonian, freq)
+    if hamiltonian.order < 2:
+        raise UsageError(
+            f"truncation order {hamiltonian.order} is too small to hold the quadratic part"
+        )
+    for s in (0, 1):
+        if not hamiltonian.grade(s).is_zero:
+            raise UsageError(f"input has terms of degree {s}; degrees 0 and 1 must vanish")
+    expected = freq.quadratic_part(hamiltonian.order, hamiltonian.ring)
+    if hamiltonian.grade(2) != expected:
+        raise UsageError(
+            "quadratic part must be exactly sum_j lambda_j x_j y_j "
+            "for the given frequencies; got "
+            f"{hamiltonian.grade(2).render()!r}, expected {expected.render()!r}"
+        )
+
+
 def _check_dimension(series: PolySeries, freq: FreqVector) -> None:
     if series.n != freq.n:
         raise UsageError(
@@ -152,25 +171,11 @@ def resonant_pairs(freq: FreqVector, order: int) -> list[ExponentPair]:
     Trivial means diagonal (alpha == beta): those are resonant for every
     frequency vector and are omitted.  Results are in canonical term order.
     """
-    n = freq.n
-    found = []
-
-    def exponents(total: int, slots: int):
-        if slots == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in exponents(total - head, slots - 1):
-                yield (head,) + rest
-
-    for degree in range(1, order + 1):
-        for da in range(degree + 1):
-            for alpha in exponents(da, n):
-                for beta in exponents(degree - da, n):
-                    if alpha == beta:
-                        continue
-                    pair = ExponentPair(alpha, beta)
-                    if freq.is_resonant(pair):
-                        found.append(pair)
+    found = [
+        pair
+        for degree in range(1, order + 1)
+        for pair in monomials(freq.n, degree)
+        if not pair.is_diagonal and freq.is_resonant(pair)
+    ]
     found.sort(key=lambda p: (p.degree, p.alpha, p.beta))
     return found

@@ -377,11 +377,6 @@ class SymRing(CoefficientRing):
             )
         return value.scaled(g.re)
 
-    def monomial_degree(self, exponents: tuple[int, ...]) -> int:
-        """Number of indeterminate factors counted with multiplicity."""
-        _check_arity(self.nvars, exponents)
-        return sum(exponents)
-
     def monomial_weight(self, exponents: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Multiplicity-weighted sum of the label exponent pairs, as (wx, wy)."""
         _check_arity(self.nvars, exponents)

@@ -49,6 +49,28 @@ def make_pair(alpha: Iterable[int], beta: Iterable[int]) -> ExponentPair:
     return ExponentPair(a, b)
 
 
+def _exponent_tuples(total: int, slots: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of slots non-negative integers summing to total, in lex order."""
+    if slots == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _exponent_tuples(total - head, slots - 1):
+            yield (head,) + rest
+
+
+def monomials(n: int, degree: int) -> Iterator[ExponentPair]:
+    """Every exponent pair of the given total degree in n degrees of freedom.
+
+    Ordered by the degree of alpha, then by alpha and by beta
+    lexicographically.
+    """
+    for da in range(degree + 1):
+        for alpha in _exponent_tuples(da, n):
+            for beta in _exponent_tuples(degree - da, n):
+                yield ExponentPair(alpha, beta)
+
+
 def _term_sort_key(pair: ExponentPair):
     return (pair.degree, pair.alpha, pair.beta)
 

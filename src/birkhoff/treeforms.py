@@ -44,8 +44,12 @@ from functools import cache
 from typing import Sequence
 
 from .errors import UsageError
-from .lie import validate_hamiltonian
-from .operators import FreqVector, partial_inverse, resonant_projection
+from .operators import (
+    FreqVector,
+    partial_inverse,
+    resonant_projection,
+    validate_hamiltonian,
+)
 from .series import PolySeries
 from .trees import (
     MAX_LEAVES,

@@ -536,6 +536,22 @@ class TestSSeriesCommand:
             "linearizable_up_to": 1,
         }
 
+    def test_order_is_the_w_degree(self, tmp_path, capsys):
+        path = spec_file(tmp_path, SHEAR)
+        code, out, _ = run_cli(["s-series", "--input", path, "--order", "2"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"S": [["2", "1"]], "linearizable_up_to": 1}
+        code, out, _ = run_cli(["s-series", "--input", path, "--order", "1"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"S": [], "linearizable_up_to": 1}
+
+    def test_order_floor(self, tmp_path, capsys):
+        path = spec_file(tmp_path, SHEAR)
+        code, out, err = run_cli(["s-series", "--input", path, "--order", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --order must be at least 1, got 0\n"
+
     def test_requires_one_dof(self, tmp_path, capsys):
         path = spec_file(tmp_path, TWO_DOF)
         code, _, err = run_cli(["s-series", "--input", path], capsys)
@@ -707,6 +723,22 @@ class TestMainErrors:
         code, _, err = run_cli(["compute", "--input", str(path)], capsys)
         assert code == 2
         assert err.startswith(f"error: invalid JSON in {path}")
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(["compute", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: not UTF-8 text")
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000, encoding="utf-8")
+        code, out, err = run_cli(["compute", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: invalid JSON in {path}: nested too deeply\n"
 
     def test_missing_file(self, tmp_path, capsys):
         path = str(tmp_path / "absent.json")

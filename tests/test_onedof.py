@@ -8,7 +8,6 @@ from birkhoff import (
     GAUSSIAN_RING,
     GaussianRational,
     InternalCheckError,
-    NuSeries,
     PolySeries,
     SymRing,
     UsageError,
@@ -22,7 +21,6 @@ from birkhoff import (
     onedof_normal_form,
     partial_inverse,
     partition_normal_form,
-    revert_series,
     revert_wseries,
 )
 from birkhoff import FreqVector
@@ -260,10 +258,6 @@ class TestReversion:
         assert compose_wseries(psi, inv) == identity
         assert compose_wseries(inv, psi) == identity
 
-    def test_revert_series_from_nu(self):
-        nu = NuSeries.build(gr(1), 4, {2: gr(1)})
-        assert revert_series(nu) == wser(4, {1: 1, 2: -1, 3: 2, 4: -5})
-
 
 class TestPartitionFormula:
     def test_low_degree_displays(self):
@@ -295,23 +289,17 @@ class TestPartitionFormula:
 
 
 class TestNuSeries:
-    def test_build_validation(self):
-        with pytest.raises(UsageError):
-            NuSeries.build(gr(0), 4, {})
-        with pytest.raises(UsageError):
-            NuSeries.build(gr(1), 0, {})
-        with pytest.raises(UsageError):
-            NuSeries.build(gr(1), 4, {1: gr(1)})
+    """nu(w) = lambda w + N_2 w^2 + ... is a WSeries with coefficient 1 lambda."""
 
     def test_coefficients(self):
-        nu = NuSeries.build(gr(2), 6, {2: gr(-3), 4: gr(5)})
+        nu = wser(6, {1: 2, 2: -3, 4: 5})
         assert nu.coefficient(1) == gr(2)
         assert nu.coefficient(2) == gr(-3)
         assert nu.coefficient(3) == gr(0)
         assert nu.coefficient(4) == gr(5)
 
     def test_diagonal_series(self):
-        nu = NuSeries.build(gr(1), 3, {2: gr(-3), 3: gr(9)})
+        nu = wser(3, {1: 1, 2: -3, 3: 9})
         # order 6 holds (xy)^3; order 5 cannot
         assert nu.diagonal_series(6) == build_series(
             1, 6, {((1,), (1,)): 1, ((2,), (2,)): -3, ((3,), (3,)): 9}
@@ -320,21 +308,15 @@ class TestNuSeries:
             1, 5, {((1,), (1,)): 1, ((2,), (2,)): -3}
         )
 
-    def test_rescaled(self):
-        nu = NuSeries.build(gr(2), 3, {2: gr(-3)})
-        assert nu.rescaled().coefficient(2) == gr(Fraction(-3, 2))
-        assert nu.rescaled().coefficient(1) == gr(1)
-
     def test_rows(self):
-        nu = NuSeries.build(gr(1), 4, {2: gr(-3), 4: gr(-105)})
-        assert nu.to_rows() == [["2", "-3"], ["4", "-105"]]
+        nu = wser(4, {1: 1, 2: -3, 4: -105})
+        assert nu.to_rows() == [["1", "1"], ["2", "-3"], ["4", "-105"]]
 
 
 class TestNfFromS:
     def test_zero_s_is_linear(self):
         nu = nf_from_S(WSeries.zero(5), gr(2))
-        assert nu.tail == ()
-        assert nu.lam == gr(2)
+        assert nu == wser(5, {1: 2})
 
     def test_worked_resonant_quartic(self):
         s = wser(4, {2: 1, 3: -2, 4: 5})
@@ -347,7 +329,7 @@ class TestNfFromS:
     def test_counterexample_tail(self):
         s = wser(4, {2: -3, 3: -30, 4: -420})
         nu = nf_from_S(s, gr(1))
-        assert nu.to_rows() == [["2", "-3"], ["3", "-12"], ["4", "-105"]]
+        assert nu.to_rows() == [["1", "1"], ["2", "-3"], ["3", "-12"], ["4", "-105"]]
 
     def test_convention_flag(self):
         s = wser(2, {2: 1})

@@ -1,8 +1,10 @@
 """Polynomial series tests: ring axioms, truncation, the Poisson bracket."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from birkhoff import (
     GAUSSIAN_RING,
@@ -11,8 +13,16 @@ from birkhoff import (
     from_json_terms,
     make_pair,
 )
+from birkhoff.series import monomials
 
-from helpers import build_series, gr, mul_oracle, poisson_oracle, random_series
+from helpers import (
+    _exponents,
+    build_series,
+    gr,
+    mul_oracle,
+    poisson_oracle,
+    random_series,
+)
 
 
 class TestExponentPair:
@@ -30,6 +40,27 @@ class TestExponentPair:
             make_pair((1,), (1, 0))
         with pytest.raises(UsageError):
             make_pair((-1,), (0,))
+
+
+class TestMonomials:
+    @given(n=st.integers(1, 3), degree=st.integers(0, 7))
+    def test_matches_exponent_oracle(self, n, degree):
+        pairs = [(p.alpha, p.beta) for p in monomials(n, degree)]
+        expected = {
+            (alpha, beta)
+            for alpha in _exponents(n, degree)
+            for beta in _exponents(n, degree - sum(alpha))
+            if sum(alpha) + sum(beta) == degree
+        }
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == expected
+        assert len(pairs) == math.comb(degree + 2 * n - 1, 2 * n - 1)
+
+    @given(n=st.integers(1, 3), degree=st.integers(0, 7))
+    def test_order_is_alpha_degree_then_lex(self, n, degree):
+        # resonant_pairs and the seeded random_generator depend on this order
+        pairs = [(p.alpha, p.beta) for p in monomials(n, degree)]
+        assert pairs == sorted(pairs, key=lambda p: (sum(p[0]), p[0], p[1]))
 
 
 class TestConstruction:
