@@ -15,6 +15,7 @@ All reports are JSON with stable key order; exit codes are 0 (pass),
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from .operators import (
     resonant_projection,
 )
 from .scalars import GaussianRational
-from .series import ExponentPair, PolySeries, make_pair
+from .series import ExponentPair, PolySeries, make_pair, term_order
 from .structure import (
     DEFAULT_ORDER_CAP,
     DEFAULT_SUPPORT_CAP,
@@ -68,7 +69,7 @@ class ProblemSpec:
 
     def support(self) -> list[ExponentPair]:
         unique = {pair for pair, _ in self.entries}
-        return sorted(unique, key=lambda p: (p.degree, p.alpha, p.beta))
+        return sorted(unique, key=term_order)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProblemSpec):
@@ -82,10 +83,7 @@ class ProblemSpec:
 
     def to_json(self) -> dict:
         terms = []
-        ordered = sorted(
-            self.summed_terms().items(), key=lambda kv: (kv[0].degree, kv[0])
-        )
-        for pair, value in ordered:
+        for pair, value in sorted(self.summed_terms().items(), key=lambda kv: term_order(kv[0])):
             terms.append(
                 {
                     "alpha": list(pair.alpha),
@@ -173,7 +171,11 @@ def parse_problem(data: object, default_coeff: bool = False) -> ProblemSpec:
 def _load_json(path: str) -> object:
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            stream = sys.stdin
+            if hasattr(stream, "buffer"):
+                # decode strictly, as a file is, not with the locale's error handler
+                stream = io.TextIOWrapper(io.BytesIO(stream.buffer.read()), encoding="utf-8")
+            return json.load(stream)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:

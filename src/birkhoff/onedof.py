@@ -66,7 +66,7 @@ class WSeries:
             for k, value in coeffs.items():
                 if k < 0:
                     raise UsageError(f"negative w-power {k}")
-                if k > order or ring.is_zero(value):
+                if k > order or value.is_zero:
                     continue
                 cleaned[k] = value
         self.coeffs = cleaned
@@ -116,13 +116,13 @@ class WSeries:
     def scale(self, q: Fraction) -> "WSeries":
         return WSeries(
             self.order, self.ring,
-            {k: self.ring.scale(v, q) for k, v in self.coeffs.items()},
+            {k: v.scaled(q) for k, v in self.coeffs.items()},
         )
 
     def scale_by_gaussian(self, g: GaussianRational) -> "WSeries":
         return WSeries(
             self.order, self.ring,
-            {k: self.ring.scale_by_gaussian(v, g) for k, v in self.coeffs.items()},
+            {k: v * g for k, v in self.coeffs.items()},
         )
 
     def scale_argument(self, g: GaussianRational) -> "WSeries":
@@ -134,7 +134,7 @@ class WSeries:
             while current < k:
                 power = power * g
                 current += 1
-            out[k] = self.ring.scale_by_gaussian(self.coeffs[k], power)
+            out[k] = self.coeffs[k] * power
         return WSeries(self.order, self.ring, out)
 
     def derivative(self) -> "WSeries":
@@ -143,7 +143,7 @@ class WSeries:
         return WSeries(
             self.order - 1,
             self.ring,
-            {k - 1: self.ring.scale(v, Fraction(k)) for k, v in self.coeffs.items() if k >= 1},
+            {k - 1: v.scaled(k) for k, v in self.coeffs.items() if k >= 1},
         )
 
     def with_order(self, order: int) -> "WSeries":

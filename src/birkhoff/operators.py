@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import UsageError
 from .scalars import GAUSSIAN_RING, GAUSSIAN_ZERO, CoefficientRing, GaussianRational
-from .series import ExponentPair, PolySeries, monomials
+from .series import ExponentPair, PolySeries, monomials, term_order
 
 
 class FreqVector:
@@ -89,7 +89,7 @@ class FreqVector:
         for j, lam in enumerate(self.entries):
             alpha = tuple(1 if k == j else 0 for k in range(n))
             beta = alpha
-            terms[ExponentPair(alpha, beta)] = ring.scale_by_gaussian(ring.one, lam)
+            terms[ExponentPair(alpha, beta)] = ring.one * lam
         return PolySeries(n, order, ring, terms)
 
     def to_json(self) -> list[dict]:
@@ -136,14 +136,13 @@ def _check_dimension(series: PolySeries, freq: FreqVector) -> None:
 def homological_operator(series: PolySeries, freq: FreqVector) -> PolySeries:
     """D: multiply each monomial by its eigenvalue <alpha - beta, lambda>."""
     _check_dimension(series, freq)
-    ring = series.ring
     out = {}
     for pair, value in series.terms.items():
         eig = freq.eigenvalue(pair)
         if eig.is_zero:
             continue
-        out[pair] = ring.scale_by_gaussian(value, eig)
-    return PolySeries(series.n, series.order, ring, out)
+        out[pair] = value * eig
+    return PolySeries(series.n, series.order, series.ring, out)
 
 
 def resonant_projection(series: PolySeries, freq: FreqVector) -> PolySeries:
@@ -155,14 +154,13 @@ def resonant_projection(series: PolySeries, freq: FreqVector) -> PolySeries:
 def partial_inverse(series: PolySeries, freq: FreqVector) -> PolySeries:
     """B: divide non-resonant terms by their eigenvalue, kill resonant ones."""
     _check_dimension(series, freq)
-    ring = series.ring
     out = {}
     for pair, value in series.terms.items():
         eig = freq.eigenvalue(pair)
         if eig.is_zero:
             continue
-        out[pair] = ring.divide_by_eigenvalue(value, eig, context=f"monomial {pair}")
-    return PolySeries(series.n, series.order, ring, out)
+        out[pair] = value * eig.inverse()
+    return PolySeries(series.n, series.order, series.ring, out)
 
 
 def resonant_pairs(freq: FreqVector, order: int) -> list[ExponentPair]:
@@ -177,5 +175,5 @@ def resonant_pairs(freq: FreqVector, order: int) -> list[ExponentPair]:
         for pair in monomials(freq.n, degree)
         if not pair.is_diagonal and freq.is_resonant(pair)
     ]
-    found.sort(key=lambda p: (p.degree, p.alpha, p.beta))
+    found.sort(key=term_order)
     return found

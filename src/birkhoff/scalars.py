@@ -1,17 +1,18 @@
 """Exact coefficient arithmetic.
 
-Three coefficient domains back the whole library:
+Two value classes carry every coefficient of the library:
 
-* ``Fraction`` (aliased ``Rational``) for plain rational values;
 * ``GaussianRational`` for values in Q(i), the field actually used by the
   numeric pipelines (frequencies may be imaginary);
 * ``SymScalar`` for polynomials with rational coefficients in one
   indeterminate per input coefficient, used by the structure checker.
 
-Every higher layer is generic over a :class:`CoefficientRing`, which bundles
-the ring constants and the few operations that are not plain ``+ - *`` on the
-values: scaling by a rational, and exact division by a (numeric, nonzero)
-eigenvalue.  No floating point exists anywhere.
+Values answer for their own arithmetic: ``+ - *``, ``is_zero`` and
+``scaled(q)`` by a rational.  A ``SymScalar`` may also be multiplied by a
+real ``GaussianRational`` (an eigenvalue or its inverse).  A
+:class:`CoefficientRing` only names the domain a series lives in: it holds
+the constants ``zero`` and ``one`` and renders values as text and JSON.
+No floating point exists anywhere.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import InternalCheckError, ParseError, UsageError
-
-Rational = Fraction
+from .errors import ParseError, UsageError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -86,7 +85,7 @@ class GaussianRational:
             self.re * other.im + self.im * other.re,
         )
 
-    def scaled(self, q: Fraction) -> "GaussianRational":
+    def scaled(self, q: int | Fraction) -> "GaussianRational":
         return GaussianRational(self.re * q, self.im * q)
 
     def inverse(self) -> "GaussianRational":
@@ -193,7 +192,14 @@ class SymScalar:
     def __sub__(self, other: "SymScalar") -> "SymScalar":
         return self + (-other)
 
-    def __mul__(self, other: "SymScalar") -> "SymScalar":
+    def __mul__(self, other: "SymScalar | GaussianRational") -> "SymScalar":
+        if isinstance(other, GaussianRational):
+            if not other.is_real:
+                raise UsageError(
+                    "symbolic mode supports only real rational frequencies; "
+                    f"got eigenvalue {other}"
+                )
+            return self.scaled(other.re)
         self._require_same(other)
         product: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -202,7 +208,7 @@ class SymScalar:
                 product[key] = product.get(key, Fraction(0)) + c1 * c2
         return SymScalar(self.nvars, product)
 
-    def scaled(self, q: Fraction) -> "SymScalar":
+    def scaled(self, q: int | Fraction) -> "SymScalar":
         if q == 0:
             return SymScalar.zero(self.nvars)
         return SymScalar(self.nvars, {e: c * q for e, c in self.terms.items()})
@@ -239,43 +245,14 @@ class SymScalar:
 
 
 class CoefficientRing:
-    """Contract every pipeline is generic over.
+    """The domain a series' values live in.
 
-    Values are combined with Python's ``+ - *`` operators; the ring supplies
-    constants, rational scaling, and division by numeric eigenvalues.
+    Values do their own arithmetic; the ring supplies the constants and
+    renders values as text and JSON.
     """
 
-    name: str
     zero: object
     one: object
-
-    def from_rational(self, q: Fraction):
-        raise NotImplementedError
-
-    def is_zero(self, value) -> bool:
-        raise NotImplementedError
-
-    def scale(self, value, q: Fraction):
-        raise NotImplementedError
-
-    def divide_by_rational(self, value, q: Fraction, context: object = None):
-        """Exact division by a nonzero rational.
-
-        A zero divisor is a programming error, never a data error, so it
-        raises InternalCheckError carrying the offending context (typically
-        an exponent pair).
-        """
-        if q == 0:
-            raise InternalCheckError(f"division by zero rational at {context!r}")
-        return self.scale(value, Fraction(1, 1) / q)
-
-    def scale_by_gaussian(self, value, g: GaussianRational):
-        raise NotImplementedError
-
-    def divide_by_eigenvalue(self, value, eigenvalue: GaussianRational, context: object = None):
-        if eigenvalue.is_zero:
-            raise InternalCheckError(f"division by zero eigenvalue at {context!r}")
-        return self.scale_by_gaussian(value, eigenvalue.inverse())
 
     def render(self, value) -> str:
         raise NotImplementedError
@@ -291,23 +268,9 @@ class CoefficientRing:
 class GaussianRing(CoefficientRing):
     """The field Q(i); the numeric coefficient ring."""
 
-    name = "gaussian"
-
     def __init__(self) -> None:
         self.zero = GAUSSIAN_ZERO
         self.one = GAUSSIAN_ONE
-
-    def from_rational(self, q: Fraction) -> GaussianRational:
-        return GaussianRational(Fraction(q), Fraction(0))
-
-    def is_zero(self, value: GaussianRational) -> bool:
-        return value.is_zero
-
-    def scale(self, value: GaussianRational, q: Fraction) -> GaussianRational:
-        return value.scaled(q)
-
-    def scale_by_gaussian(self, value: GaussianRational, g: GaussianRational) -> GaussianRational:
-        return value * g
 
     def render(self, value: GaussianRational) -> str:
         text = str(value)
@@ -332,12 +295,10 @@ class SymRing(CoefficientRing):
 
     ``labels`` fixes the indeterminate order: position j stands for the input
     coefficient at exponent pair ``labels[j]``.  Coefficients of the
-    polynomials are plain rationals, so eigenvalue division is only possible
-    for real rational eigenvalues; the symbolic pipeline therefore requires a
-    real rational frequency vector.
+    polynomials are plain rationals, so a value can only be multiplied by a
+    real eigenvalue; the symbolic pipeline therefore requires a real
+    rational frequency vector.
     """
-
-    name = "symbolic"
 
     def __init__(self, labels: Sequence[ExponentPairKey]):
         ordered = tuple(labels)
@@ -359,23 +320,6 @@ class SymRing(CoefficientRing):
         if label not in self.index:
             raise UsageError(f"no indeterminate for exponent pair {label}")
         return SymScalar.indeterminate(self.nvars, self.index[label])
-
-    def from_rational(self, q: Fraction) -> SymScalar:
-        return SymScalar.constant(self.nvars, Fraction(q))
-
-    def is_zero(self, value: SymScalar) -> bool:
-        return value.is_zero
-
-    def scale(self, value: SymScalar, q: Fraction) -> SymScalar:
-        return value.scaled(q)
-
-    def scale_by_gaussian(self, value: SymScalar, g: GaussianRational) -> SymScalar:
-        if g.im != 0:
-            raise UsageError(
-                "symbolic mode supports only real rational frequencies; "
-                f"got eigenvalue {g}"
-            )
-        return value.scaled(g.re)
 
     def monomial_weight(self, exponents: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Multiplicity-weighted sum of the label exponent pairs, as (wx, wy)."""

@@ -35,9 +35,6 @@ class ExponentPair(NamedTuple):
     def is_diagonal(self) -> bool:
         return self.alpha == self.beta
 
-    def delta(self) -> tuple[int, ...]:
-        return tuple(b - a for a, b in zip(self.alpha, self.beta))
-
 
 def make_pair(alpha: Iterable[int], beta: Iterable[int]) -> ExponentPair:
     a = tuple(int(v) for v in alpha)
@@ -71,7 +68,8 @@ def monomials(n: int, degree: int) -> Iterator[ExponentPair]:
                 yield ExponentPair(alpha, beta)
 
 
-def _term_sort_key(pair: ExponentPair):
+def term_order(pair: ExponentPair) -> tuple:
+    """Sort key of the canonical term order: degree, then alpha, then beta."""
     return (pair.degree, pair.alpha, pair.beta)
 
 
@@ -101,7 +99,7 @@ class PolySeries:
                     raise UsageError(
                         f"exponent pair {pair} does not match dimension {n}"
                     )
-                if pair.degree > order or ring.is_zero(value):
+                if pair.degree > order or value.is_zero:
                     continue
                 cleaned[pair] = value
         self.terms = cleaned
@@ -109,17 +107,6 @@ class PolySeries:
     @staticmethod
     def zero(n: int, order: int, ring: CoefficientRing = GAUSSIAN_RING) -> "PolySeries":
         return PolySeries(n, order, ring)
-
-    @staticmethod
-    def monomial(
-        n: int,
-        order: int,
-        alpha: Iterable[int],
-        beta: Iterable[int],
-        value,
-        ring: CoefficientRing = GAUSSIAN_RING,
-    ) -> "PolySeries":
-        return PolySeries(n, order, ring, {make_pair(alpha, beta): value})
 
     def _require_compatible(self, other: "PolySeries") -> None:
         if not isinstance(other, PolySeries):
@@ -179,14 +166,7 @@ class PolySeries:
             return PolySeries(self.n, self.order, self.ring)
         return PolySeries(
             self.n, self.order, self.ring,
-            {pair: self.ring.scale(value, q) for pair, value in self.terms.items()},
-        )
-
-    def map_terms(self, fn: Callable[[ExponentPair, object], object]) -> "PolySeries":
-        """Apply fn to every (pair, value); drop results that are zero."""
-        return PolySeries(
-            self.n, self.order, self.ring,
-            {pair: fn(pair, value) for pair, value in self.terms.items()},
+            {pair: value.scaled(q) for pair, value in self.terms.items()},
         )
 
     def filter_terms(self, keep: Callable[[ExponentPair], bool]) -> "PolySeries":
@@ -246,7 +226,7 @@ class PolySeries:
                     )
                     if base is None:
                         base = v1 * v2
-                    piece = self.ring.scale(base, Fraction(factor))
+                    piece = base.scaled(factor)
                     if key in result:
                         result[key] = result[key] + piece
                     else:
@@ -254,7 +234,7 @@ class PolySeries:
         return PolySeries(self.n, self.order, self.ring, result)
 
     def sorted_terms(self) -> list[tuple[ExponentPair, object]]:
-        return sorted(self.terms.items(), key=lambda item: _term_sort_key(item[0]))
+        return sorted(self.terms.items(), key=lambda item: term_order(item[0]))
 
     def __iter__(self) -> Iterator[tuple[ExponentPair, object]]:
         return iter(self.sorted_terms())

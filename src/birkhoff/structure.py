@@ -32,7 +32,7 @@ from .errors import UsageError
 from .lie import NormalizationResult, lie_normalize
 from .operators import FreqVector
 from .scalars import GaussianRational, SymRing, SymScalar, evaluation_map
-from .series import ExponentPair, PolySeries
+from .series import ExponentPair, PolySeries, term_order
 
 DEFAULT_ORDER_CAP = 6
 DEFAULT_SUPPORT_CAP = 12
@@ -85,7 +85,7 @@ def symbolic_normalize(
             continue
         seen.add(key)
         pairs.append(key)
-    pairs.sort(key=lambda p: (p.degree, p.alpha, p.beta))
+    pairs.sort(key=term_order)
     ring = SymRing(tuple(pairs))
     terms = {pair: ring.indeterminate(pair) for pair in pairs}
     hamiltonian = freq.quadratic_part(order, ring) + PolySeries(
@@ -146,10 +146,7 @@ def check_structure(symbolic: SymbolicNormalForm) -> StructureReport:
     ring = symbolic.ring
     rows: list[dict] = []
     first_violation: dict | None = None
-    ordered = sorted(
-        symbolic.resonant.items(), key=lambda item: (item[0].degree, item[0])
-    )
-    for pair, value in ordered:
+    for pair, value in sorted(symbolic.resonant.items(), key=lambda item: term_order(item[0])):
         target_degree = pair.degree
         for exponents, coeff in value.sorted_terms():
             s = sum(exponents)

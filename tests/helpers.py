@@ -181,7 +181,7 @@ def direct_normalize(hamiltonian: PolySeries, freq: FreqVector):
 def compose_wseries(outer: WSeries, inner: WSeries) -> WSeries:
     """outer(inner(w)), truncated at outer.order; inner must lack a constant."""
     ring = outer.ring
-    if not ring.is_zero(inner.coefficient(0)):
+    if not inner.coefficient(0).is_zero:
         raise AssertionError("oracle misuse: inner series has a constant term")
     order = outer.order
     result = WSeries.zero(order, ring)
@@ -190,7 +190,7 @@ def compose_wseries(outer: WSeries, inner: WSeries) -> WSeries:
         if k > 0:
             power = power * inner.with_order(order)
         c = outer.coefficient(k)
-        if not ring.is_zero(c):
+        if not c.is_zero:
             result = result + power * WSeries(order, ring, {0: c})
     return result
 

@@ -732,6 +732,17 @@ class TestMainErrors:
         assert out == ""
         assert err.startswith(f"error: cannot read {path}: not UTF-8 text")
 
+    def test_non_utf8_stdin(self, capsys, monkeypatch):
+        # a C-locale interpreter decodes stdin with surrogateescape
+        stdin = io.TextIOWrapper(
+            io.BytesIO(b"\xff\xfe{}"), encoding="utf-8", errors="surrogateescape"
+        )
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli(["compute"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read -: not UTF-8 text")
+
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000, encoding="utf-8")

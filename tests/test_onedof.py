@@ -146,7 +146,7 @@ class TestComputeS:
         )
         ring = SymRing(labels)
         terms = {make_key(label): ring.indeterminate(label) for label in labels}
-        quad = PolySeries.monomial(1, 4, (1,), (1,), ring.one, ring)
+        quad = FreqVector.of(1).quadratic_part(4, ring)
         h = quad + PolySeries(1, 4, ring, terms)
         s = compute_S(h, gr(1), 2)
         h30, h03, h21, h12, h22 = (ring.indeterminate(label) for label in labels)

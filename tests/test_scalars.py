@@ -9,7 +9,6 @@ from birkhoff import (
     GAUSSIAN_RING,
     GAUSSIAN_ZERO,
     GaussianRational,
-    InternalCheckError,
     ParseError,
     SymRing,
     SymScalar,
@@ -102,23 +101,19 @@ class TestGaussianRational:
 
 class TestGaussianRing:
     def test_constants_and_predicates(self):
-        assert GAUSSIAN_RING.is_zero(GAUSSIAN_ZERO)
-        assert not GAUSSIAN_RING.is_zero(GAUSSIAN_ONE)
-        assert GAUSSIAN_RING.from_rational(Fraction(2, 3)) == GaussianRational.of(Fraction(2, 3))
+        assert GAUSSIAN_RING.zero == GAUSSIAN_ZERO and GAUSSIAN_RING.zero.is_zero
+        assert GAUSSIAN_RING.one == GAUSSIAN_ONE and not GAUSSIAN_RING.one.is_zero
 
     def test_scale_and_divide(self):
         v = GaussianRational.of(3, 6)
-        assert GAUSSIAN_RING.scale(v, Fraction(1, 3)) == GaussianRational.of(1, 2)
-        assert GAUSSIAN_RING.divide_by_rational(v, Fraction(3)) == GaussianRational.of(1, 2)
+        assert v.scaled(Fraction(1, 3)) == GaussianRational.of(1, 2)
+        assert v.scaled(2) == GaussianRational.of(6, 12)
+        assert v * GaussianRational.of(3).inverse() == GaussianRational.of(1, 2)
 
     def test_divide_by_eigenvalue(self):
         v = GaussianRational.of(4)
         lam = GaussianRational.of(0, 2)
-        assert GAUSSIAN_RING.divide_by_eigenvalue(v, lam, "test") == GaussianRational.of(0, -2)
-
-    def test_divide_by_zero_eigenvalue_is_internal_error(self):
-        with pytest.raises(InternalCheckError):
-            GAUSSIAN_RING.divide_by_eigenvalue(GAUSSIAN_ONE, GAUSSIAN_ZERO, "test")
+        assert v * lam.inverse() == GaussianRational.of(0, -2)
 
     def test_render(self):
         assert GAUSSIAN_RING.render(GaussianRational.of(-3)) == "-3"
@@ -163,14 +158,14 @@ class TestSymScalar:
     def test_scale_by_gaussian_real_only(self):
         ring = self._ring()
         a = ring.indeterminate(LABEL_A)
-        scaled = ring.scale_by_gaussian(a, GaussianRational.of(Fraction(5, 2)))
+        scaled = a * GaussianRational.of(Fraction(5, 2))
         assert scaled.terms == {(1, 0, 0): Fraction(5, 2)}
         with pytest.raises(UsageError):
-            ring.scale_by_gaussian(a, GaussianRational.of(0, 1))
+            a * GaussianRational.of(0, 1)
 
     def test_divide_by_eigenvalue_symbolic(self):
         ring = self._ring()
-        out = ring.divide_by_eigenvalue(ring.indeterminate(LABEL_A), GaussianRational.of(2), "test")
+        out = ring.indeterminate(LABEL_A) * GaussianRational.of(2).inverse()
         assert out.terms == {(1, 0, 0): Fraction(1, 2)}
 
     def test_sorted_terms_graded(self):
