@@ -30,7 +30,7 @@ from .operators import (
     resonant_pairs,
     resonant_projection,
 )
-from .scalars import GaussianRational
+from .scalars import GaussianRational, format_rational
 from .series import ExponentPair, PolySeries, make_pair, term_order
 from .structure import (
     DEFAULT_ORDER_CAP,
@@ -186,14 +186,23 @@ def _load_json(path: str) -> object:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
     except RecursionError:
         raise ParseError(f"invalid JSON in {path}: nested too deeply") from None
+    except ValueError:
+        # an integer literal past the interpreter's digit limit
+        raise ParseError(
+            f"invalid JSON in {path}: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _emit(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _emit_json(obj: object, path: str) -> None:
@@ -471,7 +480,7 @@ def cmd_trees_enumerate(args) -> int:
         if args.codes:
             line += "  " + format_code(to_code(t))
         if args.mu:
-            line += "  " + str(tree_weight(t))
+            line += "  " + format_rational(tree_weight(t))
         lines.append(line)
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -482,7 +491,7 @@ def cmd_trees_mu_sum(args) -> int:
     out = {
         "leaves": args.leaves,
         "count": catalan_count(args.leaves),
-        "mu_sum": str(total),
+        "mu_sum": format_rational(total),
     }
     _emit_json(out, args.output)
     return 0

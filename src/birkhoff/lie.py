@@ -8,15 +8,16 @@ the already-chosen generator parts, then splits it:
     N_m = A Phi_m        (resonant part, kept in the normal form)
     F_m = B Phi_m        (generator part, removing the rest)
 
-The recursion for Phi_m has two groups, both summing over ordered
-compositions with parts >= 3 and weights 1/k!:
+The recursion for Phi_m has two groups of nested brackets of generator
+parts, each read off a table with one recurrence (the Deprit triangle,
+Deprit, Celest. Mech. 1 (1969) 12-30):
 
-  group 1 (+):  nested brackets {F_{j_1}, {..., {F_{j_k}, H_j}..}} over
-                j_1 + .. + j_k + j = m + 2k, for k = 1 .. m-3;
-  group 2 (-):  nested brackets {F_{j_1}, {..., {F_{j_{k-1}}, R_{j_k}}..}}
-                over j_1 + .. + j_k = m + 2(k-1), for k = 2 .. m-2,
+    T[0][d] = seed_d,    T[k][d] = sum_{j>=3} {F_j, T[k-1][d+2-j]},
+    Phi_m = H_m + sum_{k>=1} T1[k][m] / k!  -  sum_{k>=1} T2[k][m] / (k+1)!.
 
-where the innermost slot R_j of group 2 depends on the mode:
+Table T1 is seeded with H_d and T2 with R_d.  Every inner degree is below m,
+so each entry is final when first computed and each bracket is taken once.
+The seed R_j of T2 depends on the mode:
 
 * ``kernel_corrected=True`` (default): R_j = Phi_j - N_j, the image-part of
   the right-hand side.  This is the exact bookkeeping: the generator part
@@ -48,7 +49,6 @@ from .operators import (
 )
 from .scalars import GAUSSIAN_RING, GaussianRational
 from .series import PolySeries, monomials
-from .trees import compositions
 
 
 @dataclass(frozen=True)
@@ -76,42 +76,33 @@ def lie_normalize(
     ring = hamiltonian.ring
     n = hamiltonian.n
 
-    hparts = {m: hamiltonian.grade(m) for m in range(3, order + 1)}
     rhs: dict[int, PolySeries] = {}
     res: dict[int, PolySeries] = {}
     gen: dict[int, PolySeries] = {}
+    # t1[k, d], t2[k, d]: the sum of the k-fold brackets of degree d
+    t1 = {(0, d): hamiltonian.grade(d) for d in range(3, order + 1)}
+    t2: dict[tuple[int, int], PolySeries] = {}
+
+    def bracket_entry(table: dict, k: int, m: int) -> PolySeries:
+        """T[k][m] = sum_{j>=3} {F_j, T[k-1][m+2-j]}; every inner degree is below m."""
+        acc = PolySeries.zero(n, order, ring)
+        for j in range(3, m - k + 1):
+            inner = table[k - 1, m + 2 - j]
+            if not inner.is_zero and not gen[j].is_zero:
+                acc = acc + gen[j].poisson(inner)
+        return acc
 
     for m in range(3, order + 1):
-        acc = hparts[m]
+        acc = t1[0, m]
         for k in range(1, m - 2):
-            weight = Fraction(1, math.factorial(k))
-            for comp in compositions(m + 2 * k, k + 1, 3):
-                js, j = comp[:-1], comp[-1]
-                term = hparts[j]
-                if term.is_zero:
-                    continue
-                for ji in reversed(js):
-                    term = gen[ji].poisson(term)
-                    if term.is_zero:
-                        break
-                if not term.is_zero:
-                    acc = acc + term.scale(weight)
-        for k in range(2, m - 1):
-            weight = Fraction(1, math.factorial(k))
-            for comp in compositions(m + 2 * (k - 1), k, 3):
-                js, jk = comp[:-1], comp[-1]
-                term = rhs[jk] - res[jk] if kernel_corrected else rhs[jk]
-                if term.is_zero:
-                    continue
-                for ji in reversed(js):
-                    term = gen[ji].poisson(term)
-                    if term.is_zero:
-                        break
-                if not term.is_zero:
-                    acc = acc - term.scale(weight)
+            t1[k, m] = bracket_entry(t1, k, m)
+            t2[k, m] = bracket_entry(t2, k, m)
+            acc = acc + t1[k, m].scale(Fraction(1, math.factorial(k)))
+            acc = acc - t2[k, m].scale(Fraction(1, math.factorial(k + 1)))
         rhs[m] = acc
         res[m] = resonant_projection(acc, freq)
         gen[m] = partial_inverse(acc, freq)
+        t2[0, m] = acc - res[m] if kernel_corrected else acc
 
     normal_form = freq.quadratic_part(order, ring)
     generator = PolySeries.zero(n, order, ring)

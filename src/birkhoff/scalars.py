@@ -18,6 +18,7 @@ No floating point exists anywhere.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -38,11 +39,28 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(cleaned)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in rational {text!r}") from None
+    except ValueError:
+        raise ParseError(
+            f"rational literal of {len(cleaned)} characters exceeds the "
+            f"interpreter's {sys.get_int_max_str_digits()}-digit limit for integers"
+        ) from None
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "p/q", omitting the denominator when it is 1."""
-    return str(value)
+    """Render a Fraction as "p/q", omitting the denominator when it is 1.
+
+    This is the one place where a rational becomes text.  A numerator or
+    denominator past the interpreter's integer-to-text digit limit is
+    refused with a usage error; the limit itself is process-wide and stays
+    as it is.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise UsageError(
+            "a coefficient has more digits than the interpreter's "
+            f"{sys.get_int_max_str_digits()}-digit limit for writing an integer"
+        ) from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,7 +31,13 @@ from typing import Mapping, Sequence
 from .errors import UsageError
 from .lie import NormalizationResult, lie_normalize
 from .operators import FreqVector
-from .scalars import GaussianRational, SymRing, SymScalar, evaluation_map
+from .scalars import (
+    GaussianRational,
+    SymRing,
+    SymScalar,
+    evaluation_map,
+    format_rational,
+)
 from .series import ExponentPair, PolySeries, term_order
 
 DEFAULT_ORDER_CAP = 6
@@ -168,7 +174,7 @@ def check_structure(symbolic: SymbolicNormalForm) -> StructureReport:
                     for label, e in zip(ring.labels, exponents)
                     if e
                 ],
-                "coeff": str(coeff),
+                "coeff": format_rational(coeff),
                 "s": s,
                 "weight_x": list(wx),
                 "weight_y": list(wy),

@@ -17,6 +17,12 @@ innermost slot of the first group is g_s alone.  As in the degree-by-degree
 pipeline, R is identity in the plain ("printed") variant and I - A in the
 kernel-corrected variant.
 
+``form_by_recursion`` regroups both sums of L(lo, hi), the form of
+g_lo .. g_{hi-1}, into two tables over block starts with one recurrence,
+U[k][a] = sum_{b>a} {B L(a,b), U[k-1][b]}.  U1 is seeded with g_{hi-1} at
+hi-1, U2 with R(L(c, hi)) at each lo < c < hi, and L(lo, hi) is the sum over
+k of U1[k][lo] / k! - U2[k][lo] / (k+1)!.  Each B L(a, b) is computed once.
+
 The plain variant has a closed form: a sum over full binary trees,
 
     L_s(g_1..g_s) = sum_{t, s leaves} mu(t) Q[t](g_1..g_s),
@@ -50,6 +56,7 @@ from .operators import (
     resonant_projection,
     validate_hamiltonian,
 )
+from .scalars import format_rational
 from .series import PolySeries
 from .trees import (
     MAX_LEAVES,
@@ -160,50 +167,39 @@ def form_by_recursion(
     if not args:
         raise UsageError("the form needs at least one argument")
     zero = PolySeries.zero(args[0].n, args[0].order, args[0].ring)
-    memo: dict[tuple[int, int], PolySeries] = {}
+    forms: dict[tuple[int, int], PolySeries] = {}  # L(a, b), the form of args[a:b]
+    blocks: dict[tuple[int, int], PolySeries] = {}  # B L(a, b)
 
-    def block_bounds(lo: int, comp: tuple[int, ...]) -> list[tuple[int, int]]:
-        bounds = []
-        start = lo
-        for size in comp:
-            bounds.append((start, start + size))
-            start += size
-        return bounds
+    def block(a: int, b: int) -> PolySeries:
+        if (a, b) not in blocks:
+            blocks[a, b] = partial_inverse(lam(a, b), freq)
+        return blocks[a, b]
+
+    def next_row(row: dict[int, PolySeries], lo: int) -> dict[int, PolySeries]:
+        """U[k][a] = sum_{b>a} {B L(a,b), U[k-1][b]} for lo <= a < max(row)."""
+        out = {}
+        for a in range(lo, max(row)):
+            out[a] = zero
+            for b, inner in row.items():
+                if b > a and not inner.is_zero:
+                    out[a] = out[a] + block(a, b).poisson(inner)
+        return out
 
     def lam(lo: int, hi: int) -> PolySeries:
-        key = (lo, hi)
-        if key in memo:
-            return memo[key]
-        s = hi - lo
-        if s == 1:
-            memo[key] = args[lo]
-            return args[lo]
-        acc = zero
-        for k in range(1, s):
-            weight = Fraction(1, math.factorial(k))
-            for comp in compositions(s - 1, k, 1):
-                term = args[hi - 1]
-                for blo, bhi in reversed(block_bounds(lo, comp)):
-                    term = partial_inverse(lam(blo, bhi), freq).poisson(term)
-                    if term.is_zero:
-                        break
-                if not term.is_zero:
-                    acc = acc + term.scale(weight)
-        for k in range(2, s + 1):
-            weight = Fraction(1, math.factorial(k))
-            for comp in compositions(s, k, 1):
-                bounds = block_bounds(lo, comp)
-                inner = lam(*bounds[-1])
-                if kernel_corrected:
-                    inner = inner - resonant_projection(inner, freq)
-                term = inner
-                for blo, bhi in reversed(bounds[:-1]):
-                    term = partial_inverse(lam(blo, bhi), freq).poisson(term)
-                    if term.is_zero:
-                        break
-                if not term.is_zero:
-                    acc = acc - term.scale(weight)
-        memo[key] = acc
+        if (lo, hi) in forms:
+            return forms[lo, hi]
+        acc = args[lo]
+        if hi - lo > 1:
+            u1 = {hi - 1: args[hi - 1]}
+            u2 = {c: lam(c, hi) for c in range(lo + 1, hi)}
+            if kernel_corrected:
+                u2 = {c: g - resonant_projection(g, freq) for c, g in u2.items()}
+            acc = zero
+            for k in range(1, hi - lo):
+                u1, u2 = next_row(u1, lo), next_row(u2, lo)
+                acc = acc + u1[lo].scale(Fraction(1, math.factorial(k)))
+                acc = acc - u2[lo].scale(Fraction(1, math.factorial(k + 1)))
+        forms[lo, hi] = acc
         return acc
 
     return lam(0, len(args))
@@ -274,7 +270,7 @@ def nf_via_trees(
                                     "sources": list(comp),
                                     "tree": t.render(),
                                     "code": format_code(to_code(t)),
-                                    "mu": str(tree_weight(t)),
+                                    "mu": format_rational(tree_weight(t)),
                                     "contribution": piece.to_json_terms(),
                                 }
                             )

@@ -757,6 +757,57 @@ class TestMainErrors:
         assert code == 2
         assert err.startswith(f"error: cannot read {path}")
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        path = spec_file(tmp_path, WORKED)
+        target = tmp_path / "absent" / "out.json"
+        code, out, err = run_cli(
+            ["compute", "--input", path, "--output", str(target)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
+
+    def test_oversized_rational_literal(self, tmp_path, capsys):
+        payload = dict(WORKED, terms=[{"alpha": [2], "beta": [1], "coeff": "1" * 5000}])
+        path = spec_file(tmp_path, payload)
+        code, out, err = run_cli(["compute", "--input", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: term 1: rational literal of 5000 characters")
+        assert f"{sys.get_int_max_str_digits()}-digit limit" in err
+
+    def test_oversized_result_coefficient(self, tmp_path, capsys):
+        big = "7" * 3000
+        payload = {
+            "n": 1,
+            "lambda": ["1"],
+            "order": 8,
+            "terms": [
+                {"alpha": [2], "beta": [1], "coeff": big},
+                {"alpha": [1], "beta": [2], "coeff": big},
+            ],
+        }
+        path = spec_file(tmp_path, payload)
+        code, out, err = run_cli(["compute", "--input", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: a coefficient has more digits than the interpreter's "
+            f"{sys.get_int_max_str_digits()}-digit limit for writing an integer\n"
+        )
+
+    def test_oversized_json_integer(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"n": ' + "1" * 5000 + "}", encoding="utf-8")
+        code, out, err = run_cli(["compute", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: invalid JSON in {path}: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits\n"
+        )
+
     def test_input_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]", encoding="utf-8")

@@ -1,9 +1,10 @@
-"""Property tests for the scalar and series layers.
+"""Property tests for the scalar and series layers and the three pipelines.
 
 Drawn values and series are checked against independent computations:
 plain (re, im) pairs of Fractions for Q(i), the dict oracles in
-``helpers`` for the series product and bracket, and numeric evaluation for
-symbolic series.  Any rewrite of these layers must keep them passing.
+``helpers`` for the series product and bracket, numeric evaluation for
+symbolic series, and the flow-driven ``helpers.direct_normalize`` for every
+pipeline's normal form.  Any rewrite of these layers must keep them passing.
 """
 
 from fractions import Fraction
@@ -17,11 +18,16 @@ from birkhoff import (
     PolySeries,
     SymRing,
     SymScalar,
+    form_by_recursion,
+    form_by_trees,
+    lie_normalize,
+    nf_via_trees,
+    onedof_normal_form,
     partial_inverse,
 )
 from birkhoff.series import monomials
 
-from helpers import mul_oracle, poisson_oracle
+from helpers import direct_normalize, mul_oracle, poisson_oracle
 
 FAST = settings(max_examples=60, deadline=None)
 SLOW = settings(max_examples=25, deadline=None)
@@ -152,3 +158,71 @@ class TestSymbolicCommutesWithEvaluation:
         assert evaluated(partial_inverse(f, freq), values) == partial_inverse(
             evaluated(f, values), freq
         )
+
+
+# Frequencies per dimension: resonant and non-resonant, real and complex.
+# (1, 8) and (1, i) have no resonance but the diagonal through order 6.
+FREQUENCIES = {
+    1: [(1,), (2,), (Fraction(-1, 2),), (GaussianRational.of(0, 1),)],
+    2: [(1, 1), (1, -1), (1, 2), (1, 8), (1, GaussianRational.of(0, 1))],
+}
+PIPELINES = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def hamiltonians(draw):
+    """H2 of a drawn frequency vector, one to three cubics, up to two higher terms."""
+    n = draw(st.integers(1, 2))
+    order = draw(st.integers(4, 6))
+    freq = FreqVector.of(*draw(st.sampled_from(FREQUENCIES[n])))
+    values = gaussians if draw(st.booleans()) else st.builds(
+        GaussianRational, fractions, st.just(Fraction(0))
+    )
+    cubics = list(monomials(n, 3))
+    higher = [pair for degree in range(4, order + 1) for pair in monomials(n, degree)]
+    chosen = draw(st.lists(st.sampled_from(cubics), min_size=1, max_size=3, unique=True))
+    chosen += draw(st.lists(st.sampled_from(higher), max_size=2, unique=True))
+    tail = PolySeries(n, order, GAUSSIAN_RING, {p: draw(values) for p in chosen})
+    return freq.quadratic_part(order, GAUSSIAN_RING) + tail, freq
+
+
+@st.composite
+def form_arguments(draw):
+    """One to five series of degree 3..4 and a frequency vector, n = 1..2.
+
+    s cubic arguments give a form of degree s + 2, so the order leaves room
+    for the form and one quartic argument.
+    """
+    n = draw(st.integers(1, 2))
+    s = draw(st.integers(1, 5))
+    order = s + 3
+    freq = FreqVector.of(*draw(st.sampled_from(FREQUENCIES[n])))
+    pairs = [pair for degree in (3, 4) for pair in monomials(n, degree)]
+
+    def one_series():
+        chosen = draw(
+            st.lists(st.sampled_from(pairs), min_size=1, max_size=2, unique=True)
+        )
+        return PolySeries(n, order, GAUSSIAN_RING, {p: draw(gaussians) for p in chosen})
+
+    return [one_series() for _ in range(s)], freq
+
+
+class TestPipelinesAgainstFlowOracle:
+    @PIPELINES
+    @given(case=hamiltonians())
+    def test_every_pipeline_equals_direct_normalization(self, case):
+        h, freq = case
+        oracle_nf, oracle_gen = direct_normalize(h, freq)
+        lie = lie_normalize(h, freq)
+        assert lie.normal_form == oracle_nf
+        assert lie.generator == oracle_gen
+        assert nf_via_trees(h, freq, kernel_corrected=True).normal_form == oracle_nf
+        if h.n == 1:
+            assert onedof_normal_form(h, freq.entries[0]).normal_form == oracle_nf
+
+    @PIPELINES
+    @given(case=form_arguments())
+    def test_plain_recursion_equals_tree_sum(self, case):
+        args, freq = case
+        assert form_by_recursion(args, freq) == form_by_trees(args, freq)

@@ -1,5 +1,6 @@
 """Coefficient-layer tests: rational parsing, Q(i), symbolic scalars."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,15 @@ class TestParseRational:
     def test_non_string(self):
         with pytest.raises(ParseError):
             parse_rational(1.5)
+
+    def test_literal_past_digit_limit(self):
+        with pytest.raises(ParseError, match="digit limit"):
+            parse_rational("1/" + "3" * (sys.get_int_max_str_digits() + 1))
+
+    def test_format_past_digit_limit(self):
+        # the limit guards int-to-text only, so the value itself is cheap to build
+        with pytest.raises(UsageError, match="digit limit"):
+            format_rational(Fraction(1, 10 ** (sys.get_int_max_str_digits() + 1)))
 
     def test_format_round_trip(self):
         for value in [Fraction(3, 4), Fraction(-2), Fraction(0), Fraction(-7, 3)]:
