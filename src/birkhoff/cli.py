@@ -293,9 +293,7 @@ def cmd_check(args) -> int:
     checks: list[dict] = []
 
     lie_result = lie_normalize(hamiltonian, freq)
-    trees_result = nf_via_trees(
-        hamiltonian, freq, kernel_corrected=True, max_leaves=args.max_leaves
-    )
+    trees_result = nf_via_trees(hamiltonian, freq, kernel_corrected=True)
     same = lie_result.normal_form == trees_result.normal_form
     checks.append(
         _check_row(
@@ -546,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run all applicable cross-checks")
     _add_io(check)
     check.add_argument("--order", type=int, default=None)
-    check.add_argument("--max-leaves", type=int, default=MAX_LEAVES)
     check.add_argument("--seed", type=int, default=DEFAULT_SEED)
     check.set_defaults(handler=cmd_check)
 

@@ -48,7 +48,7 @@ from .operators import (
     validate_hamiltonian,
 )
 from .scalars import GAUSSIAN_RING, GaussianRational
-from .series import PolySeries, monomials
+from .series import PolySeries, monomials, sum_nonzero
 
 
 @dataclass(frozen=True)
@@ -83,35 +83,31 @@ def lie_normalize(
     t1 = {(0, d): hamiltonian.grade(d) for d in range(3, order + 1)}
     t2: dict[tuple[int, int], PolySeries] = {}
 
+    zero = PolySeries.zero(n, order, ring)
+
     def bracket_entry(table: dict, k: int, m: int) -> PolySeries:
         """T[k][m] = sum_{j>=3} {F_j, T[k-1][m+2-j]}; every inner degree is below m."""
-        acc = PolySeries.zero(n, order, ring)
-        for j in range(3, m - k + 1):
-            inner = table[k - 1, m + 2 - j]
-            if not inner.is_zero and not gen[j].is_zero:
-                acc = acc + gen[j].poisson(inner)
-        return acc
+        pairs = [(gen[j], table[k - 1, m + 2 - j]) for j in range(3, m - k + 1)]
+        return sum_nonzero(
+            (f.poisson(inner) for f, inner in pairs if not f.is_zero and not inner.is_zero),
+            zero,
+        )
 
     for m in range(3, order + 1):
-        acc = t1[0, m]
         for k in range(1, m - 2):
-            t1[k, m] = bracket_entry(t1, k, m)
-            t2[k, m] = bracket_entry(t2, k, m)
-            acc = acc + t1[k, m].scale(Fraction(1, math.factorial(k)))
-            acc = acc - t2[k, m].scale(Fraction(1, math.factorial(k + 1)))
+            t1[k, m], t2[k, m] = bracket_entry(t1, k, m), bracket_entry(t2, k, m)
+        weighted = [t1[0, m]]
+        weighted += [t1[k, m].scale(Fraction(1, math.factorial(k))) for k in range(1, m - 2)]
+        weighted += [t2[k, m].scale(Fraction(-1, math.factorial(k + 1))) for k in range(1, m - 2)]
+        acc = sum_nonzero(weighted, zero)
         rhs[m] = acc
         res[m] = resonant_projection(acc, freq)
         gen[m] = partial_inverse(acc, freq)
         t2[0, m] = acc - res[m] if kernel_corrected else acc
 
-    normal_form = freq.quadratic_part(order, ring)
-    generator = PolySeries.zero(n, order, ring)
-    for m in range(3, order + 1):
-        normal_form = normal_form + res[m]
-        generator = generator + gen[m]
     return NormalizationResult(
-        normal_form=normal_form,
-        generator=generator,
+        normal_form=sum_nonzero([freq.quadratic_part(order, ring), *res.values()], zero),
+        generator=sum_nonzero(gen.values(), zero),
         order=order,
         freq=freq,
         kernel_corrected=kernel_corrected,

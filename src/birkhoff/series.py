@@ -8,8 +8,9 @@ silent re-truncation, so differential tests cannot lose coverage quietly.
 
 The bracket is
     {F, G} = sum_j (dF/dy_j dG/dx_j - dF/dx_j dG/dy_j),
-computed term-pair-wise with an early cutoff on pairs whose combined degree
-minus 2 already exceeds the truncation order.
+computed term-pair-wise with the second operand's terms sorted by degree, so
+each row stops at the first pair whose combined degree minus 2 exceeds the
+truncation order.
 """
 
 from __future__ import annotations
@@ -201,14 +202,16 @@ class PolySeries:
     def poisson(self, other: "PolySeries") -> "PolySeries":
         self._require_compatible(other)
         result: dict[ExponentPair, object] = {}
+        by_degree = sorted(
+            ((p2.degree, p2, v2) for p2, v2 in other.terms.items()),
+            key=lambda item: item[0],
+        )
         for p1, v1 in self.terms.items():
-            d1 = p1.degree
-            # combined bracket degree is d1 + d2 - 2
-            if d1 - 2 > self.order:
-                continue
-            for p2, v2 in other.terms.items():
-                if d1 + p2.degree - 2 > self.order:
-                    continue
+            # a pair brackets to degree d1 + d2 - 2
+            limit = self.order + 2 - p1.degree
+            for d2, p2, v2 in by_degree:
+                if d2 > limit:
+                    break
                 base = None
                 for j in range(self.n):
                     factor = p1.beta[j] * p2.alpha[j] - p1.alpha[j] * p2.beta[j]
@@ -297,6 +300,15 @@ class PolySeries:
                 }
             )
         return rows
+
+
+def sum_nonzero(pieces: Iterable[PolySeries], zero: PolySeries) -> PolySeries:
+    """The sum of the pieces, adding from the first nonzero one; zero if none."""
+    total = zero
+    for piece in pieces:
+        if not piece.is_zero:
+            total = piece if total.is_zero else total + piece
+    return total
 
 
 def from_json_terms(

@@ -17,11 +17,15 @@ innermost slot of the first group is g_s alone.  As in the degree-by-degree
 pipeline, R is identity in the plain ("printed") variant and I - A in the
 kernel-corrected variant.
 
-``form_by_recursion`` regroups both sums of L(lo, hi), the form of
-g_lo .. g_{hi-1}, into two tables over block starts with one recurrence,
-U[k][a] = sum_{b>a} {B L(a,b), U[k-1][b]}.  U1 is seeded with g_{hi-1} at
-hi-1, U2 with R(L(c, hi)) at each lo < c < hi, and L(lo, hi) is the sum over
-k of U1[k][lo] / k! - U2[k][lo] / (k+1)!.  Each B L(a, b) is computed once.
+``form_by_recursion`` evaluates the forms on equal arguments, L_s(g, .., g),
+which is all the normal form needs.  Every block of c arguments then has the
+form L_c, so both sums fold into two tables over leaf count r:
+
+    U[k][r] = sum_{c=1}^{r-k} {B L_c, U[k-1][r-c]},
+    L_s = sum_{k=1}^{s-1} U1[k][s] / k!  -  U2[k][s] / (k+1)!,
+
+U1 seeded with g at r = 1 and U2 with R L_c at r = c.  Filled in ascending
+s, each entry is final when first computed and each B L_c is computed once.
 
 The plain variant has a closed form: a sum over full binary trees,
 
@@ -32,13 +36,16 @@ against the right factor, splitting the arguments in order.  The weight
 mu(t) is the product of per-chain weights J_k read off the backslash code;
 equivalently it satisfies mu(t) = J_m * prod mu(t_i) over the right-factor
 decomposition.  Both weight routes are implemented and tested against each
-other, as is the recursion-equals-trees identity.
+other, as is the recursion-equals-trees identity on equal arguments.
 
-The degree-m resonant contribution to the normal form is assembled from
-these forms applied to tuples of homogeneous parts of H:
+With H* = H - H2 and M the truncation order, the normal form is one
+recursion, N = H2 + sum_{s=1}^{M-2} A L_s(H*, .., H*).  By multilinearity its
+degree-m part is the sum over tuples of homogeneous parts of H,
 
     N_m = sum_{s=1}^{m-2} sum_{j_1+..+j_s = m-2+2s, j_i >= 3}
-              A L_s(H_{j_1}, .., H_{j_s}).
+              A L_s(H_{j_1}, .., H_{j_s}),
+
+which only the audit breakdown writes out, tree by tree.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from .operators import (
     validate_hamiltonian,
 )
 from .scalars import format_rational
-from .series import PolySeries
+from .series import PolySeries, sum_nonzero
 from .trees import (
     MAX_LEAVES,
     Tree,
@@ -145,64 +152,50 @@ def form_by_trees(
     args = list(args)
     if not args:
         raise UsageError("the form needs at least one argument")
-    total = PolySeries.zero(args[0].n, args[0].order, args[0].ring)
-    for t in all_trees(len(args), max_leaves):
-        total = total + tree_bracket(t, args, freq).scale(tree_weight(t))
-    return total
+    zero = PolySeries.zero(args[0].n, args[0].order, args[0].ring)
+    trees = all_trees(len(args), max_leaves)
+    return sum_nonzero((tree_bracket(t, args, freq).scale(tree_weight(t)) for t in trees), zero)
 
 
 def form_by_recursion(
-    args: Sequence[PolySeries],
+    g: PolySeries,
+    smax: int,
     freq: FreqVector,
     kernel_corrected: bool = False,
-) -> PolySeries:
-    """The s-linear form by its recursion; optionally kernel-corrected.
+) -> list[PolySeries]:
+    """[L_1(g), L_2(g, g), .., L_smax(g, .., g)] from the leaf-count tables.
 
-    With ``kernel_corrected=False`` this equals ``form_by_trees`` on the same
-    arguments.  With ``kernel_corrected=True`` the innermost slot of the
-    correction group is stripped of its resonant part, matching the exact
-    degree-by-degree pipeline.
+    With ``kernel_corrected=False`` each form equals ``form_by_trees`` on s
+    copies of g.  With ``kernel_corrected=True`` the U2 seeds are stripped of
+    their resonant part, matching the exact degree-by-degree pipeline.
     """
-    args = list(args)
-    if not args:
+    if smax < 1:
         raise UsageError("the form needs at least one argument")
-    zero = PolySeries.zero(args[0].n, args[0].order, args[0].ring)
-    forms: dict[tuple[int, int], PolySeries] = {}  # L(a, b), the form of args[a:b]
-    blocks: dict[tuple[int, int], PolySeries] = {}  # B L(a, b)
+    zero = PolySeries.zero(g.n, g.order, g.ring)
+    forms = [zero, g]  # forms[c] = L_c
+    blocks = [zero]  # blocks[c] = B L_c
+    # u1[k, r], u2[k, r]: the k-fold brackets holding r leaves
+    u1 = {(0, 1): g}
+    u2: dict[tuple[int, int], PolySeries] = {}
 
-    def block(a: int, b: int) -> PolySeries:
-        if (a, b) not in blocks:
-            blocks[a, b] = partial_inverse(lam(a, b), freq)
-        return blocks[a, b]
+    def entry(table: dict, k: int, r: int) -> PolySeries:
+        """U[k][r] = sum_{c=1}^{r-k} {B L_c, U[k-1][r-c]}; every r - c is below r."""
+        pairs = [(blocks[c], table.get((k - 1, r - c), zero)) for c in range(1, r - k + 1)]
+        return sum_nonzero(
+            (b.poisson(inner) for b, inner in pairs if not b.is_zero and not inner.is_zero),
+            zero,
+        )
 
-    def next_row(row: dict[int, PolySeries], lo: int) -> dict[int, PolySeries]:
-        """U[k][a] = sum_{b>a} {B L(a,b), U[k-1][b]} for lo <= a < max(row)."""
-        out = {}
-        for a in range(lo, max(row)):
-            out[a] = zero
-            for b, inner in row.items():
-                if b > a and not inner.is_zero:
-                    out[a] = out[a] + block(a, b).poisson(inner)
-        return out
-
-    def lam(lo: int, hi: int) -> PolySeries:
-        if (lo, hi) in forms:
-            return forms[lo, hi]
-        acc = args[lo]
-        if hi - lo > 1:
-            u1 = {hi - 1: args[hi - 1]}
-            u2 = {c: lam(c, hi) for c in range(lo + 1, hi)}
-            if kernel_corrected:
-                u2 = {c: g - resonant_projection(g, freq) for c, g in u2.items()}
-            acc = zero
-            for k in range(1, hi - lo):
-                u1, u2 = next_row(u1, lo), next_row(u2, lo)
-                acc = acc + u1[lo].scale(Fraction(1, math.factorial(k)))
-                acc = acc - u2[lo].scale(Fraction(1, math.factorial(k + 1)))
-        forms[lo, hi] = acc
-        return acc
-
-    return lam(0, len(args))
+    for s in range(2, smax + 1):
+        last = forms[-1]
+        blocks.append(partial_inverse(last, freq))
+        u2[0, s - 1] = last - resonant_projection(last, freq) if kernel_corrected else last
+        for k in range(1, s):
+            u1[k, s], u2[k, s] = entry(u1, k, s), entry(u2, k, s)
+        weighted = [u1[k, s].scale(Fraction(1, math.factorial(k))) for k in range(1, s)]
+        weighted += [u2[k, s].scale(Fraction(-1, math.factorial(k + 1))) for k in range(1, s)]
+        forms.append(sum_nonzero(weighted, zero))
+    return forms[1:]
 
 
 @dataclass(frozen=True)
@@ -223,61 +216,56 @@ def nf_via_trees(
     audit: bool = False,
     max_leaves: int = MAX_LEAVES,
 ) -> TreesResult:
-    """Assemble the normal form degree by degree from the multilinear forms.
+    """N = H2 + A sum_s L_s(H*, .., H*) with H* = H - H2, by one recursion.
 
     Audit rows record, per degree, each tree's resonant contribution under
     the plain weighted-tree formula (nonzero rows only) and, in corrected
     mode, one extra row per degree holding the kernel correction (the
     difference between the corrected recursion total and the plain total).
+    Only the audit enumerates trees, so only it is bounded by ``max_leaves``.
     """
     validate_hamiltonian(hamiltonian, freq)
     order = hamiltonian.order
-    if order - 2 > max_leaves:
+    if audit and order - 2 > max_leaves:
         raise UsageError(
             f"degree {order} needs forms with up to {order - 2} arguments, "
             f"exceeding the leaf limit {max_leaves}"
         )
-    ring = hamiltonian.ring
-    hparts = {m: hamiltonian.grade(m) for m in range(3, order + 1)}
-    normal_form = freq.quadratic_part(order, ring)
+    tail = hamiltonian.filter_terms(lambda pair: pair.degree >= 3)
+    # an order-2 input has an empty tail; L_1 of it is zero
+    forms = form_by_recursion(tail, max(order - 2, 1), freq, kernel_corrected)
+    zero = PolySeries.zero(hamiltonian.n, order, hamiltonian.ring)
+    recursion = resonant_projection(sum_nonzero(forms, zero), freq)
     rows: list[dict] | None = [] if audit else None
-
-    for m in range(3, order + 1):
-        plain_total = PolySeries.zero(hamiltonian.n, order, ring)
-        corrected_total = PolySeries.zero(hamiltonian.n, order, ring)
-        for s in range(1, m - 1):
-            for comp in compositions(m - 2 + 2 * s, s, 3):
-                args = [hparts[j] for j in comp]
-                if any(a.is_zero for a in args):
-                    continue
-                if kernel_corrected:
-                    corrected_total = corrected_total + resonant_projection(
-                        form_by_recursion(args, freq, kernel_corrected=True), freq
-                    )
-                if audit or not kernel_corrected:
+    if audit:
+        hparts = {m: tail.grade(m) for m in range(3, order + 1)}
+        for m in range(3, order + 1):
+            correction = recursion.grade(m)  # less every plain tree row
+            for s in range(1, m - 1):
+                for comp in compositions(m - 2 + 2 * s, s, 3):
+                    args = [hparts[j] for j in comp]
+                    if any(a.is_zero for a in args):
+                        continue
                     for t in all_trees(s, max_leaves):
                         piece = resonant_projection(
                             tree_bracket(t, args, freq).scale(tree_weight(t)), freq
                         )
                         if piece.is_zero:
                             continue
-                        plain_total = plain_total + piece
-                        if rows is not None:
-                            rows.append(
-                                {
-                                    "degree": m,
-                                    "leaves": s,
-                                    "sources": list(comp),
-                                    "tree": t.render(),
-                                    "code": format_code(to_code(t)),
-                                    "mu": format_rational(tree_weight(t)),
-                                    "contribution": piece.to_json_terms(),
-                                }
-                            )
-        total = corrected_total if kernel_corrected else plain_total
-        if rows is not None and kernel_corrected:
-            correction = corrected_total - plain_total
-            if not correction.is_zero:
+                        if kernel_corrected:
+                            correction = correction - piece
+                        rows.append(
+                            {
+                                "degree": m,
+                                "leaves": s,
+                                "sources": list(comp),
+                                "tree": t.render(),
+                                "code": format_code(to_code(t)),
+                                "mu": format_rational(tree_weight(t)),
+                                "contribution": piece.to_json_terms(),
+                            }
+                        )
+            if kernel_corrected and not correction.is_zero:
                 rows.append(
                     {
                         "degree": m,
@@ -285,10 +273,9 @@ def nf_via_trees(
                         "contribution": correction.to_json_terms(),
                     }
                 )
-        normal_form = normal_form + total
 
     return TreesResult(
-        normal_form=normal_form,
+        normal_form=freq.quadratic_part(order, hamiltonian.ring) + recursion,
         order=order,
         freq=freq,
         kernel_corrected=kernel_corrected,

@@ -29,6 +29,7 @@ from birkhoff import (
     compute_S,
     exp_lie,
     form_by_recursion,
+    form_by_trees,
     format_code,
     from_code,
     homological_operator,
@@ -186,16 +187,23 @@ def test_criterion_4_pinned_constants():
             random_series(2, 9, 400 + k, max_degree=4, max_terms=3)
             for k in range(3)
         ]
-        two_arg = form_by_recursion(args[:2], freq)
+        two_arg = form_by_trees(args[:2], freq)
         b0 = partial_inverse(args[0], freq)
         assert two_arg == b0.poisson(args[1]).scale(Fraction(1, 2))
-        three_arg = form_by_recursion(args, freq)
-        display = partial_inverse(b0.poisson(args[1]), freq).poisson(args[2]).scale(
-            Fraction(1, 4)
-        ) + b0.poisson(partial_inverse(args[1], freq).poisson(args[2])).scale(
-            Fraction(1, 12)
-        )
-        assert three_arg == display
+
+        def display(g1, g2, g3):
+            b1 = partial_inverse(g1, freq)
+            return partial_inverse(b1.poisson(g2), freq).poisson(g3).scale(
+                Fraction(1, 4)
+            ) + b1.poisson(partial_inverse(g2, freq).poisson(g3)).scale(
+                Fraction(1, 12)
+            )
+
+        assert form_by_trees(args, freq) == display(*args)
+        g = args[0]
+        forms = form_by_recursion(g, 3, freq)
+        assert forms[1] == b0.poisson(g).scale(Fraction(1, 2))
+        assert forms[2] == display(g, g, g)
 
         pinned_tree = Tree(Tree(LEAF, Tree(LEAF, LEAF)), LEAF)
         assert to_code(pinned_tree) == [1, 1, 3, 2]

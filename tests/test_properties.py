@@ -188,7 +188,7 @@ def hamiltonians(draw):
 
 @st.composite
 def form_arguments(draw):
-    """One to five series of degree 3..4 and a frequency vector, n = 1..2.
+    """A series of degree 3..4, a leaf count s = 1..5 and frequencies, n = 1..2.
 
     s cubic arguments give a form of degree s + 2, so the order leaves room
     for the form and one quartic argument.
@@ -198,14 +198,9 @@ def form_arguments(draw):
     order = s + 3
     freq = FreqVector.of(*draw(st.sampled_from(FREQUENCIES[n])))
     pairs = [pair for degree in (3, 4) for pair in monomials(n, degree)]
-
-    def one_series():
-        chosen = draw(
-            st.lists(st.sampled_from(pairs), min_size=1, max_size=2, unique=True)
-        )
-        return PolySeries(n, order, GAUSSIAN_RING, {p: draw(gaussians) for p in chosen})
-
-    return [one_series() for _ in range(s)], freq
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2, unique=True))
+    g = PolySeries(n, order, GAUSSIAN_RING, {p: draw(gaussians) for p in chosen})
+    return g, s, freq
 
 
 class TestPipelinesAgainstFlowOracle:
@@ -224,5 +219,6 @@ class TestPipelinesAgainstFlowOracle:
     @PIPELINES
     @given(case=form_arguments())
     def test_plain_recursion_equals_tree_sum(self, case):
-        args, freq = case
-        assert form_by_recursion(args, freq) == form_by_trees(args, freq)
+        g, s, freq = case
+        expected = [form_by_trees([g] * r, freq) for r in range(1, s + 1)]
+        assert form_by_recursion(g, s, freq) == expected

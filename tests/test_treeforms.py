@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from birkhoff import treeforms
 from birkhoff import (
     LEAF,
     FreqVector,
@@ -20,6 +21,7 @@ from birkhoff import (
     nf_via_trees,
     parse_code,
     partial_inverse,
+    resonant_projection,
     to_code,
     total_tree_weight,
     tree_bracket,
@@ -154,43 +156,48 @@ class TestTreeBracket:
 class TestFormEquivalence:
     def test_single_argument(self):
         g = random_series(1, 6, 5)
-        assert form_by_recursion([g], freq(1)) == g
+        assert form_by_recursion(g, 1, freq(1)) == [g]
         assert form_by_trees([g], freq(1)) == g
 
     def test_two_arguments_explicit(self):
-        # L_2(g1, g2) = (1/2){B g1, g2}
+        # L_2(g1, g2) = (1/2){B g1, g2}; corrected, L_2(g, g) gains (1/2){B g, A g}
         lam = freq(1)
         g1, g2 = (random_series(1, 8, 20 + k) for k in range(2))
         expected = partial_inverse(g1, lam).poisson(g2).scale(Fraction(1, 2))
-        assert form_by_recursion([g1, g2], lam) == expected
         assert form_by_trees([g1, g2], lam) == expected
+        bg = partial_inverse(g1, lam)
+        assert form_by_recursion(g1, 2, lam)[1] == bg.poisson(g1).scale(Fraction(1, 2))
+        assert form_by_recursion(g1, 2, lam, kernel_corrected=True)[1] == (
+            bg.poisson(g1) + bg.poisson(resonant_projection(g1, lam))
+        ).scale(Fraction(1, 2))
 
     def test_three_arguments_explicit(self):
         # L_3 = (1/4){B{B g1, g2}, g3} + (1/12){B g1, {B g2, g3}}
         lam = freq(1)
+
+        def display(g1, g2, g3):
+            left_first = partial_inverse(
+                partial_inverse(g1, lam).poisson(g2), lam
+            ).poisson(g3)
+            right_first = partial_inverse(g1, lam).poisson(
+                partial_inverse(g2, lam).poisson(g3)
+            )
+            return left_first.scale(Fraction(1, 4)) + right_first.scale(Fraction(1, 12))
+
         g1, g2, g3 = (random_series(1, 10, 30 + k, max_degree=4, max_terms=3) for k in range(3))
-        left_first = partial_inverse(
-            partial_inverse(g1, lam).poisson(g2), lam
-        ).poisson(g3)
-        right_first = partial_inverse(g1, lam).poisson(
-            partial_inverse(g2, lam).poisson(g3)
-        )
-        expected = left_first.scale(Fraction(1, 4)) + right_first.scale(Fraction(1, 12))
-        assert form_by_recursion([g1, g2, g3], lam) == expected
-        assert form_by_trees([g1, g2, g3], lam) == expected
+        assert form_by_trees([g1, g2, g3], lam) == display(g1, g2, g3)
+        assert form_by_recursion(g1, 3, lam)[2] == display(g1, g1, g1)
 
     @pytest.mark.parametrize("s", range(1, 6))
     def test_recursion_equals_trees(self, s):
         lam = freq(1, 8)
-        args = [
-            random_series(2, 7, 50 * s + k, max_degree=4, max_terms=2)
-            for k in range(s)
-        ]
-        assert form_by_recursion(args, lam) == form_by_trees(args, lam)
+        g = random_series(2, 7, 50 * s, max_degree=4, max_terms=2)
+        expected = [form_by_trees([g] * r, lam) for r in range(1, s + 1)]
+        assert form_by_recursion(g, s, lam) == expected
 
     def test_empty_args_rejected(self):
         with pytest.raises(UsageError):
-            form_by_recursion([], freq(1))
+            form_by_recursion(random_series(1, 6, 5), 0, freq(1))
         with pytest.raises(UsageError):
             form_by_trees([], freq(1))
 
@@ -198,9 +205,8 @@ class TestFormEquivalence:
         # cubic arguments whose pair bracket is entirely resonant
         lam = freq(1)
         h3 = build_series(1, 10, {((3,), (0,)): 1, ((0,), (3,)): 1})
-        args = [h3, h3, h3]
-        plain = form_by_recursion(args, lam, kernel_corrected=False)
-        corrected = form_by_recursion(args, lam, kernel_corrected=True)
+        plain = form_by_recursion(h3, 3, lam, kernel_corrected=False)[2]
+        corrected = form_by_recursion(h3, 3, lam, kernel_corrected=True)[2]
         assert plain != corrected
         assert plain == build_series(1, 10, {((4,), (1,)): 1, ((1,), (4,)): 1})
         assert corrected == build_series(1, 10, {((4,), (1,)): 4, ((1,), (4,)): 4})
@@ -232,14 +238,17 @@ class TestNormalFormViaTrees:
         assert nf_via_trees(h, lam).normal_form == lie_normalize(h, lam).normal_form
 
     def test_audit_rows_sum_to_degree_contribution(self):
+        # plain rows come from trees, the plain total from the recursion
         lam = freq(1)
         h = lam.quadratic_part(8) + build_series(1, 8, {((3,), (0,)): 1, ((0,), (3,)): 1})
-        result = nf_via_trees(h, lam, kernel_corrected=True, audit=True)
-        assert result.rows
-        total = lam.quadratic_part(8)
-        for row in result.rows:
-            total = total + from_json_terms(1, 8, row["contribution"])
-        assert total == result.normal_form
+        for corrected in (True, False):
+            result = nf_via_trees(h, lam, kernel_corrected=corrected, audit=True)
+            assert result.rows
+            assert any(row.get("kernel_correction") for row in result.rows) == corrected
+            total = lam.quadratic_part(8)
+            for row in result.rows:
+                total = total + from_json_terms(1, 8, row["contribution"])
+            assert total == result.normal_form
 
     def test_audit_rows_have_tree_metadata(self):
         lam = freq(1)
@@ -260,7 +269,31 @@ class TestNormalFormViaTrees:
         lam = freq(1)
         h = lam.quadratic_part(8) + build_series(1, 8, {((3,), (0,)): 1})
         with pytest.raises(UsageError):
-            nf_via_trees(h, lam, max_leaves=4)
+            nf_via_trees(h, lam, audit=True, max_leaves=4)
+
+    def test_past_leaf_limit_without_audit(self):
+        # order 20 needs forms of 18 arguments, past the audit's leaf limit
+        lam = freq(1)
+        h = lam.quadratic_part(20) + build_series(1, 20, {((3,), (0,)): 1, ((0,), (3,)): 1})
+        for corrected in (True, False):
+            via_trees = nf_via_trees(h, lam, kernel_corrected=corrected)
+            via_lie = lie_normalize(h, lam, kernel_corrected=corrected)
+            assert via_trees.normal_form == via_lie.normal_form
+
+    def test_no_tree_enumeration_without_audit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trees enumerated outside the audit")
+
+        monkeypatch.setattr(treeforms, "all_trees", refuse)
+        monkeypatch.setattr(treeforms, "tree_bracket", refuse)
+        lam = freq(1, 2)
+        h = random_hamiltonian(lam, 7, 85, max_terms=4)
+        for corrected in (True, False):
+            via_trees = nf_via_trees(h, lam, kernel_corrected=corrected)
+            via_lie = lie_normalize(h, lam, kernel_corrected=corrected)
+            assert via_trees.normal_form == via_lie.normal_form
+        with pytest.raises(AssertionError):
+            nf_via_trees(h, lam, audit=True)
 
     def test_resonant_frequency_input(self):
         lam = freq(1, -1)
