@@ -210,10 +210,7 @@ def _emit_json(obj: object, path: str) -> None:
 
 
 def _pairs_json(pairs) -> list[dict]:
-    # rows carry the pairing value; it is identically "0" for resonant pairs
-    return [
-        {"alpha": list(p.alpha), "beta": list(p.beta), "value": "0"} for p in pairs
-    ]
+    return [{"alpha": list(p.alpha), "beta": list(p.beta)} for p in pairs]
 
 
 def _load_spec(

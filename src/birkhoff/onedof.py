@@ -12,7 +12,12 @@ without running the degree-by-degree recursion:
 
    where H_* is H minus its quadratic part.  S is invariant under formal
    symplectic changes of variables fixing the origin, which the property
-   tests exercise by conjugating with random time-1 flows.
+   tests exercise by conjugating with random time-1 flows.  Each power
+   H_*^m keeps only the terms that can still reach S through w^wmax: a
+   degree cut, since every factor of H_* adds at least 3 to the degree,
+   and a charge cut on |a - b| for x^a y^b, since each remaining factor
+   moves the charge by at most the largest charge in H_*.  The average and
+   its derivative are read straight off the diagonal terms.
 3. ``nf_from_S`` recovers the normal form nu(z) = lambda z + N_2 z^2 + ...
    by series reversion: the inverse function of nu is assembled from S and
    then reverted with the Lagrange-Buermann coefficients
@@ -217,14 +222,51 @@ def average(series: PolySeries) -> WSeries:
     return WSeries(series.order // 2, series.ring, out)
 
 
+def _next_power(
+    power: dict[tuple[int, int], object],
+    tail: list[tuple[int, int, object]],
+    top: int,
+    reach: int,
+) -> dict[tuple[int, int], object]:
+    """The terms x^a y^b of power * tail with a + b <= top and |a - b| <= reach.
+
+    Keys are (a, b); ``tail`` is sorted by degree, so each row stops at the
+    first factor that would pass ``top``, and no pair outside the two cuts
+    is multiplied.
+    """
+    out: dict[tuple[int, int], object] = {}
+    for (a1, b1), v1 in power.items():
+        room = top - a1 - b1
+        for a2, b2, v2 in tail:
+            if a2 + b2 > room:
+                break
+            a, b = a1 + a2, b1 + b2
+            if abs(a - b) > reach:
+                continue
+            piece = v1 * v2
+            known = out.get((a, b))
+            out[a, b] = piece if known is None else known + piece
+    return {key: value for key, value in out.items() if not value.is_zero}
+
+
 def compute_S(
     hamiltonian: PolySeries, lam: GaussianRational, wmax: int
 ) -> WSeries:
     """The invariant series S[H] through w^wmax, exactly.
 
-    The input is treated as an exact polynomial: powers of its nonlinear
-    part are formed at whatever working order each summand needs, regardless
-    of the truncation order the input series was carried at.
+    The input is treated as an exact polynomial, whatever truncation order
+    it was carried at.  Power m of H_* enters S through the diagonal terms
+    (x y)^k of <H_*^m> with k <= wmax + m - 1, and each diagonal term gives
+    one coefficient: d_w^{m-1} w^k = k!/(k-m+1)! w^{k-m+1}.  Power m keeps
+    only the terms that can still reach such a diagonal term, by two cuts
+    that drop nothing S needs:
+
+    * degree at most 2(wmax + m - 1): every further factor of H_* adds at
+      least 3 to the degree, while the bound of a later power grows by 2
+      per factor;
+    * charge |a - b| at most c_max (mmax - m), with c_max the largest
+      |a - b| in H_*: each of the at most mmax - m remaining factors shifts
+      the charge by at most c_max, and a diagonal term has charge 0.
     """
     if hamiltonian.n != 1:
         raise UsageError(
@@ -233,30 +275,34 @@ def compute_S(
     validate_hamiltonian(hamiltonian, FreqVector((lam,)))
     if wmax < 1:
         raise UsageError(f"wmax must be at least 1, got {wmax}")
-    ring = hamiltonian.ring
-    result = WSeries.zero(wmax, ring)
     mmax = max(1, 2 * wmax - 2)
-    working_order = 2 * (wmax + mmax - 1)
-    tail = hamiltonian.filter_terms(lambda pair: pair.degree >= 3).with_order(
-        working_order
+    tail = sorted(
+        (
+            (pair.alpha[0], pair.beta[0], value)
+            for pair, value in hamiltonian.terms.items()
+            if pair.degree >= 3
+        ),
+        key=lambda term: term[0] + term[1],
     )
-    if tail.is_zero:
-        return result
+    cmax = max((abs(a - b) for a, b, _ in tail), default=0)
     lam_inv = lam.inverse()
-    power = tail
     lam_power = GaussianRational.of(1)
+    coeffs: dict[int, object] = {}
+    power = {(0, 0): hamiltonian.ring.one}
     for m in range(1, mmax + 1):
-        piece = average(power).with_order(wmax + m - 1)
-        for _ in range(m - 1):
-            piece = piece.derivative()
-        # piece now has order wmax
-        piece = piece.scale(Fraction((-1) ** (m - 1), math.factorial(m)))
-        piece = piece.scale_by_gaussian(lam_power)
-        result = result + piece.with_order(wmax)
-        if m < mmax:
-            power = power * tail
-            lam_power = lam_power * lam_inv
-    return result
+        power = _next_power(power, tail, 2 * (wmax + m - 1), cmax * (mmax - m))
+        if not power:
+            break
+        weight = Fraction((-1) ** (m - 1), math.factorial(m))
+        # a diagonal term of power m has 2a >= 3m, so a >= 2 and a >= m - 1;
+        # the degree cut gives j <= wmax
+        for (a, b), value in power.items():
+            if a == b:
+                piece = value.scaled(weight * math.perm(a, m - 1)) * lam_power
+                j = a - m + 1
+                coeffs[j] = coeffs[j] + piece if j in coeffs else piece
+        lam_power = lam_power * lam_inv
+    return WSeries(wmax, hamiltonian.ring, coeffs)
 
 
 def is_linearizable(

@@ -8,7 +8,10 @@ Two value classes carry every coefficient of the library:
   indeterminate per input coefficient, used by the structure checker.
 
 Values answer for their own arithmetic: ``+ - *``, ``is_zero`` and
-``scaled(q)`` by a rational.  A ``SymScalar`` may also be multiplied by a
+``scaled(q)`` by a rational.  ``GaussianRational`` has a fast path for
+real values: when every imaginary part involved is zero, ``+ - *`` and
+``scaled`` do one ``Fraction`` operation, so real problems pay almost
+nothing for the complex field.  A ``SymScalar`` may also be multiplied by a
 real ``GaussianRational`` (an eigenvalue or its inverse).  A
 :class:`CoefficientRing` only names the domain a series lives in: it holds
 the constants ``zero`` and ``one`` and renders values as text and JSON.
@@ -89,21 +92,29 @@ class GaussianRational:
         return self.im == 0
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
+        if not self.im and not other.im:
+            return GaussianRational(self.re + other.re, self.im)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
+        if not self.im and not other.im:
+            return GaussianRational(self.re - other.re, self.im)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
+        if not self.im and not other.im:
+            return GaussianRational(self.re * other.re, self.im)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
     def scaled(self, q: int | Fraction) -> "GaussianRational":
+        if not self.im:
+            return GaussianRational(self.re * q, self.im)
         return GaussianRational(self.re * q, self.im * q)
 
     def inverse(self) -> "GaussianRational":

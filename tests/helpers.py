@@ -3,8 +3,9 @@
 Everything here recomputes results through a different route than the
 library code under test: dense dict arithmetic instead of the series
 class, derivative-based Poisson brackets, normalization driven purely by
-flow conjugation, series composition instead of reversion, and the
-Akiyama-Tanigawa tableau for Bernoulli numbers.  Tests compare library
+flow conjugation, series composition instead of reversion, the
+invariant series S from unpruned powers, and the Akiyama-Tanigawa tableau
+for Bernoulli numbers.  Tests compare library
 output against these, so a shared bug would have to be implemented twice
 in two different shapes to slip through.  It also holds the environment
 for tests that start a child interpreter.
@@ -12,6 +13,7 @@ for tests that start a child interpreter.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -193,6 +195,54 @@ def compose_wseries(outer: WSeries, inner: WSeries) -> WSeries:
         if not c.is_zero:
             result = result + power * WSeries(order, ring, {0: c})
     return result
+
+
+# ---------------------------------------------------------------------------
+# invariant-series oracle
+
+
+def s_oracle(hamiltonian: PolySeries, lam: GaussianRational, wmax: int) -> WSeries:
+    """S[H] through w^wmax from the defining sum, with no pruning.
+
+    Every power H_*^m, m = 1..mmax with mmax = max(1, 2 wmax - 2), is formed
+    in full at the one working order 2(wmax + mmax - 1) by plain dict
+    convolution; its average is cut at w^(wmax + m - 1) and differentiated
+    m - 1 times one step at a time.  Works over any coefficient ring.
+    """
+    mmax = max(1, 2 * wmax - 2)
+    top = 2 * (wmax + mmax - 1)
+    tail = {
+        (pair.alpha[0], pair.beta[0]): value
+        for pair, value in hamiltonian.terms.items()
+        if pair.degree >= 3
+    }
+    lam_inv = lam.inverse()
+    lam_power = GaussianRational.of(1)
+    total: dict = {}
+    power = dict(tail)
+    for m in range(1, mmax + 1):
+        piece = {
+            a: value
+            for (a, b), value in power.items()
+            if a == b and 2 <= a <= wmax + m - 1
+        }
+        for _ in range(m - 1):
+            piece = {k - 1: value.scaled(k) for k, value in piece.items() if k >= 1}
+        for k, value in piece.items():
+            term = value.scaled(Fraction((-1) ** (m - 1), math.factorial(m))) * lam_power
+            total[k] = total[k] + term if k in total else term
+        if m == mmax:
+            break
+        product: dict = {}
+        for (a1, b1), v1 in power.items():
+            for (a2, b2), v2 in tail.items():
+                key = (a1 + a2, b1 + b2)
+                if sum(key) <= top:
+                    piece = v1 * v2
+                    product[key] = product[key] + piece if key in product else piece
+        power = product
+        lam_power = lam_power * lam_inv
+    return WSeries(wmax, hamiltonian.ring, total)
 
 
 # ---------------------------------------------------------------------------

@@ -453,12 +453,11 @@ class TestComputeCommand:
         code, out, _ = run_cli(["compute", "--input", path], capsys)
         assert code == 0
         rows = json.loads(out)["resonant_pairs"]
-        assert {"alpha": [1, 1], "beta": [0, 0], "value": "0"} in rows
-        assert {"alpha": [0, 0], "beta": [1, 1], "value": "0"} in rows
-        assert all(set(row) == {"alpha", "beta", "value"} for row in rows)
-        assert all(row["value"] == "0" for row in rows)
+        assert {"alpha": [1, 1], "beta": [0, 0]} in rows
+        assert {"alpha": [0, 0], "beta": [1, 1]} in rows
+        assert all(set(row) == {"alpha", "beta"} for row in rows)
         # diagonal pairs are trivially resonant and never reported
-        assert {"alpha": [1, 1], "beta": [1, 1], "value": "0"} not in rows
+        assert {"alpha": [1, 1], "beta": [1, 1]} not in rows
 
 
 class TestCheckCommand:

@@ -9,15 +9,17 @@ pipeline's normal form.  Any rewrite of these layers must keep them passing.
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from birkhoff import (
     GAUSSIAN_RING,
+    ExponentPair,
     FreqVector,
     GaussianRational,
     PolySeries,
     SymRing,
     SymScalar,
+    compute_S,
     form_by_recursion,
     form_by_trees,
     lie_normalize,
@@ -27,7 +29,7 @@ from birkhoff import (
 )
 from birkhoff.series import monomials
 
-from helpers import direct_normalize, mul_oracle, poisson_oracle
+from helpers import direct_normalize, mul_oracle, poisson_oracle, s_oracle
 
 FAST = settings(max_examples=60, deadline=None)
 SLOW = settings(max_examples=25, deadline=None)
@@ -35,6 +37,10 @@ SLOW = settings(max_examples=25, deadline=None)
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 nonzero_fractions = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
 gaussians = st.builds(GaussianRational, fractions, fractions)
+reals = st.builds(GaussianRational, fractions, st.just(Fraction(0)))
+# real about half the time, so that real*real, real*complex and
+# complex*real all occur
+values_in_q_i = st.one_of(reals, gaussians)
 scalings = st.one_of(st.integers(-5, 5), fractions)
 
 
@@ -44,7 +50,7 @@ def pair_of(value: GaussianRational) -> tuple[Fraction, Fraction]:
 
 class TestGaussianRationalAgainstPairs:
     @FAST
-    @given(a=gaussians, b=gaussians)
+    @given(a=values_in_q_i, b=values_in_q_i)
     def test_add_and_mul(self, a, b):
         (ar, ai), (br, bi) = pair_of(a), pair_of(b)
         assert pair_of(a + b) == (ar + br, ai + bi)
@@ -52,13 +58,22 @@ class TestGaussianRationalAgainstPairs:
         assert pair_of(a * b) == (ar * br - ai * bi, ar * bi + ai * br)
 
     @FAST
-    @given(a=gaussians, q=scalings)
+    @given(a=reals, b=reals)
+    def test_real_results_are_plain_reals(self, a, b):
+        for value, re in ((a + b, a.re + b.re), (a - b, a.re - b.re),
+                          (a * b, a.re * b.re), (a.scaled(3), a.re * 3)):
+            assert value == GaussianRational.of(re)
+            assert hash(value) == hash(GaussianRational.of(re))
+            assert value.is_real
+
+    @FAST
+    @given(a=values_in_q_i, q=scalings)
     def test_scaled(self, a, q):
         assert pair_of(a.scaled(q)) == (a.re * q, a.im * q)
         assert a.scaled(q) == a * GaussianRational.of(q)
 
     @FAST
-    @given(a=gaussians)
+    @given(a=values_in_q_i)
     def test_inverse(self, a):
         norm = a.re * a.re + a.im * a.im
         if norm == 0:
@@ -73,9 +88,7 @@ def series_pairs(draw):
     """Two series of one shape: n = 1..3, order <= 6, real or complex values."""
     n = draw(st.integers(1, 3))
     order = draw(st.integers(0, 6))
-    values = gaussians if draw(st.booleans()) else st.builds(
-        GaussianRational, fractions, st.just(Fraction(0))
-    )
+    values = gaussians if draw(st.booleans()) else reals
     pairs = [pair for degree in range(order + 1) for pair in monomials(n, degree)]
 
     def one_series():
@@ -175,9 +188,7 @@ def hamiltonians(draw):
     n = draw(st.integers(1, 2))
     order = draw(st.integers(4, 6))
     freq = FreqVector.of(*draw(st.sampled_from(FREQUENCIES[n])))
-    values = gaussians if draw(st.booleans()) else st.builds(
-        GaussianRational, fractions, st.just(Fraction(0))
-    )
+    values = gaussians if draw(st.booleans()) else reals
     cubics = list(monomials(n, 3))
     higher = [pair for degree in range(4, order + 1) for pair in monomials(n, degree)]
     chosen = draw(st.lists(st.sampled_from(cubics), min_size=1, max_size=3, unique=True))
@@ -222,3 +233,63 @@ class TestPipelinesAgainstFlowOracle:
         g, s, freq = case
         expected = [form_by_trees([g] * r, freq) for r in range(1, s + 1)]
         assert form_by_recursion(g, s, freq) == expected
+
+
+# x^6 and y^5: charges 6 and -5, beyond any cubic's
+HIGH_CHARGE = (ExponentPair((6,), (0,)), ExponentPair((0,), (5,)))
+
+
+@st.composite
+def onedof_s_cases(draw):
+    """One-DOF H of degree 3..6, a frequency and a w-degree wmax = 1..6.
+
+    Supports may lack cubic terms, and may carry the high-charge monomials
+    x^6 or y^5; coefficients are real or complex, lambda real or imaginary.
+    """
+    wmax = draw(st.integers(1, 6))
+    freq = FreqVector.of(*draw(st.sampled_from(FREQUENCIES[1])))
+    lowest = draw(st.sampled_from((3, 4)))
+    highest = draw(st.integers(lowest, 6))
+    pairs = [pair for degree in range(lowest, highest + 1) for pair in monomials(1, degree)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True))
+    for pair in HIGH_CHARGE:
+        if pair not in chosen and draw(st.booleans()):
+            chosen.append(pair)
+    values = gaussians if draw(st.booleans()) else reals
+    tail = PolySeries(1, 6, GAUSSIAN_RING, {p: draw(values) for p in chosen})
+    return freq.quadratic_part(6, GAUSSIAN_RING) + tail, freq.entries[0], wmax
+
+
+def symmetric_case(wmax: int):
+    """x^3 + y^3 + x^2 y^2 at lambda = 1: both cuts are tight on this support.
+
+    The charge cut keeps x^{3k} at power k = mmax/2 only just, and the
+    degree cut keeps (x y)^{wmax + m - 1} in every power m only just.
+    """
+    one = GaussianRational.of(1)
+    terms = {ExponentPair((3,), (0,)): one, ExponentPair((0,), (3,)): one,
+             ExponentPair((2,), (2,)): one}
+    h = FreqVector.of(1).quadratic_part(6, GAUSSIAN_RING) + PolySeries(
+        1, 6, GAUSSIAN_RING, terms
+    )
+    return h, one, wmax
+
+
+class TestComputeSAgainstUnprunedPowers:
+    @settings(max_examples=100, deadline=None)
+    @given(case=onedof_s_cases())
+    @example(case=symmetric_case(2))
+    @example(case=symmetric_case(6))
+    def test_cuts_drop_nothing(self, case):
+        h, lam, wmax = case
+        assert compute_S(h, lam, wmax) == s_oracle(h, lam, wmax)
+
+    def test_symbolic_cuts_drop_nothing(self):
+        labels = tuple(
+            (pair.alpha, pair.beta) for degree in (3, 4) for pair in monomials(1, degree)
+        )
+        ring = SymRing(labels)
+        terms = {ExponentPair(*label): ring.indeterminate(label) for label in labels}
+        lam = GaussianRational.of(2)
+        h = FreqVector.of(lam).quadratic_part(4, ring) + PolySeries(1, 4, ring, terms)
+        assert compute_S(h, lam, 4) == s_oracle(h, lam, 4)
