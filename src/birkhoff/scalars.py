@@ -7,23 +7,31 @@ Two value classes carry every coefficient of the library:
 * ``SymScalar`` for polynomials with rational coefficients in one
   indeterminate per input coefficient, used by the structure checker.
 
+Both store plain integers over one positive denominator, in lowest terms:
+a ``GaussianRational`` is the triple (a, b, d) meaning (a + b i)/d with
+gcd(a, b, d) = 1, and a ``SymScalar`` maps each exponent tuple to an
+integer numerator over one shared ``den``.  Equal values therefore have
+equal fields, so ``==`` and ``hash`` compare fields.  A real value is just
+b = 0, and a product of two reals multiplies only the a's and the d's.
+
 Values answer for their own arithmetic: ``+ - *``, ``is_zero`` and
-``scaled(q)`` by a rational.  ``GaussianRational`` has a fast path for
-real values: when every imaginary part involved is zero, ``+ - *`` and
-``scaled`` do one ``Fraction`` operation, so real problems pay almost
-nothing for the complex field.  A ``SymScalar`` may also be multiplied by a
-real ``GaussianRational`` (an eigenvalue or its inverse).  A
+``scaled(q)`` by an int or ``Fraction``.  A ``SymScalar`` may also be
+multiplied by a real ``GaussianRational`` (an eigenvalue or its inverse).
+The components are read as ``Fraction`` through ``re``/``im`` and
+``terms``; text and JSON are written from the integers.  A
 :class:`CoefficientRing` only names the domain a series lives in: it holds
 the constants ``zero`` and ``one`` and renders values as text and JSON.
-No floating point exists anywhere.
+No floating point exists anywhere: the constructors accept only ``int``
+and ``Fraction`` values.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import ParseError, UsageError
@@ -49,16 +57,20 @@ def parse_rational(text: str) -> Fraction:
         ) from None
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "p/q", omitting the denominator when it is 1.
+def _ratio_text(num: int, den: int) -> str:
+    """Render num/den (den > 0) in lowest terms as "p/q", or "p" when q is 1.
 
     This is the one place where a rational becomes text.  A numerator or
     denominator past the interpreter's integer-to-text digit limit is
     refused with a usage error; the limit itself is process-wide and stays
     as it is.
     """
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
     try:
-        return str(value)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise UsageError(
             "a coefficient has more digits than the interpreter's "
@@ -66,91 +78,153 @@ def format_rational(value: Fraction) -> str:
         ) from None
 
 
-@dataclass(frozen=True, slots=True)
-class GaussianRational:
-    """An element a + b*i of Q(i) with exact rational components."""
+def format_rational(value: Fraction) -> str:
+    """Render a Fraction as "p/q", omitting the denominator when it is 1."""
+    return _ratio_text(value.numerator, value.denominator)
 
-    re: Fraction
-    im: Fraction
+
+def _require_rational(value: object) -> None:
+    # floats and strings are rejected: exactness is the whole point
+    if not isinstance(value, (int, Fraction)):
+        raise UsageError(
+            f"expected an int or Fraction component, got {type(value).__name__}"
+        )
+
+
+def _ratio_of(q: int | Fraction) -> tuple[int, int]:
+    """A scaling factor as (numerator, denominator > 0)."""
+    if isinstance(q, int):
+        return q, 1
+    _require_rational(q)
+    return q.numerator, q.denominator
+
+
+_new = object.__new__
+
+
+class GaussianRational:
+    """An element (a + b i)/d of Q(i), kept as integers in lowest terms.
+
+    d > 0 and gcd(a, b, d) = 1; zero is (0, 0, 1).  Instances are immutable
+    by convention: no method assigns a field after construction.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re: int | Fraction, im: int | Fraction):
+        _require_rational(re)
+        _require_rational(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        # both parts are in lowest terms, so over the lcm the triple is too
+        d = lcm(q, s)
+        self.a, self.b, self.d = p * (d // q), r * (d // s), d
 
     @staticmethod
     def of(re: int | Fraction, im: int | Fraction = 0) -> "GaussianRational":
-        # floats and strings are rejected: exactness is the whole point
-        for part in (re, im):
-            if not isinstance(part, (int, Fraction)):
-                raise UsageError(
-                    f"expected an int or Fraction component, got {type(part).__name__}"
-                )
-        return GaussianRational(Fraction(re), Fraction(im))
+        return GaussianRational(re, im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.b
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        if not self.im and not other.im:
-            return GaussianRational(self.re + other.re, self.im)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, f = self.d, other.d
+        if d == f:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * f + other.a * d, self.b * f + other.b * d, d * f)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        if not self.im and not other.im:
-            return GaussianRational(self.re - other.re, self.im)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, f = self.d, other.d
+        if d == f:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * f - other.a * d, self.b * f - other.b * d, d * f)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _reduced(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re, self.im)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if not b and not e:
+            return _reduced(a * c, 0, self.d * other.d)
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def scaled(self, q: int | Fraction) -> "GaussianRational":
-        if not self.im:
-            return GaussianRational(self.re * q, self.im)
-        return GaussianRational(self.re * q, self.im * q)
+        num, den = _ratio_of(q)
+        return _reduced(self.a * num, self.b * num, self.d * den)
 
     def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        norm = a * a + b * b
         if norm == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return _reduced(d * a, -d * b, norm)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
         return self * other.inverse()
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
+
     def __str__(self) -> str:
-        if self.im == 0:
-            return format_rational(self.re)
-        im_part = f"{format_rational(self.im)}i"
-        if self.re == 0:
-            return im_part
-        sign = "+" if self.im > 0 else "-"
-        return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}i"
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _ratio_text(a, d)
+        if not a:
+            return f"{_ratio_text(b, d)}i"
+        sign = "+" if b > 0 else "-"
+        return f"{_ratio_text(a, d)}{sign}{_ratio_text(abs(b), d)}i"
 
     def to_json(self) -> dict:
-        return {"re": format_rational(self.re), "im": format_rational(self.im)}
+        return {"re": _ratio_text(self.a, self.d), "im": _ratio_text(self.b, self.d)}
 
     @staticmethod
     def from_json(obj: object) -> "GaussianRational":
         """Parse {"re": "p/q", "im": "p/q"}; a bare string means a real value."""
         if isinstance(obj, str):
-            return GaussianRational(parse_rational(obj), Fraction(0))
+            return GaussianRational(parse_rational(obj), 0)
         if isinstance(obj, Mapping):
             unknown = set(obj) - {"re", "im"}
             if unknown:
                 raise ParseError(f"unknown keys {sorted(unknown)} in coefficient object")
-            re_part = parse_rational(obj["re"]) if "re" in obj else Fraction(0)
-            im_part = parse_rational(obj["im"]) if "im" in obj else Fraction(0)
+            re_part = parse_rational(obj["re"]) if "re" in obj else 0
+            im_part = parse_rational(obj["im"]) if "im" in obj else 0
             return GaussianRational(re_part, im_part)
         raise ParseError(f"expected a coefficient object or string, got {obj!r}")
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i)/d for d > 0, brought to lowest terms."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    value = _new(GaussianRational)
+    value.a = a
+    value.b = b
+    value.d = d
+    return value
 
 
 GAUSSIAN_ZERO = GaussianRational.of(0)
@@ -167,84 +241,114 @@ def _check_arity(nvars: int, exponents: tuple[int, ...]) -> None:
 class SymScalar:
     """A polynomial with rational coefficients in abstract indeterminates.
 
-    Terms are stored sparsely as exponent tuple -> Fraction.  Which
-    indeterminate each position refers to is the owning ring's business; this
-    class only needs the arity.  Instances are immutable by convention: no
-    method mutates ``terms`` after construction.
+    Terms are stored sparsely as integer numerators ``nums`` (exponent tuple
+    -> nonzero int) over one denominator ``den`` > 0, in lowest terms:
+    gcd(den, *nums) = 1, and zero is ({}, 1).  ``terms`` is the same
+    polynomial as exponent tuple -> Fraction.  Which indeterminate each
+    position refers to is the owning ring's business; this class only needs
+    the arity.  Instances are immutable by convention: no method mutates
+    ``nums`` after construction.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "nums", "den")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction]):
-        self.nvars = nvars
-        cleaned: dict[tuple[int, ...], Fraction] = {}
-        for exponents, coeff in terms.items():
-            if coeff == 0:
-                continue
-            _check_arity(nvars, exponents)
-            if min(exponents, default=0) < 0:
-                raise UsageError(f"negative exponent in symbolic monomial {exponents}")
-            cleaned[exponents] = coeff
-        self.terms = cleaned
+    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int | Fraction]):
+        den = 1
+        for coeff in terms.values():
+            _require_rational(coeff)
+            den = lcm(den, coeff.denominator)
+        nums = {
+            exponents: coeff.numerator * (den // coeff.denominator)
+            for exponents, coeff in terms.items()
+        }
+        _fill(self, nvars, nums, den)
 
     @staticmethod
     def zero(nvars: int) -> "SymScalar":
         return SymScalar(nvars, {})
 
     @staticmethod
-    def constant(nvars: int, value: Fraction) -> "SymScalar":
-        return SymScalar(nvars, {(0,) * nvars: Fraction(value)})
+    def constant(nvars: int, value: int | Fraction) -> "SymScalar":
+        return SymScalar(nvars, {(0,) * nvars: value})
 
     @staticmethod
     def indeterminate(nvars: int, index: int) -> "SymScalar":
         exponents = tuple(1 if j == index else 0 for j in range(nvars))
-        return SymScalar(nvars, {exponents: Fraction(1)})
+        return SymScalar(nvars, {exponents: 1})
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        den = self.den
+        return {exponents: Fraction(num, den) for exponents, num in self.nums.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def _require_same(self, other: "SymScalar") -> None:
         if not isinstance(other, SymScalar) or other.nvars != self.nvars:
             raise UsageError("symbolic values from different rings cannot be combined")
 
-    def __add__(self, other: "SymScalar") -> "SymScalar":
+    def _combined(self, other: "SymScalar", sign: int) -> "SymScalar":
+        """self + sign * other, over the lcm of the two denominators."""
         self._require_same(other)
-        merged = dict(self.terms)
-        for exponents, coeff in other.terms.items():
-            merged[exponents] = merged.get(exponents, Fraction(0)) + coeff
-        return SymScalar(self.nvars, merged)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            merged = dict(self.nums)
+            factor = sign
+        else:
+            g = gcd(d1, d2)
+            scale = d2 // g
+            merged = {exponents: num * scale for exponents, num in self.nums.items()}
+            factor = sign * (d1 // g)
+            d1 *= scale
+        get = merged.get
+        for exponents, num in other.nums.items():
+            merged[exponents] = get(exponents, 0) + num * factor
+        return _fill(_new(SymScalar), self.nvars, merged, d1)
 
-    def __neg__(self) -> "SymScalar":
-        return SymScalar(self.nvars, {e: -c for e, c in self.terms.items()})
+    def __add__(self, other: "SymScalar") -> "SymScalar":
+        return self._combined(other, 1)
 
     def __sub__(self, other: "SymScalar") -> "SymScalar":
-        return self + (-other)
+        return self._combined(other, -1)
+
+    def __neg__(self) -> "SymScalar":
+        negated = {exponents: -num for exponents, num in self.nums.items()}
+        return _fill(_new(SymScalar), self.nvars, negated, self.den)
 
     def __mul__(self, other: "SymScalar | GaussianRational") -> "SymScalar":
         if isinstance(other, GaussianRational):
-            if not other.is_real:
+            if other.b:
                 raise UsageError(
                     "symbolic mode supports only real rational frequencies; "
                     f"got eigenvalue {other}"
                 )
-            return self.scaled(other.re)
+            return self._times(other.a, other.d)
         self._require_same(other)
-        product: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                product[key] = product.get(key, Fraction(0)) + c1 * c2
-        return SymScalar(self.nvars, product)
+        product: dict[tuple[int, ...], int] = {}
+        get = product.get
+        for e1, c1 in self.nums.items():
+            for e2, c2 in other.nums.items():
+                key = tuple(map(add, e1, e2))
+                product[key] = get(key, 0) + c1 * c2
+        return _fill(_new(SymScalar), self.nvars, product, self.den * other.den)
+
+    def _times(self, num: int, den: int) -> "SymScalar":
+        """self * num/den for den > 0."""
+        scaled = {exponents: c * num for exponents, c in self.nums.items()}
+        return _fill(_new(SymScalar), self.nvars, scaled, self.den * den)
 
     def scaled(self, q: int | Fraction) -> "SymScalar":
-        if q == 0:
-            return SymScalar.zero(self.nvars)
-        return SymScalar(self.nvars, {e: c * q for e, c in self.terms.items()})
+        return self._times(*_ratio_of(q))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in graded-lexicographic order on the exponent vectors."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+        den = self.den
+        return [(exponents, Fraction(num, den)) for exponents, num in self._sorted_nums()]
+
+    def _sorted_nums(self) -> list[tuple[tuple[int, ...], int]]:
+        return sorted(self.nums.items(), key=lambda item: (sum(item[0]), item[0]))
 
     def evaluate(self, values: Sequence[GaussianRational]) -> GaussianRational:
         """Substitute a numeric value for each indeterminate."""
@@ -263,14 +367,34 @@ class SymScalar:
         return (
             isinstance(other, SymScalar)
             and other.nvars == self.nvars
-            and other.terms == self.terms
+            and other.den == self.den
+            and other.nums == self.nums
         )
 
     def __hash__(self) -> int:
-        return hash((self.nvars, tuple(self.sorted_terms())))
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
 
     def __repr__(self) -> str:
         return f"SymScalar({self.nvars}, {dict(self.sorted_terms())!r})"
+
+
+def _fill(value: SymScalar, nvars: int, nums: dict, den: int) -> SymScalar:
+    """Set value's fields to nums/den: zeros dropped, keys checked, lowest terms."""
+    cleaned = {exponents: num for exponents, num in nums.items() if num}
+    # one pass over all keys; the loop below names the first bad one
+    if cleaned and (set(map(len, cleaned)) != {nvars} or (nvars and min(map(min, cleaned)) < 0)):
+        for exponents in cleaned:
+            _check_arity(nvars, exponents)
+            if min(exponents, default=0) < 0:
+                raise UsageError(f"negative exponent in symbolic monomial {exponents}")
+    g = gcd(den, *cleaned.values())
+    if g != 1:
+        den //= g
+        cleaned = {exponents: num // g for exponents, num in cleaned.items()}
+    value.nvars = nvars
+    value.nums = cleaned
+    value.den = den
+    return value
 
 
 class CoefficientRing:
@@ -303,7 +427,7 @@ class GaussianRing(CoefficientRing):
 
     def render(self, value: GaussianRational) -> str:
         text = str(value)
-        if value.im != 0 and value.re != 0:
+        if value.a and value.b:
             return f"({text})"
         return text
 
@@ -337,7 +461,7 @@ class SymRing(CoefficientRing):
         self.nvars = len(ordered)
         self.index = {label: j for j, label in enumerate(ordered)}
         self.zero = SymScalar.zero(self.nvars)
-        self.one = SymScalar.constant(self.nvars, Fraction(1))
+        self.one = SymScalar.constant(self.nvars, 1)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SymRing) and other.labels == self.labels
@@ -370,7 +494,7 @@ class SymRing(CoefficientRing):
         if value.is_zero:
             return "0"
         parts: list[str] = []
-        for exponents, coeff in value.sorted_terms():
+        for exponents, num in value._sorted_nums():
             factors = []
             for position, power in enumerate(exponents):
                 if power == 0:
@@ -378,8 +502,8 @@ class SymRing(CoefficientRing):
                 text = self._label_text(position)
                 factors.append(text if power == 1 else f"{text}^{power}")
             body = "*".join(factors)
-            piece = format_rational(coeff) if not body else f"{format_rational(coeff)}*{body}"
-            parts.append(piece)
+            coeff = _ratio_text(num, value.den)
+            parts.append(coeff if not body else f"{coeff}*{body}")
         rendered = parts[0]
         for piece in parts[1:]:
             rendered += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
@@ -387,7 +511,7 @@ class SymRing(CoefficientRing):
 
     def value_to_json(self, value: SymScalar) -> list:
         rows = []
-        for exponents, coeff in value.sorted_terms():
+        for exponents, num in value._sorted_nums():
             factors = []
             for position, power in enumerate(exponents):
                 if power == 0:
@@ -396,7 +520,7 @@ class SymRing(CoefficientRing):
                 factors.append(
                     {"alpha": list(alpha), "beta": list(beta), "power": power}
                 )
-            rows.append({"coeff": format_rational(coeff), "factors": factors})
+            rows.append({"coeff": _ratio_text(num, value.den), "factors": factors})
         return rows
 
 

@@ -4,11 +4,11 @@ Everything here recomputes results through a different route than the
 library code under test: dense dict arithmetic instead of the series
 class, derivative-based Poisson brackets, normalization driven purely by
 flow conjugation, series composition instead of reversion, the
-invariant series S from unpruned powers, and the Akiyama-Tanigawa tableau
-for Bernoulli numbers.  Tests compare library
-output against these, so a shared bug would have to be implemented twice
-in two different shapes to slip through.  It also holds the environment
-for tests that start a child interpreter.
+invariant series S from unpruned powers, dicts of Fractions for symbolic
+scalars, and the Akiyama-Tanigawa tableau for Bernoulli numbers.  Tests
+compare library output against these, so a shared bug would have to be
+implemented twice in two different shapes to slip through.  It also
+holds the environment for tests that start a child interpreter.
 """
 
 from __future__ import annotations
@@ -243,6 +243,49 @@ def s_oracle(hamiltonian: PolySeries, lam: GaussianRational, wmax: int) -> WSeri
         power = product
         lam_power = lam_power * lam_inv
     return WSeries(wmax, hamiltonian.ring, total)
+
+
+# ---------------------------------------------------------------------------
+# polynomial oracle for SymScalar: plain dicts exponent tuple -> Fraction,
+# without zero coefficients; complex numbers as (re, im) pairs of Fractions
+
+
+def _nonzero(poly: dict) -> dict:
+    return {exponents: coeff for exponents, coeff in poly.items() if coeff != 0}
+
+
+def poly_add(p: dict, q: dict, sign: int = 1) -> dict:
+    """p + sign * q."""
+    out = dict(p)
+    for exponents, coeff in q.items():
+        out[exponents] = out.get(exponents, Fraction(0)) + sign * coeff
+    return _nonzero(out)
+
+
+def poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return _nonzero(out)
+
+
+def poly_scale(p: dict, q: Fraction) -> dict:
+    return _nonzero({exponents: coeff * q for exponents, coeff in p.items()})
+
+
+def poly_evaluate(p: dict, points: list) -> tuple[Fraction, Fraction]:
+    """p at the given (re, im) pairs, one per indeterminate."""
+    total_re, total_im = Fraction(0), Fraction(0)
+    for exponents, coeff in p.items():
+        re, im = Fraction(1), Fraction(0)
+        for (x_re, x_im), power in zip(points, exponents):
+            for _ in range(power):
+                re, im = re * x_re - im * x_im, re * x_im + im * x_re
+        total_re += coeff * re
+        total_im += coeff * im
+    return total_re, total_im
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 Drawn values and series are checked against independent computations:
 plain (re, im) pairs of Fractions for Q(i), the dict oracles in
-``helpers`` for the series product and bracket, numeric evaluation for
-symbolic series, and the flow-driven ``helpers.direct_normalize`` for every
-pipeline's normal form.  Any rewrite of these layers must keep them passing.
+``helpers`` for symbolic scalars and for the series product and bracket,
+numeric evaluation for symbolic series, and the flow-driven
+``helpers.direct_normalize`` for every pipeline's normal form.  Any
+rewrite of these layers must keep them passing.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +31,16 @@ from birkhoff import (
 )
 from birkhoff.series import monomials
 
-from helpers import direct_normalize, mul_oracle, poisson_oracle, s_oracle
+from helpers import (
+    direct_normalize,
+    mul_oracle,
+    poisson_oracle,
+    poly_add,
+    poly_evaluate,
+    poly_mul,
+    poly_scale,
+    s_oracle,
+)
 
 FAST = settings(max_examples=60, deadline=None)
 SLOW = settings(max_examples=25, deadline=None)
@@ -48,6 +59,12 @@ def pair_of(value: GaussianRational) -> tuple[Fraction, Fraction]:
     return value.re, value.im
 
 
+def assert_canonical(value: GaussianRational) -> None:
+    """The stored triple (a, b, d) is in lowest terms with d > 0."""
+    assert value.d > 0
+    assert math.gcd(value.a, value.b, value.d) == 1
+
+
 class TestGaussianRationalAgainstPairs:
     @FAST
     @given(a=values_in_q_i, b=values_in_q_i)
@@ -56,6 +73,9 @@ class TestGaussianRationalAgainstPairs:
         assert pair_of(a + b) == (ar + br, ai + bi)
         assert pair_of(a - b) == (ar - br, ai - bi)
         assert pair_of(a * b) == (ar * br - ai * bi, ar * bi + ai * br)
+        assert pair_of(-a) == (-ar, -ai)
+        for value in (a + b, a - b, a * b, -a):
+            assert_canonical(value)
 
     @FAST
     @given(a=reals, b=reals)
@@ -67,10 +87,21 @@ class TestGaussianRationalAgainstPairs:
             assert value.is_real
 
     @FAST
+    @given(a=values_in_q_i, b=values_in_q_i)
+    def test_eq_and_hash_follow_pairs(self, a, b):
+        # (a + b) - b and a * 2 * 1/2 rebuild a by other routes
+        rebuilt = ((a + b) - b, a.scaled(2) * GaussianRational.of(Fraction(1, 2)))
+        for x, y in ((a, b), (a + b, b + a), *((a, r) for r in rebuilt)):
+            assert (x == y) == (pair_of(x) == pair_of(y))
+            if x == y:
+                assert hash(x) == hash(y)
+
+    @FAST
     @given(a=values_in_q_i, q=scalings)
     def test_scaled(self, a, q):
         assert pair_of(a.scaled(q)) == (a.re * q, a.im * q)
         assert a.scaled(q) == a * GaussianRational.of(q)
+        assert_canonical(a.scaled(q))
 
     @FAST
     @given(a=values_in_q_i)
@@ -81,6 +112,14 @@ class TestGaussianRationalAgainstPairs:
             return
         assert pair_of(a.inverse()) == (a.re / norm, -a.im / norm)
         assert a * a.inverse() == GaussianRational.of(1)
+        assert_canonical(a.inverse())
+
+    @FAST
+    @given(re=fractions, im=fractions)
+    def test_construction_is_canonical(self, re, im):
+        value = GaussianRational(re, im)
+        assert pair_of(value) == (re, im)
+        assert_canonical(value)
 
 
 @st.composite
@@ -117,11 +156,59 @@ RING = SymRing(LABELS)
 
 
 @st.composite
-def sym_scalars(draw):
-    """A polynomial of degree <= 2 in the ring's indeterminates."""
+def sym_dicts(draw):
+    """A polynomial of degree <= 2 in the ring's indeterminates, as a dict."""
     exponents = st.tuples(*[st.integers(0, 2)] * RING.nvars).filter(lambda e: sum(e) <= 2)
-    terms = draw(st.dictionaries(exponents, fractions, max_size=3))
-    return SymScalar(RING.nvars, terms)
+    return draw(st.dictionaries(exponents, fractions, max_size=3))
+
+
+@st.composite
+def sym_scalars(draw):
+    return SymScalar(RING.nvars, draw(sym_dicts()))
+
+
+def assert_sym_canonical(value: SymScalar) -> None:
+    """Nonzero integer numerators over one denominator, in lowest terms."""
+    assert value.den > 0 and all(value.nums.values())
+    assert math.gcd(value.den, *value.nums.values()) == 1
+
+
+class TestSymScalarAgainstDicts:
+    @FAST
+    @given(p=sym_dicts(), q=sym_dicts())
+    def test_add_sub_mul(self, p, q):
+        a, b = SymScalar(RING.nvars, p), SymScalar(RING.nvars, q)
+        cases = (
+            (a, poly_add(p, {})),
+            (a + b, poly_add(p, q)),
+            (a - b, poly_add(p, q, -1)),
+            (-a, poly_scale(p, Fraction(-1))),
+            (a * b, poly_mul(p, q)),
+        )
+        for value, expected in cases:
+            assert value.terms == expected
+            assert_sym_canonical(value)
+
+    @FAST
+    @given(p=sym_dicts(), q=scalings, r=reals)
+    def test_scaled_and_times_real_gaussian(self, p, q, r):
+        a = SymScalar(RING.nvars, p)
+        for value, expected in ((a.scaled(q), poly_scale(p, q)), (a * r, poly_scale(p, r.re))):
+            assert value.terms == expected
+            assert_sym_canonical(value)
+
+    @FAST
+    @given(p=sym_dicts(), values=st.lists(values_in_q_i, min_size=RING.nvars, max_size=RING.nvars))
+    def test_evaluate(self, p, values):
+        value = SymScalar(RING.nvars, p).evaluate(values)
+        assert pair_of(value) == poly_evaluate(p, [pair_of(v) for v in values])
+
+    @FAST
+    @given(p=sym_scalars(), q=sym_scalars(), r=sym_scalars())
+    def test_one_polynomial_built_two_ways(self, p, q, r):
+        factored, expanded = (p + q) * r, p * r + q * r
+        assert factored == expanded
+        assert hash(factored) == hash(expanded)
 
 
 @st.composite

@@ -108,6 +108,21 @@ class TestGaussianRational:
         with pytest.raises(ParseError):
             GaussianRational.from_json(1.5)
 
+    @pytest.mark.parametrize("re, im", [(0.5, 0), (0, 0.5), ("1", 0), (1, None)])
+    def test_constructor_rejects_non_rationals(self, re, im):
+        with pytest.raises(UsageError, match="expected an int or Fraction component"):
+            GaussianRational(re, im)
+
+    def test_scaled_rejects_floats(self):
+        with pytest.raises(UsageError, match="expected an int or Fraction component"):
+            GaussianRational.of(1, 2).scaled(0.5)
+
+    def test_components_are_fractions(self):
+        value = GaussianRational(Fraction(2, 6), 3)
+        assert value.re == Fraction(1, 3) and value.im == 3
+        assert type(value.re) is Fraction and type(value.im) is Fraction
+        assert (value.a, value.b, value.d) == (1, 9, 3)
+
 
 class TestGaussianRing:
     def test_constants_and_predicates(self):
@@ -144,6 +159,29 @@ class TestSymScalar:
         ring = self._ring()
         prod = ring.indeterminate(LABEL_A) * ring.indeterminate(LABEL_B)
         assert prod.terms == {(1, 1, 0): Fraction(1)}
+
+    def test_constructor_rejects_non_rationals(self):
+        for build in (
+            lambda: SymScalar(1, {(1,): 0.5}),
+            lambda: SymScalar(1, {(1,): "1/2"}),
+            lambda: SymScalar.constant(1, 0.5),
+            lambda: SymScalar.indeterminate(1, 0).scaled(0.5),
+        ):
+            with pytest.raises(UsageError, match="expected an int or Fraction component"):
+                build()
+
+    def test_integer_numerators_over_one_denominator(self):
+        value = SymScalar(2, {(1, 0): Fraction(1, 6), (0, 1): Fraction(-3, 4), (0, 0): 0})
+        assert value.den == 12 and value.nums == {(1, 0): 2, (0, 1): -9}
+        assert SymScalar.zero(2).den == 1 and SymScalar.zero(2).nums == {}
+        assert (value - value).den == 1
+
+    def test_constructor_checks_keys_of_nonzero_terms(self):
+        with pytest.raises(UsageError, match="arity 1 does not match ring arity 2"):
+            SymScalar(2, {(1, 0): 1, (1,): 1})
+        with pytest.raises(UsageError, match=r"negative exponent in symbolic monomial \(0, -1\)"):
+            SymScalar(2, {(1, 0): 1, (0, -1): 1})
+        assert SymScalar(2, {(1, 0, 0): 0}).is_zero
 
     def test_unknown_label_rejected(self):
         with pytest.raises(UsageError):
