@@ -28,9 +28,13 @@ from .series import ExponentPair, PolySeries, monomials, term_order
 
 
 class FreqVector:
-    """Nonzero frequencies lambda_1..lambda_n in Q(i)."""
+    """Nonzero frequencies lambda_1..lambda_n in Q(i).
 
-    __slots__ = ("entries",)
+    Each instance remembers the eigenvalues it has computed, by exponent
+    pair; equality and hashing look only at the frequencies.
+    """
+
+    __slots__ = ("entries", "_eigenvalues")
 
     def __init__(self, entries: Sequence[GaussianRational]):
         items = tuple(entries)
@@ -44,6 +48,7 @@ class FreqVector:
             if value.is_zero:
                 raise UsageError(f"frequency {j + 1} is zero; all frequencies must be nonzero")
         self.entries = items
+        self._eigenvalues: dict[ExponentPair, GaussianRational] = {}
 
     @staticmethod
     def of(*values) -> "FreqVector":
@@ -70,11 +75,14 @@ class FreqVector:
 
     def eigenvalue(self, pair: ExponentPair) -> GaussianRational:
         """<alpha - beta, lambda> for the monomial x^alpha y^beta."""
-        total = GAUSSIAN_ZERO
-        for a, b, lam in zip(pair.alpha, pair.beta, self.entries):
-            k = a - b
-            if k:
-                total = total + lam.scaled(k)
+        total = self._eigenvalues.get(pair)
+        if total is None:
+            total = GAUSSIAN_ZERO
+            for a, b, lam in zip(pair.alpha, pair.beta, self.entries):
+                k = a - b
+                if k:
+                    total = total + lam.scaled(k)
+            self._eigenvalues[pair] = total
         return total
 
     def is_resonant(self, pair: ExponentPair) -> bool:
@@ -142,7 +150,7 @@ def homological_operator(series: PolySeries, freq: FreqVector) -> PolySeries:
         if eig.is_zero:
             continue
         out[pair] = value * eig
-    return PolySeries(series.n, series.order, series.ring, out)
+    return PolySeries._trusted(series.n, series.order, series.ring, out)
 
 
 def resonant_projection(series: PolySeries, freq: FreqVector) -> PolySeries:
@@ -160,7 +168,7 @@ def partial_inverse(series: PolySeries, freq: FreqVector) -> PolySeries:
         if eig.is_zero:
             continue
         out[pair] = value * eig.inverse()
-    return PolySeries(series.n, series.order, series.ring, out)
+    return PolySeries._trusted(series.n, series.order, series.ring, out)
 
 
 def resonant_pairs(freq: FreqVector, order: int) -> list[ExponentPair]:

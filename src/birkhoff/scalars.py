@@ -18,7 +18,10 @@ Values answer for their own arithmetic: ``+ - *``, ``is_zero`` and
 ``scaled(q)`` by an int or ``Fraction``.  A ``SymScalar`` may also be
 multiplied by a real ``GaussianRational`` (an eigenvalue or its inverse).
 The components are read as ``Fraction`` through ``re``/``im`` and
-``terms``; text and JSON are written from the integers.  A
+``terms``; text and JSON are written from the integers.  The public
+``SymScalar`` constructor checks the arity and sign of every exponent key
+of a nonzero term; arithmetic results skip that check, because their keys
+are sums of keys already checked.  A
 :class:`CoefficientRing` only names the domain a series lives in: it holds
 the constants ``zero`` and ``one`` and renders values as text and JSON.
 No floating point exists anywhere: the constructors accept only ``int``
@@ -162,6 +165,8 @@ class GaussianRational:
         return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def scaled(self, q: int | Fraction) -> "GaussianRational":
+        if isinstance(q, int):
+            return _reduced(self.a * q, self.b * q, self.d)
         num, den = _ratio_of(q)
         return _reduced(self.a * num, self.b * num, self.d * den)
 
@@ -260,7 +265,9 @@ class SymScalar:
         nums = {
             exponents: coeff.numerator * (den // coeff.denominator)
             for exponents, coeff in terms.items()
+            if coeff
         }
+        _check_keys(nvars, nums)
         _fill(self, nvars, nums, den)
 
     @staticmethod
@@ -378,15 +385,23 @@ class SymScalar:
         return f"SymScalar({self.nvars}, {dict(self.sorted_terms())!r})"
 
 
-def _fill(value: SymScalar, nvars: int, nums: dict, den: int) -> SymScalar:
-    """Set value's fields to nums/den: zeros dropped, keys checked, lowest terms."""
-    cleaned = {exponents: num for exponents, num in nums.items() if num}
+def _check_keys(nvars: int, keys) -> None:
+    """Refuse the first key of another arity or with a negative exponent."""
     # one pass over all keys; the loop below names the first bad one
-    if cleaned and (set(map(len, cleaned)) != {nvars} or (nvars and min(map(min, cleaned)) < 0)):
-        for exponents in cleaned:
+    if keys and (set(map(len, keys)) != {nvars} or (nvars and min(map(min, keys)) < 0)):
+        for exponents in keys:
             _check_arity(nvars, exponents)
             if min(exponents, default=0) < 0:
                 raise UsageError(f"negative exponent in symbolic monomial {exponents}")
+
+
+def _fill(value: SymScalar, nvars: int, nums: dict, den: int) -> SymScalar:
+    """Set value's fields to nums/den, zeros dropped, in lowest terms.
+
+    The keys are trusted: the public constructor checks them first, and
+    arithmetic builds them from keys already checked.
+    """
+    cleaned = {exponents: num for exponents, num in nums.items() if num}
     g = gcd(den, *cleaned.values())
     if g != 1:
         den //= g

@@ -11,15 +11,35 @@ The bracket is
 computed term-pair-wise with the second operand's terms sorted by degree, so
 each row stops at the first pair whose combined degree minus 2 exceeds the
 truncation order.
+
+The product and the bracket work on packed exponents (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  Each operand's keys are packed once per call into one
+int with 2n fields of w = (M + 2).bit_length() bits, alpha_1..alpha_n then
+beta_1..beta_n.  A pair of terms multiplies to the key k1 + k2, and its
+bracket term at index j has the key k1 + k2 - u_j, where u_j holds a 1 in
+the x_j and the y_j fields.  No field overflows: the pairs kept have
+combined degree at most M + 2 < 2**w.  No field borrows: a nonzero bracket
+factor needs both the x_j and the y_j sums to be at least 1.  Terms
+accumulate in an int-keyed dict, and each result key is unpacked once, to
+an :class:`ExponentPair`, in first-insertion order.
+
+Arithmetic results come from :meth:`PolySeries._trusted`, which skips the
+per-term checks of the validating public constructor: their terms already
+have arity n, degree at most M and nonzero values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter, lshift
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import UsageError
 from .scalars import CoefficientRing, GAUSSIAN_RING
+
+
+_new = object.__new__
 
 
 class ExponentPair(NamedTuple):
@@ -109,6 +129,22 @@ class PolySeries:
     def zero(n: int, order: int, ring: CoefficientRing = GAUSSIAN_RING) -> "PolySeries":
         return PolySeries(n, order, ring)
 
+    @staticmethod
+    def _trusted(
+        n: int, order: int, ring: CoefficientRing, terms: dict[ExponentPair, object]
+    ) -> "PolySeries":
+        """The series over terms known to have arity n, degree <= order and
+        nonzero values, without the checks of ``__init__``.
+
+        Arithmetic results are built here.  The dict is taken over, not copied.
+        """
+        series = _new(PolySeries)
+        series.n = n
+        series.order = order
+        series.ring = ring
+        series.terms = terms
+        return series
+
     def _require_compatible(self, other: "PolySeries") -> None:
         if not isinstance(other, PolySeries):
             raise UsageError(f"expected a PolySeries, got {type(other).__name__}")
@@ -127,13 +163,17 @@ class PolySeries:
         merged = dict(self.terms)
         for pair, value in other.terms.items():
             if pair in merged:
-                merged[pair] = merged[pair] + value
+                total = merged[pair] + value
+                if total.is_zero:
+                    del merged[pair]
+                else:
+                    merged[pair] = total
             else:
                 merged[pair] = value
-        return PolySeries(self.n, self.order, self.ring, merged)
+        return PolySeries._trusted(self.n, self.order, self.ring, merged)
 
     def __neg__(self) -> "PolySeries":
-        return PolySeries(
+        return PolySeries._trusted(
             self.n, self.order, self.ring,
             {pair: -value for pair, value in self.terms.items()},
         )
@@ -143,35 +183,31 @@ class PolySeries:
 
     def __mul__(self, other: "PolySeries") -> "PolySeries":
         self._require_compatible(other)
-        product: dict[ExponentPair, object] = {}
-        for p1, v1 in self.terms.items():
-            d1 = p1.degree
-            if d1 > self.order:
-                continue
-            for p2, v2 in other.terms.items():
-                if d1 + p2.degree > self.order:
+        order = self.order
+        width = _field_width(order)
+        right = _pack(other, width)
+        product: dict[int, object] = {}
+        get = product.get
+        for k1, d1, _, v1 in _pack(self, width):
+            for k2, d2, _, v2 in right:
+                if d1 + d2 > order:
                     continue
-                key = ExponentPair(
-                    tuple(a + b for a, b in zip(p1.alpha, p2.alpha)),
-                    tuple(a + b for a, b in zip(p1.beta, p2.beta)),
-                )
+                key = k1 + k2
                 piece = v1 * v2
-                if key in product:
-                    product[key] = product[key] + piece
-                else:
-                    product[key] = piece
-        return PolySeries(self.n, self.order, self.ring, product)
+                known = get(key)
+                product[key] = piece if known is None else known + piece
+        return PolySeries._trusted(self.n, order, self.ring, _unpack(product, self.n, width))
 
     def scale(self, q: Fraction) -> "PolySeries":
         if q == 0:
             return PolySeries(self.n, self.order, self.ring)
-        return PolySeries(
+        return PolySeries._trusted(
             self.n, self.order, self.ring,
             {pair: value.scaled(q) for pair, value in self.terms.items()},
         )
 
     def filter_terms(self, keep: Callable[[ExponentPair], bool]) -> "PolySeries":
-        return PolySeries(
+        return PolySeries._trusted(
             self.n, self.order, self.ring,
             {pair: value for pair, value in self.terms.items() if keep(pair)},
         )
@@ -201,40 +237,32 @@ class PolySeries:
 
     def poisson(self, other: "PolySeries") -> "PolySeries":
         self._require_compatible(other)
-        result: dict[ExponentPair, object] = {}
-        by_degree = sorted(
-            ((p2.degree, p2, v2) for p2, v2 in other.terms.items()),
-            key=lambda item: item[0],
-        )
-        for p1, v1 in self.terms.items():
+        n, order = self.n, self.order
+        width = _field_width(order)
+        units = [(1 << width * j) | (1 << width * (n + j)) for j in range(n)]
+        by_degree = sorted(_pack(other, width), key=itemgetter(1))
+        result: dict[int, object] = {}
+        get = result.get
+        for k1, d1, p1, v1 in _pack(self, width):
             # a pair brackets to degree d1 + d2 - 2
-            limit = self.order + 2 - p1.degree
-            for d2, p2, v2 in by_degree:
+            limit = order + 2 - d1
+            rows = list(zip(units, p1.alpha, p1.beta))
+            for k2, d2, p2, v2 in by_degree:
                 if d2 > limit:
                     break
                 base = None
-                for j in range(self.n):
-                    factor = p1.beta[j] * p2.alpha[j] - p1.alpha[j] * p2.beta[j]
-                    if factor == 0:
+                total = k1 + k2
+                for (unit, a1, b1), a2, b2 in zip(rows, p2.alpha, p2.beta):
+                    factor = b1 * a2 - a1 * b2
+                    if not factor:
                         continue
-                    key = ExponentPair(
-                        tuple(
-                            a + b - (1 if k == j else 0)
-                            for k, (a, b) in enumerate(zip(p1.alpha, p2.alpha))
-                        ),
-                        tuple(
-                            a + b - (1 if k == j else 0)
-                            for k, (a, b) in enumerate(zip(p1.beta, p2.beta))
-                        ),
-                    )
                     if base is None:
                         base = v1 * v2
+                    key = total - unit
                     piece = base.scaled(factor)
-                    if key in result:
-                        result[key] = result[key] + piece
-                    else:
-                        result[key] = piece
-        return PolySeries(self.n, self.order, self.ring, result)
+                    known = get(key)
+                    result[key] = piece if known is None else known + piece
+        return PolySeries._trusted(n, order, self.ring, _unpack(result, n, width))
 
     def sorted_terms(self) -> list[tuple[ExponentPair, object]]:
         return sorted(self.terms.items(), key=lambda item: term_order(item[0]))
@@ -300,6 +328,34 @@ class PolySeries:
                 }
             )
         return rows
+
+
+def _field_width(order: int) -> int:
+    """Bits per packed exponent: every field of k1 + k2 stays <= order + 2."""
+    return (order + 2).bit_length()
+
+
+def _pack(series: PolySeries, width: int) -> list[tuple[int, int, ExponentPair, object]]:
+    """(packed key, degree, pair, value) for each term, in dictionary order."""
+    shifts = range(0, 2 * series.n * width, width)
+    return [
+        (sum(map(lshift, pair.alpha + pair.beta, shifts)), pair.degree, pair, value)
+        for pair, value in series.terms.items()
+    ]
+
+
+def _unpack(packed: dict[int, object], n: int, width: int) -> dict[ExponentPair, object]:
+    """The nonzero terms of an int-keyed accumulator, keyed by ExponentPair."""
+    mask = (1 << width) - 1
+    x_shifts = range(0, n * width, width)
+    y_shifts = range(n * width, 2 * n * width, width)
+    terms = {}
+    for key, value in packed.items():
+        if not value.is_zero:
+            alpha = tuple([key >> shift & mask for shift in x_shifts])
+            beta = tuple([key >> shift & mask for shift in y_shifts])
+            terms[ExponentPair(alpha, beta)] = value
+    return terms
 
 
 def sum_nonzero(pieces: Iterable[PolySeries], zero: PolySeries) -> PolySeries:

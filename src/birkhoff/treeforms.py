@@ -124,12 +124,18 @@ def total_tree_weight(s: int, max_leaves: int = MAX_LEAVES) -> Fraction:
 
 
 def tree_bracket(
-    t: Tree, args: Sequence[PolySeries], freq: FreqVector
+    t: Tree,
+    args: Sequence[PolySeries],
+    freq: FreqVector,
+    memo: dict | None = None,
 ) -> PolySeries:
     """Q[t](g_1..g_s): nested brackets shaped by t, B on each left factor.
 
     The left subtree consumes the leading arguments, the right subtree the
-    rest, in order.
+    rest, in order.  Calls that share a ``memo`` dict compute Q, and B Q, of
+    each subtree once per slice of arguments: it keys them by the subtree
+    and the ids of its arguments, so the caller keeps those arguments alive
+    while it uses the memo.
     """
     if len(args) != t.leaf_count:
         raise UsageError(
@@ -137,10 +143,17 @@ def tree_bracket(
         )
     if t.is_leaf:
         return args[0]
-    split = t.left.leaf_count
-    left_value = partial_inverse(tree_bracket(t.left, args[:split], freq), freq)
-    right_value = tree_bracket(t.right, args[split:], freq)
-    return left_value.poisson(right_value)
+    if memo is None:
+        memo = {}
+    ids = tuple(map(id, args))
+    if (t, ids, False) not in memo:
+        split = t.left.leaf_count
+        left = (t.left, ids[:split], True)
+        if left not in memo:
+            memo[left] = partial_inverse(tree_bracket(t.left, args[:split], freq, memo), freq)
+        right_value = tree_bracket(t.right, args[split:], freq, memo)
+        memo[t, ids, False] = memo[left].poisson(right_value)
+    return memo[t, ids, False]
 
 
 def form_by_trees(
@@ -239,6 +252,9 @@ def nf_via_trees(
     rows: list[dict] | None = [] if audit else None
     if audit:
         hparts = {m: tail.grade(m) for m in range(3, order + 1)}
+        # shared by every tree and composition below; hparts keeps the
+        # arguments alive, so the ids in the memo keys stand for source degrees
+        memo: dict = {}
         for m in range(3, order + 1):
             correction = recursion.grade(m)  # less every plain tree row
             for s in range(1, m - 1):
@@ -248,7 +264,7 @@ def nf_via_trees(
                         continue
                     for t in all_trees(s, max_leaves):
                         piece = resonant_projection(
-                            tree_bracket(t, args, freq).scale(tree_weight(t)), freq
+                            tree_bracket(t, args, freq, memo).scale(tree_weight(t)), freq
                         )
                         if piece.is_zero:
                             continue

@@ -10,6 +10,7 @@ rewrite of these layers must keep them passing.
 
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -24,12 +25,13 @@ from birkhoff import (
     compute_S,
     form_by_recursion,
     form_by_trees,
+    homological_operator,
     lie_normalize,
     nf_via_trees,
     onedof_normal_form,
     partial_inverse,
 )
-from birkhoff.series import monomials
+from birkhoff.series import make_pair, monomials
 
 from helpers import (
     direct_normalize,
@@ -151,6 +153,69 @@ class TestSeriesAgainstOracles:
         assert f.poisson(g) == poisson_oracle(f, g)
 
 
+@st.composite
+def boundary_series_pairs(draw):
+    """Two series with terms at and just below the truncation degree M.
+
+    n = 1..3 and M <= 12.  The pure powers x_j^M and y_j^M are drawn often,
+    and terms of degree <= 2 carry products and brackets of the top terms
+    up to degree M, where the packed exponent fields are fullest.
+    """
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 12))
+    top = [pair for degree in (order - 1, order) for pair in monomials(n, degree)]
+    pure = [pair for pair in top if max(pair.alpha + pair.beta) == order]
+    low = [pair for degree in range(min(order, 2) + 1) for pair in monomials(n, degree)]
+    values = gaussians if draw(st.booleans()) else reals
+
+    def one_series():
+        chosen = []
+        for pool, size in ((pure, 2), (top, 3), (low, 3)):
+            chosen += draw(st.lists(st.sampled_from(pool), max_size=size, unique=True))
+        return PolySeries(n, order, GAUSSIAN_RING, {p: draw(values) for p in chosen})
+
+    return one_series(), one_series()
+
+
+def pure_power_case(n: int, order: int) -> tuple[PolySeries, PolySeries]:
+    """x_n^M + y_1^M and 1 + x_1 y_1 + x_n y_n: f * g and {f, g} both hold x_n^M."""
+    def unit(j: int, power: int) -> tuple[int, ...]:
+        return tuple(power if k == j else 0 for k in range(n))
+
+    one = GaussianRational.of(1)
+    f = PolySeries(n, order, GAUSSIAN_RING, {
+        make_pair(unit(n - 1, order), unit(n - 1, 0)): one,
+        make_pair(unit(0, 0), unit(0, order)): GaussianRational.of(2, 1),
+    })
+    g = PolySeries(n, order, GAUSSIAN_RING, {
+        make_pair(unit(0, 0), unit(0, 0)): one,
+        make_pair(unit(0, 1), unit(0, 1)): GaussianRational.of(3),
+        make_pair(unit(n - 1, 1), unit(n - 1, 1)): GaussianRational.of(-1, 2),
+    })
+    return f, g
+
+
+class TestSeriesAtTheTruncationDegree:
+    @FAST
+    @given(fg=boundary_series_pairs())
+    @example(fg=pure_power_case(1, 12))
+    @example(fg=pure_power_case(3, 12))
+    @example(fg=pure_power_case(2, 5))
+    def test_mul(self, fg):
+        f, g = fg
+        assert f * g == mul_oracle(f, g)
+
+    @FAST
+    @given(fg=boundary_series_pairs())
+    @example(fg=pure_power_case(1, 12))
+    @example(fg=pure_power_case(3, 12))
+    @example(fg=pure_power_case(2, 5))
+    def test_poisson(self, fg):
+        f, g = fg
+        assert f.poisson(g) == poisson_oracle(f, g)
+        assert g.poisson(f) == poisson_oracle(g, f)
+
+
 LABELS = tuple((pair.alpha, pair.beta) for pair in monomials(1, 3))[:3]
 RING = SymRing(LABELS)
 
@@ -258,6 +323,67 @@ class TestSymbolicCommutesWithEvaluation:
         assert evaluated(partial_inverse(f, freq), values) == partial_inverse(
             evaluated(f, values), freq
         )
+
+
+@st.composite
+def numeric_case(draw):
+    """Two numeric series (n = 1..3, order <= 6) and a frequency vector."""
+    f, g = draw(series_pairs())
+    freq = FreqVector.of(*draw(st.lists(nonzero_fractions, min_size=f.n, max_size=f.n)))
+    return f, g, freq
+
+
+def assert_series_invariants(series: PolySeries) -> None:
+    """What PolySeries.__init__ ensures: arity n, degree <= order, no zero value."""
+    for pair, value in series.terms.items():
+        assert len(pair.alpha) == len(pair.beta) == series.n
+        assert pair.degree <= series.order
+        assert not value.is_zero
+
+
+class TestTrustedConstructorKeepsInvariants:
+    """Arithmetic results skip the checks of PolySeries.__init__; each must
+    still meet them, cancelled sums included."""
+
+    @staticmethod
+    def check_results(f: PolySeries, g: PolySeries, freq: FreqVector, q) -> None:
+        built = []
+        trusted = PolySeries._trusted
+
+        def checked(*args):
+            series = trusted(*args)
+            assert_series_invariants(series)
+            built.append(series)
+            return series
+
+        with patch.object(PolySeries, "_trusted", staticmethod(checked)):
+            results = [
+                f.poisson(g),
+                f.poisson(f),  # {f, f} = 0: every term cancels
+                f * g,
+                (f + g) * (f - g),  # the cross terms cancel
+                f + g,
+                f - f,
+                f + (-f),
+                f.scale(q),
+                f.filter_terms(lambda pair: pair.degree % 2 == 0),
+                partial_inverse(f, freq),
+                homological_operator(f, freq),
+            ]
+        # every operation above ends in the trusted constructor
+        assert len(built) >= len(results)
+        assert f.poisson(f).is_zero and (f - f).is_zero and (f + (-f)).is_zero
+
+    @FAST
+    @given(case=numeric_case(), q=scalings.filter(bool))
+    def test_gaussian_ring(self, case, q):
+        self.check_results(*case, q)
+
+    @SLOW
+    @given(case=symbolic_case(), q=scalings.filter(bool))
+    def test_symbolic_ring(self, case, q):
+        f, g, freq, _ = case
+        self.check_results(f, g, freq, q)
 
 
 # Frequencies per dimension: resonant and non-resonant, real and complex.

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from birkhoff import scalars
 from birkhoff import (
     GAUSSIAN_ONE,
     GAUSSIAN_RING,
@@ -182,6 +183,34 @@ class TestSymScalar:
         with pytest.raises(UsageError, match=r"negative exponent in symbolic monomial \(0, -1\)"):
             SymScalar(2, {(1, 0): 1, (0, -1): 1})
         assert SymScalar(2, {(1, 0, 0): 0}).is_zero
+
+    def test_constructor_names_first_bad_key_after_valid_ones(self):
+        with pytest.raises(UsageError, match=r"negative exponent in symbolic monomial \(2, -1\)"):
+            SymScalar(2, {(1, 0): 1, (0, 1): 2, (2, -1): 3, (0, -2): 4, (1,): 5})
+        with pytest.raises(UsageError, match="arity 3 does not match ring arity 2"):
+            SymScalar(2, {(1, 0): 1, (0, 1): 2, (1, 1, 0): 3, (0, -1): 4})
+
+    def test_arithmetic_results_skip_the_key_check(self, monkeypatch):
+        # their keys are sums of keys the constructor already checked
+        a = SymScalar(2, {(1, 0): 1, (0, 0): Fraction(1, 3)})
+        b = SymScalar(2, {(0, 1): Fraction(-1, 2)})
+
+        def refuse(nvars, keys):
+            raise AssertionError("key check on an arithmetic result")
+
+        monkeypatch.setattr(scalars, "_check_keys", refuse)
+        results = (a + b, a - b, a * b, -a, a.scaled(3), a.scaled(Fraction(2, 5)), a * GaussianRational.of(7))
+        assert [value.terms for value in results] == [
+            {(1, 0): 1, (0, 0): Fraction(1, 3), (0, 1): Fraction(-1, 2)},
+            {(1, 0): 1, (0, 0): Fraction(1, 3), (0, 1): Fraction(1, 2)},
+            {(1, 1): Fraction(-1, 2), (0, 1): Fraction(-1, 6)},
+            {(1, 0): -1, (0, 0): Fraction(-1, 3)},
+            {(1, 0): 3, (0, 0): 1},
+            {(1, 0): Fraction(2, 5), (0, 0): Fraction(2, 15)},
+            {(1, 0): 7, (0, 0): Fraction(7, 3)},
+        ]
+        with pytest.raises(AssertionError, match="key check"):
+            SymScalar(2, {(1, 1): 1})
 
     def test_unknown_label_rejected(self):
         with pytest.raises(UsageError):

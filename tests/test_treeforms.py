@@ -9,6 +9,7 @@ from birkhoff import treeforms
 from birkhoff import (
     LEAF,
     FreqVector,
+    PolySeries,
     Tree,
     UsageError,
     all_trees,
@@ -28,6 +29,8 @@ from birkhoff import (
     tree_weight,
     tree_weight_by_factorization,
 )
+
+from birkhoff.series import monomials
 
 from helpers import bernoulli_plus, build_series, random_hamiltonian, random_series
 
@@ -264,6 +267,30 @@ class TestNormalFormViaTrees:
             assert from_code(code).leaf_count == row["leaves"]
             assert sum(row["sources"]) == row["degree"] - 2 + 2 * row["leaves"]
             assert tree_weight(from_code(code)) == Fraction(row["mu"])
+
+    def test_audit_brackets_each_subtree_once(self, monkeypatch):
+        # all nine cubic and quartic monomials at order 8: 60 brackets for
+        # the recursion, 201 for the audit rows (747 with one bracket per
+        # subtree of every tree and composition)
+        pairs = [pair for degree in (3, 4) for pair in monomials(1, degree)]
+        lam = freq(1)
+        h = lam.quadratic_part(8) + build_series(
+            1, 8, {(pair.alpha, pair.beta): Fraction(k, k + 1) for k, pair in enumerate(pairs, 1)}
+        )
+        calls = 0
+        bracket = PolySeries.poisson
+
+        def counted(f, g):
+            nonlocal calls
+            calls += 1
+            return bracket(f, g)
+
+        monkeypatch.setattr(PolySeries, "poisson", counted)
+        for corrected in (True, False):
+            calls = 0
+            result = nf_via_trees(h, lam, kernel_corrected=corrected, audit=True)
+            assert calls == 261
+            assert result.normal_form == nf_via_trees(h, lam, kernel_corrected=corrected).normal_form
 
     def test_leaf_cap_enforced(self):
         lam = freq(1)
