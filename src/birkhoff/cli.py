@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ParseError, UsageError
-from .lie import exp_lie, lie_normalize, random_symplectic_conjugate
+from .lie import NormalizationResult, exp_lie, lie_normalize, random_symplectic_conjugate
 from .onedof import CONVENTIONS, compute_S, onedof_normal_form
 from .operators import (
     FreqVector,
@@ -39,7 +39,7 @@ from .structure import (
     symbolic_normalize,
 )
 from .treeforms import nf_via_trees, total_tree_weight, tree_weight
-from .trees import MAX_LEAVES, all_trees, catalan_count, format_code, to_code
+from .trees import all_trees, catalan_count, format_code, to_code
 
 DEFAULT_SEED = 2026
 
@@ -239,13 +239,7 @@ def cmd_compute(args) -> int:
             "resonant_pairs": pairs,
         }
     elif args.method == "trees":
-        result = nf_via_trees(
-            hamiltonian,
-            spec.freq,
-            kernel_corrected,
-            audit=True,
-            max_leaves=args.max_leaves,
-        )
+        result = nf_via_trees(hamiltonian, spec.freq, kernel_corrected, audit=True)
         out = {
             "method": "trees",
             "order": order,
@@ -275,158 +269,141 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _check_row(name: str, ok: bool, detail: str) -> dict:
-    return {"name": name, "pass": ok, "detail": detail}
+@dataclass(frozen=True)
+class CheckContext:
+    """What every row of ``check`` reads: the input, and the ``lie`` result."""
+
+    spec: ProblemSpec
+    order: int
+    seed: int
+    hamiltonian: PolySeries
+    lie: NormalizationResult
 
 
-def _skip_row(name: str, reason: str) -> dict:
-    return {"name": name, "pass": True, "detail": f"skipped: {reason}"}
+# (passed, detail), or the reason the check is skipped
+CheckOutcome = tuple[bool, str] | str
+
+
+def _agreement(
+    order: int, name: str, nf: PolySeries, other_name: str, other: PolySeries
+) -> CheckOutcome:
+    if nf == other:
+        return True, f"identical through order {order}"
+    return False, f"{name}: {nf.render()}; {other_name}: {other.render()}"
+
+
+def _lie_trees_agreement(ctx: CheckContext) -> CheckOutcome:
+    trees = nf_via_trees(ctx.hamiltonian, ctx.spec.freq, kernel_corrected=True)
+    return _agreement(ctx.order, "lie", ctx.lie.normal_form, "trees", trees.normal_form)
+
+
+def _onedof_agreement(ctx: CheckContext) -> CheckOutcome:
+    if ctx.spec.n != 1:
+        return "requires n=1"
+    onedof = onedof_normal_form(ctx.hamiltonian, ctx.spec.freq.entries[0])
+    return _agreement(ctx.order, "onedof", onedof.normal_form, "lie", ctx.lie.normal_form)
+
+
+def _exp_lie_closure(ctx: CheckContext) -> CheckOutcome:
+    closure = exp_lie(ctx.lie.generator, ctx.hamiltonian) == ctx.lie.normal_form
+    return closure, (
+        "generator transforms the input onto the normal form"
+        if closure
+        else "conjugated input differs from the normal form"
+    )
+
+
+def _normal_form_resonant(ctx: CheckContext) -> CheckOutcome:
+    tail = ctx.lie.normal_form - ctx.spec.freq.quadratic_part(ctx.order)
+    resonant_only = resonant_projection(tail, ctx.spec.freq) == tail
+    return resonant_only, (
+        "normal-form tail is fixed by the resonant projection"
+        if resonant_only
+        else "normal-form tail contains non-resonant terms"
+    )
+
+
+def _operator_identities(ctx: CheckContext) -> CheckOutcome:
+    perturbation = ctx.hamiltonian.filter_terms(lambda p: p.degree >= 3)
+    if perturbation.is_zero:
+        return "empty perturbation"
+    freq = ctx.spec.freq
+    a_part = resonant_projection(perturbation, freq)
+    b_part = partial_inverse(perturbation, freq)
+    identities = (
+        a_part + homological_operator(b_part, freq) == perturbation
+        and resonant_projection(a_part, freq) == a_part
+        and partial_inverse(a_part, freq).is_zero
+        and resonant_projection(b_part, freq).is_zero
+        and resonant_projection(homological_operator(perturbation, freq), freq).is_zero
+    )
+    return identities, (
+        "projection and partial-inverse identities hold on the input tail"
+        if identities
+        else "an operator identity failed on the input tail"
+    )
+
+
+def _s_invariance(ctx: CheckContext) -> CheckOutcome:
+    if ctx.spec.n != 1:
+        return "requires n=1"
+    lam = ctx.spec.freq.entries[0]
+    wmax = max(1, ctx.order // 2)
+    base = compute_S(ctx.hamiltonian, lam, wmax)
+    for seed in (ctx.seed, ctx.seed + 1):
+        conjugated = random_symplectic_conjugate(ctx.hamiltonian, seed)
+        if compute_S(conjugated, lam, wmax) != base:
+            return False, f"S changed under conjugation with seed {seed}"
+    return True, f"S preserved under conjugation, seeds {ctx.seed} and {ctx.seed + 1}"
+
+
+def _structure_constraints(ctx: CheckContext) -> CheckOutcome:
+    if not ctx.spec.freq.is_real:
+        return "requires real rational frequencies"
+    if ctx.spec.n > 2:
+        return "capped at n<=2"
+    if ctx.order > DEFAULT_ORDER_CAP:
+        return f"capped at order {DEFAULT_ORDER_CAP}"
+    # the terms above the order are truncated away, as in every other row
+    support = [pair for pair in ctx.spec.support() if pair.degree <= ctx.order]
+    if len(support) > DEFAULT_SUPPORT_CAP:
+        return f"capped at {DEFAULT_SUPPORT_CAP} support pairs"
+    report = check_structure(symbolic_normalize(support, ctx.spec.freq, ctx.order))
+    return report.verdict, (
+        f"{len(report.rows)} monomials satisfy all constraints"
+        if report.verdict
+        else f"violation: {json.dumps(report.first_violation)}"
+    )
+
+
+# (row name, check), in report order
+CHECKS = (
+    ("lie_trees_agreement", _lie_trees_agreement),
+    ("onedof_agreement", _onedof_agreement),
+    ("exp_lie_closure", _exp_lie_closure),
+    ("normal_form_resonant", _normal_form_resonant),
+    ("operator_identities", _operator_identities),
+    ("s_invariance", _s_invariance),
+    ("structure_constraints", _structure_constraints),
+)
 
 
 def cmd_check(args) -> int:
     spec, order = _load_spec(args)
     hamiltonian = spec.hamiltonian(order)
-    freq = spec.freq
-    checks: list[dict] = []
-
-    lie_result = lie_normalize(hamiltonian, freq)
-    trees_result = nf_via_trees(hamiltonian, freq, kernel_corrected=True)
-    same = lie_result.normal_form == trees_result.normal_form
-    checks.append(
-        _check_row(
-            "lie_trees_agreement",
-            same,
-            f"identical through order {order}"
-            if same
-            else (
-                f"lie: {lie_result.normal_form.render()}; "
-                f"trees: {trees_result.normal_form.render()}"
-            ),
-        )
+    ctx = CheckContext(
+        spec, order, args.seed, hamiltonian, lie_normalize(hamiltonian, spec.freq)
     )
-    agreement = same
-
-    if spec.n == 1:
-        onedof_result = onedof_normal_form(hamiltonian, freq.entries[0])
-        same = onedof_result.normal_form == lie_result.normal_form
-        agreement = agreement and same
-        checks.append(
-            _check_row(
-                "onedof_agreement",
-                same,
-                f"identical through order {order}"
-                if same
-                else (
-                    f"onedof: {onedof_result.normal_form.render()}; "
-                    f"lie: {lie_result.normal_form.render()}"
-                ),
-            )
-        )
-    else:
-        checks.append(_skip_row("onedof_agreement", "requires n=1"))
-
-    closure = exp_lie(lie_result.generator, hamiltonian) == lie_result.normal_form
-    checks.append(
-        _check_row(
-            "exp_lie_closure",
-            closure,
-            "generator transforms the input onto the normal form"
-            if closure
-            else "conjugated input differs from the normal form",
-        )
-    )
-
-    tail = lie_result.normal_form - freq.quadratic_part(order)
-    resonant_only = resonant_projection(tail, freq) == tail
-    checks.append(
-        _check_row(
-            "normal_form_resonant",
-            resonant_only,
-            "normal-form tail is fixed by the resonant projection"
-            if resonant_only
-            else "normal-form tail contains non-resonant terms",
-        )
-    )
-
-    perturbation = hamiltonian.filter_terms(lambda p: p.degree >= 3)
-    if perturbation.is_zero:
-        checks.append(_skip_row("operator_identities", "empty perturbation"))
-    else:
-        a_part = resonant_projection(perturbation, freq)
-        b_part = partial_inverse(perturbation, freq)
-        identities = (
-            a_part + homological_operator(b_part, freq) == perturbation
-            and resonant_projection(a_part, freq) == a_part
-            and partial_inverse(a_part, freq).is_zero
-            and resonant_projection(b_part, freq).is_zero
-            and resonant_projection(homological_operator(perturbation, freq), freq).is_zero
-        )
-        checks.append(
-            _check_row(
-                "operator_identities",
-                identities,
-                "projection and partial-inverse identities hold on the input tail"
-                if identities
-                else "an operator identity failed on the input tail",
-            )
-        )
-
-    if spec.n == 1:
-        lam = freq.entries[0]
-        wmax = max(1, order // 2)
-        base = compute_S(hamiltonian, lam, wmax)
-        bad_seed = None
-        for seed in (args.seed, args.seed + 1):
-            conjugated = random_symplectic_conjugate(hamiltonian, seed)
-            if compute_S(conjugated, lam, wmax) != base:
-                bad_seed = seed
-                break
-        checks.append(
-            _check_row(
-                "s_invariance",
-                bad_seed is None,
-                f"S preserved under conjugation, seeds {args.seed} and {args.seed + 1}"
-                if bad_seed is None
-                else f"S changed under conjugation with seed {bad_seed}",
-            )
-        )
-    else:
-        checks.append(_skip_row("s_invariance", "requires n=1"))
-
-    support = spec.support()
-    if not freq.is_real:
-        checks.append(
-            _skip_row("structure_constraints", "requires real rational frequencies")
-        )
-    elif spec.n > 2:
-        checks.append(_skip_row("structure_constraints", "capped at n<=2"))
-    elif order > DEFAULT_ORDER_CAP:
-        checks.append(
-            _skip_row("structure_constraints", f"capped at order {DEFAULT_ORDER_CAP}")
-        )
-    elif len(support) > DEFAULT_SUPPORT_CAP:
-        checks.append(
-            _skip_row(
-                "structure_constraints",
-                f"capped at {DEFAULT_SUPPORT_CAP} support pairs",
-            )
-        )
-    else:
-        report = check_structure(symbolic_normalize(support, freq, order))
-        checks.append(
-            _check_row(
-                "structure_constraints",
-                report.verdict,
-                f"{len(report.rows)} monomials satisfy all constraints"
-                if report.verdict
-                else f"violation: {json.dumps(report.first_violation)}",
-            )
-        )
-
+    checks = []
+    for name, check in CHECKS:
+        outcome = check(ctx)
+        if isinstance(outcome, str):
+            outcome = True, f"skipped: {outcome}"
+        checks.append({"name": name, "pass": outcome[0], "detail": outcome[1]})
     out = {
         "checks": checks,
-        "agreement": agreement,
-        "normal_form": lie_result.normal_form.to_json_terms(),
+        "agreement": all(row["pass"] for row in checks if row["name"].endswith("_agreement")),
+        "normal_form": ctx.lie.normal_form.to_json_terms(),
     }
     _emit_json(out, args.output)
     return 0 if all(row["pass"] for row in checks) else 1
@@ -470,7 +447,7 @@ def cmd_structure(args) -> int:
 
 def cmd_trees_enumerate(args) -> int:
     lines = []
-    for t in all_trees(args.leaves, args.max_leaves):
+    for t in all_trees(args.leaves):
         line = t.render()
         if args.codes:
             line += "  " + format_code(to_code(t))
@@ -482,7 +459,7 @@ def cmd_trees_enumerate(args) -> int:
 
 
 def cmd_trees_mu_sum(args) -> int:
-    total = total_tree_weight(args.leaves, args.max_leaves)
+    total = total_tree_weight(args.leaves)
     out = {
         "leaves": args.leaves,
         "count": catalan_count(args.leaves),
@@ -520,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument(
         "--method", choices=("lie", "trees", "onedof"), default="lie"
     )
-    compute.add_argument("--max-leaves", type=int, default=MAX_LEAVES)
     compute.add_argument(
         "--no-kernel-correction",
         action="store_true",
@@ -571,14 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
     enumerate_cmd.add_argument("--leaves", type=int, required=True)
     enumerate_cmd.add_argument("--codes", action="store_true")
     enumerate_cmd.add_argument("--mu", action="store_true")
-    enumerate_cmd.add_argument("--max-leaves", type=int, default=MAX_LEAVES)
     enumerate_cmd.set_defaults(handler=cmd_trees_enumerate)
     mu_sum_cmd = trees_sub.add_parser(
         "mu-sum", help="sum of tree weights over all trees with given leaf count"
     )
     _add_io(mu_sum_cmd, with_input=False)
     mu_sum_cmd.add_argument("--leaves", type=int, required=True)
-    mu_sum_cmd.add_argument("--max-leaves", type=int, default=MAX_LEAVES)
     mu_sum_cmd.set_defaults(handler=cmd_trees_mu_sum)
 
     return parser

@@ -57,9 +57,6 @@ class NormalizationResult:
 
     normal_form: PolySeries
     generator: PolySeries
-    order: int
-    freq: FreqVector
-    kernel_corrected: bool
     rhs_parts: dict[int, PolySeries]
     resonant_parts: dict[int, PolySeries]
     generator_parts: dict[int, PolySeries]
@@ -108,9 +105,6 @@ def lie_normalize(
     return NormalizationResult(
         normal_form=sum_nonzero([freq.quadratic_part(order, ring), *res.values()], zero),
         generator=sum_nonzero(gen.values(), zero),
-        order=order,
-        freq=freq,
-        kernel_corrected=kernel_corrected,
         rhs_parts=rhs,
         resonant_parts=res,
         generator_parts=gen,

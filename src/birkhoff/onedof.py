@@ -459,8 +459,6 @@ class OneDofResult:
     s_series: WSeries
     nu: WSeries
     normal_form: PolySeries
-    order: int
-    convention: str
 
 
 def onedof_normal_form(
@@ -470,14 +468,6 @@ def onedof_normal_form(
 ) -> OneDofResult:
     """Normal form of a 1-DOF Hamiltonian through its truncation order."""
     order = hamiltonian.order
-    wmax = max(1, order // 2)
-    s_series = compute_S(hamiltonian, lam, wmax)
+    s_series = compute_S(hamiltonian, lam, max(1, order // 2))
     nu = nf_from_S(s_series, lam, convention)
-    normal_form = nu.diagonal_series(order)
-    return OneDofResult(
-        s_series=s_series,
-        nu=nu,
-        normal_form=normal_form,
-        order=order,
-        convention=convention,
-    )
+    return OneDofResult(s_series=s_series, nu=nu, normal_form=nu.diagonal_series(order))

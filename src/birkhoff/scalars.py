@@ -321,8 +321,12 @@ class SymScalar:
         return self._combined(other, -1)
 
     def __neg__(self) -> "SymScalar":
-        negated = {exponents: -num for exponents, num in self.nums.items()}
-        return _fill(_new(SymScalar), self.nvars, negated, self.den)
+        # negation keeps every numerator nonzero and the gcd unchanged
+        value = _new(SymScalar)
+        value.nvars = self.nvars
+        value.nums = {exponents: -num for exponents, num in self.nums.items()}
+        value.den = self.den
+        return value
 
     def __mul__(self, other: "SymScalar | GaussianRational") -> "SymScalar":
         if isinstance(other, GaussianRational):
@@ -343,8 +347,10 @@ class SymScalar:
 
     def _times(self, num: int, den: int) -> "SymScalar":
         """self * num/den for den > 0."""
+        if not num:
+            return SymScalar.zero(self.nvars)
         scaled = {exponents: c * num for exponents, c in self.nums.items()}
-        return _fill(_new(SymScalar), self.nvars, scaled, self.den * den)
+        return _lowest(_new(SymScalar), self.nvars, scaled, self.den * den)
 
     def scaled(self, q: int | Fraction) -> "SymScalar":
         return self._times(*_ratio_of(q))
@@ -401,13 +407,17 @@ def _fill(value: SymScalar, nvars: int, nums: dict, den: int) -> SymScalar:
     The keys are trusted: the public constructor checks them first, and
     arithmetic builds them from keys already checked.
     """
-    cleaned = {exponents: num for exponents, num in nums.items() if num}
-    g = gcd(den, *cleaned.values())
+    return _lowest(value, nvars, {exponents: num for exponents, num in nums.items() if num}, den)
+
+
+def _lowest(value: SymScalar, nvars: int, nums: dict, den: int) -> SymScalar:
+    """``_fill`` for numerators already known to be nonzero."""
+    g = gcd(den, *nums.values())
     if g != 1:
         den //= g
-        cleaned = {exponents: num // g for exponents, num in cleaned.items()}
+        nums = {exponents: num // g for exponents, num in nums.items()}
     value.nvars = nvars
-    value.nums = cleaned
+    value.nums = nums
     value.den = den
     return value
 

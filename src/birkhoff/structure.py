@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import UsageError
-from .lie import NormalizationResult, lie_normalize
+from .lie import lie_normalize
 from .operators import FreqVector
 from .scalars import (
     GaussianRational,
@@ -52,7 +52,6 @@ class SymbolicNormalForm:
     freq: FreqVector
     order: int
     resonant: dict[ExponentPair, SymScalar]
-    result: NormalizationResult
 
 
 def symbolic_normalize(
@@ -97,15 +96,9 @@ def symbolic_normalize(
     hamiltonian = freq.quadratic_part(order, ring) + PolySeries(
         freq.n, order, ring, terms
     )
-    result = lie_normalize(hamiltonian, freq, kernel_corrected)
-    resonant = {
-        pair: value
-        for pair, value in result.normal_form.terms.items()
-        if pair.degree >= 3
-    }
-    return SymbolicNormalForm(
-        ring=ring, freq=freq, order=order, resonant=resonant, result=result
-    )
+    normal_form = lie_normalize(hamiltonian, freq, kernel_corrected).normal_form
+    resonant = {pair: value for pair, value in normal_form.terms.items() if pair.degree >= 3}
+    return SymbolicNormalForm(ring=ring, freq=freq, order=order, resonant=resonant)
 
 
 def specialize(

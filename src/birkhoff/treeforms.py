@@ -118,9 +118,9 @@ def tree_weight_by_factorization(t: Tree) -> Fraction:
     return product
 
 
-def total_tree_weight(s: int, max_leaves: int = MAX_LEAVES) -> Fraction:
+def total_tree_weight(s: int) -> Fraction:
     """Sum of mu over all s-leaf trees (equals 1/s; asserted in tests)."""
-    return sum((tree_weight(t) for t in all_trees(s, max_leaves)), Fraction(0))
+    return sum((tree_weight(t) for t in all_trees(s)), Fraction(0))
 
 
 def tree_bracket(
@@ -156,17 +156,13 @@ def tree_bracket(
     return memo[t, ids, False]
 
 
-def form_by_trees(
-    args: Sequence[PolySeries],
-    freq: FreqVector,
-    max_leaves: int = MAX_LEAVES,
-) -> PolySeries:
+def form_by_trees(args: Sequence[PolySeries], freq: FreqVector) -> PolySeries:
     """The plain s-linear form as the mu-weighted sum over s-leaf trees."""
     args = list(args)
     if not args:
         raise UsageError("the form needs at least one argument")
     zero = PolySeries.zero(args[0].n, args[0].order, args[0].ring)
-    trees = all_trees(len(args), max_leaves)
+    trees = all_trees(len(args))
     return sum_nonzero((tree_bracket(t, args, freq).scale(tree_weight(t)) for t in trees), zero)
 
 
@@ -216,9 +212,6 @@ class TreesResult:
     """Normal form assembled from the multilinear forms, with audit rows."""
 
     normal_form: PolySeries
-    order: int
-    freq: FreqVector
-    kernel_corrected: bool
     rows: list[dict] | None
 
 
@@ -227,7 +220,6 @@ def nf_via_trees(
     freq: FreqVector,
     kernel_corrected: bool = True,
     audit: bool = False,
-    max_leaves: int = MAX_LEAVES,
 ) -> TreesResult:
     """N = H2 + A sum_s L_s(H*, .., H*) with H* = H - H2, by one recursion.
 
@@ -235,14 +227,14 @@ def nf_via_trees(
     the plain weighted-tree formula (nonzero rows only) and, in corrected
     mode, one extra row per degree holding the kernel correction (the
     difference between the corrected recursion total and the plain total).
-    Only the audit enumerates trees, so only it is bounded by ``max_leaves``.
+    Only the audit enumerates trees, so only it is bounded by ``MAX_LEAVES``.
     """
     validate_hamiltonian(hamiltonian, freq)
     order = hamiltonian.order
-    if audit and order - 2 > max_leaves:
+    if audit and order - 2 > MAX_LEAVES:
         raise UsageError(
             f"degree {order} needs forms with up to {order - 2} arguments, "
-            f"exceeding the leaf limit {max_leaves}"
+            f"exceeding the limit of {MAX_LEAVES} leaves"
         )
     tail = hamiltonian.filter_terms(lambda pair: pair.degree >= 3)
     # an order-2 input has an empty tail; L_1 of it is zero
@@ -262,7 +254,7 @@ def nf_via_trees(
                     args = [hparts[j] for j in comp]
                     if any(a.is_zero for a in args):
                         continue
-                    for t in all_trees(s, max_leaves):
+                    for t in all_trees(s):
                         piece = resonant_projection(
                             tree_bracket(t, args, freq, memo).scale(tree_weight(t)), freq
                         )
@@ -292,8 +284,5 @@ def nf_via_trees(
 
     return TreesResult(
         normal_form=freq.quadratic_part(order, hamiltonian.ring) + recursion,
-        order=order,
-        freq=freq,
-        kernel_corrected=kernel_corrected,
         rows=rows,
     )

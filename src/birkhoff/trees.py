@@ -31,6 +31,8 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import InvalidCodeError, UsageError
 
+# The most leaves ``all_trees`` enumerates: 16 leaves are already
+# 9 694 845 trees, and each further leaf multiplies the count by about 4.
 MAX_LEAVES = 16
 
 
@@ -92,15 +94,12 @@ def _all_trees(s: int) -> tuple[Tree, ...]:
     return tuple(found)
 
 
-def all_trees(s: int, max_leaves: int = MAX_LEAVES) -> tuple[Tree, ...]:
+def all_trees(s: int) -> tuple[Tree, ...]:
     """All full binary trees with s leaves, left leaf-count ascending."""
     if s < 1:
         raise UsageError(f"leaf count must be positive, got {s}")
-    if s > max_leaves:
-        raise UsageError(
-            f"leaf count {s} exceeds the limit {max_leaves}; "
-            "raise max_leaves explicitly if this size is intended"
-        )
+    if s > MAX_LEAVES:
+        raise UsageError(f"leaf count {s} exceeds the limit of {MAX_LEAVES} leaves")
     return _all_trees(s)
 
 

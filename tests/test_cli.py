@@ -5,15 +5,18 @@ couple of subprocess runs that pin byte-level determinism across
 interpreter instances.
 """
 
+import argparse
 import io
 import json
+import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from birkhoff import ParseError, make_pair
-from birkhoff.cli import ProblemSpec, main, parse_problem
+from birkhoff import GaussianRational, ParseError, PolySeries, make_pair
+from birkhoff.cli import ProblemSpec, build_parser, main, parse_problem
 from helpers import REPO_ROOT, child_env
 
 WORKED = {
@@ -516,6 +519,112 @@ class TestCheckCommand:
         rows = {row["name"]: row for row in json.loads(out)["checks"]}
         assert rows["s_invariance"]["detail"] == "S preserved under conjugation, seeds 7 and 8"
 
+    def test_order_below_term_degree_truncates(self, capsys):
+        # the input has a quartic term; every row, structure included, drops it
+        path = REPO_ROOT / "tests" / "golden" / "onedof_real.json"
+        code, out, _ = run_cli(["check", "--order", "3", "--input", str(path)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert [row["name"] for row in report["checks"]] == self.NAMES
+        assert all(row["pass"] for row in report["checks"])
+        rows = {row["name"]: row for row in report["checks"]}
+        assert rows["structure_constraints"]["detail"] == "0 monomials satisfy all constraints"
+
+
+class TestCheckFailures:
+    """Each row of ``check`` made to fail through a ``birkhoff.cli`` binding it calls.
+
+    On WORKED every row runs and passes unpatched, so each test pins the
+    failing row's detail and that it is the only row to fail.
+    """
+
+    LIE = "1 x1 y1 - 3 x1^2 y1^2"
+    QUADRATIC = "1 x1 y1"
+
+    @staticmethod
+    def quadratic_only(hamiltonian):
+        return SimpleNamespace(normal_form=hamiltonian.filter_terms(lambda p: p.degree == 2))
+
+    def assert_only_failure(self, tmp_path, capsys, name, detail):
+        code, out, _ = run_cli(["check", "--input", spec_file(tmp_path, WORKED)], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert [row["name"] for row in report["checks"]] == TestCheckCommand.NAMES
+        failed = [row for row in report["checks"] if not row["pass"]]
+        assert failed == [{"name": name, "pass": False, "detail": detail}]
+        assert report["agreement"] is not name.endswith("_agreement")
+
+    def test_lie_trees_agreement(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "birkhoff.cli.nf_via_trees", lambda h, freq, **_: self.quadratic_only(h)
+        )
+        self.assert_only_failure(
+            tmp_path, capsys, "lie_trees_agreement",
+            f"lie: {self.LIE}; trees: {self.QUADRATIC}",
+        )
+
+    def test_onedof_agreement(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "birkhoff.cli.onedof_normal_form", lambda h, lam: self.quadratic_only(h)
+        )
+        self.assert_only_failure(
+            tmp_path, capsys, "onedof_agreement",
+            f"onedof: {self.QUADRATIC}; lie: {self.LIE}",
+        )
+
+    def test_exp_lie_closure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("birkhoff.cli.exp_lie", lambda generator, target: target)
+        self.assert_only_failure(
+            tmp_path, capsys, "exp_lie_closure",
+            "conjugated input differs from the normal form",
+        )
+
+    def test_normal_form_resonant(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "birkhoff.cli.resonant_projection",
+            lambda series, freq: PolySeries.zero(series.n, series.order, series.ring),
+        )
+        self.assert_only_failure(
+            tmp_path, capsys, "normal_form_resonant",
+            "normal-form tail contains non-resonant terms",
+        )
+
+    def test_operator_identities(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "birkhoff.cli.homological_operator",
+            lambda series, freq: PolySeries.zero(series.n, series.order, series.ring),
+        )
+        self.assert_only_failure(
+            tmp_path, capsys, "operator_identities",
+            "an operator identity failed on the input tail",
+        )
+
+    @pytest.mark.parametrize("bad_seed", [2026, 2027])
+    def test_s_invariance(self, tmp_path, capsys, monkeypatch, bad_seed):
+        shear = {make_pair([2], [2]): GaussianRational.of(1)}
+
+        def conjugate(h, seed):
+            if seed != bad_seed:
+                return h
+            return h + PolySeries(h.n, h.order, h.ring, shear)
+
+        monkeypatch.setattr("birkhoff.cli.random_symplectic_conjugate", conjugate)
+        self.assert_only_failure(
+            tmp_path, capsys, "s_invariance",
+            f"S changed under conjugation with seed {bad_seed}",
+        )
+
+    def test_structure_constraints(self, tmp_path, capsys, monkeypatch):
+        violation = {"alpha": [2], "beta": [2], "failed": ["T_nonnegative"]}
+        monkeypatch.setattr(
+            "birkhoff.cli.check_structure",
+            lambda symbolic: SimpleNamespace(verdict=False, rows=[], first_violation=violation),
+        )
+        self.assert_only_failure(
+            tmp_path, capsys, "structure_constraints",
+            f"violation: {json.dumps(violation)}",
+        )
+
 
 class TestSSeriesCommand:
     def test_linearizable_cubic(self, tmp_path, capsys):
@@ -679,17 +788,7 @@ class TestTreesCommands:
     def test_enumerate_respects_leaf_cap(self, capsys):
         code, _, err = run_cli(["trees", "enumerate", "--leaves", "17"], capsys)
         assert code == 2
-        assert err == (
-            "error: leaf count 17 exceeds the limit 16; "
-            "raise max_leaves explicitly if this size is intended\n"
-        )
-
-    def test_enumerate_cap_can_be_raised(self, capsys):
-        code, out, _ = run_cli(
-            ["trees", "enumerate", "--leaves", "6", "--max-leaves", "6"], capsys
-        )
-        assert code == 0
-        assert len(out.splitlines()) == 42
+        assert err == "error: leaf count 17 exceeds the limit of 16 leaves\n"
 
     def test_mu_sum_golden(self, capsys):
         code, out, _ = run_cli(["trees", "mu-sum", "--leaves", "8"], capsys)
@@ -713,6 +812,33 @@ class TestTreesCommands:
             "count": 5,
             "mu_sum": "1/4",
         }
+
+
+def long_options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every long option of the parser and its subparsers, ``--help`` aside."""
+    found = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= long_options(sub)
+        else:
+            found.update(o for o in action.option_strings if o.startswith("--"))
+    return found - {"--help"}
+
+
+class TestReadmeCommandLine:
+    """README's "Command line" section and the parser name the same options."""
+
+    def documented(self) -> set[str]:
+        text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        return set(re.findall(r"--[a-z][a-z-]*", section))
+
+    def test_every_parser_option_is_documented(self):
+        assert long_options(build_parser()) - self.documented() == set()
+
+    def test_every_documented_flag_is_a_parser_option(self):
+        assert self.documented() - long_options(build_parser()) == set()
 
 
 class TestMainErrors:

@@ -373,7 +373,6 @@ class TestOneDofPipeline:
         h = ham1(4, gr(1), {((2,), (2,)): 1})
         result = onedof_normal_form(h, gr(1))
         assert result.normal_form == h
-        assert result.convention == "proof"
 
     def test_stated_convention_differs(self):
         h = ham1(4, gr(1), {((2,), (2,)): 1})

@@ -263,6 +263,26 @@ class TestSymScalarAgainstDicts:
             assert_sym_canonical(value)
 
     @FAST
+    @given(p=sym_dicts(), q=scalings, r=reals)
+    @example(p={(1, 0, 0): Fraction(2, 3), (0, 1, 1): Fraction(-4, 5)}, q=0, r=GaussianRational.of(0))
+    @example(
+        p={(1, 0, 0): Fraction(2, 3), (0, 1, 1): Fraction(-4, 5)},
+        q=Fraction(3, 2),
+        r=GaussianRational.of(Fraction(15, 4)),
+    )
+    def test_negation_and_scaling_build_constructor_fields(self, p, q, r):
+        # these paths skip the zero filter, and negation also the gcd
+        a = SymScalar(RING.nvars, p)
+        cases = (
+            (-a, poly_scale(p, Fraction(-1))),
+            (a.scaled(q), poly_scale(p, q)),
+            (a * r, poly_scale(p, r.re)),
+        )
+        for value, expected in cases:
+            built = SymScalar(RING.nvars, expected)
+            assert (value.nvars, value.nums, value.den) == (built.nvars, built.nums, built.den)
+
+    @FAST
     @given(p=sym_dicts(), values=st.lists(values_in_q_i, min_size=RING.nvars, max_size=RING.nvars))
     def test_evaluate(self, p, values):
         value = SymScalar(RING.nvars, p).evaluate(values)

@@ -292,11 +292,24 @@ class TestNormalFormViaTrees:
             assert calls == 261
             assert result.normal_form == nf_via_trees(h, lam, kernel_corrected=corrected).normal_form
 
-    def test_leaf_cap_enforced(self):
+    def test_leaf_cap_enforced(self, monkeypatch):
+        # order 18 needs forms of 16 arguments and passes the guard; order 19
+        # needs 17, and the audit refuses it before any work
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(treeforms, "form_by_recursion", reached)
         lam = freq(1)
-        h = lam.quadratic_part(8) + build_series(1, 8, {((3,), (0,)): 1})
-        with pytest.raises(UsageError):
-            nf_via_trees(h, lam, audit=True, max_leaves=4)
+        for order, outcome in ((18, Reached), (19, UsageError)):
+            h = lam.quadratic_part(order) + build_series(1, order, {((3,), (0,)): 1})
+            with pytest.raises(outcome) as excinfo:
+                nf_via_trees(h, lam, audit=True)
+        assert str(excinfo.value) == (
+            "degree 19 needs forms with up to 17 arguments, exceeding the limit of 16 leaves"
+        )
 
     def test_past_leaf_limit_without_audit(self):
         # order 20 needs forms of 18 arguments, past the audit's leaf limit

@@ -20,6 +20,7 @@ from birkhoff import (
     to_code,
     validate_code,
 )
+from birkhoff.trees import MAX_LEAVES
 
 
 def t(*parts):
@@ -65,11 +66,10 @@ class TestEnumeration:
         assert all(tree.leaf_count == s for tree in trees)
 
     def test_max_leaves_guard(self):
-        with pytest.raises(UsageError):
+        assert MAX_LEAVES == 16
+        with pytest.raises(UsageError) as excinfo:
             all_trees(17)
-        with pytest.raises(UsageError):
-            all_trees(5, max_leaves=4)
-        assert len(all_trees(5, max_leaves=5)) == catalan_count(5)
+        assert str(excinfo.value) == "leaf count 17 exceeds the limit of 16 leaves"
 
     def test_bad_size(self):
         with pytest.raises(UsageError):
