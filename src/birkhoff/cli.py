@@ -434,7 +434,8 @@ def cmd_structure(args) -> int:
             f"order {order} exceeds the symbolic cap {args.cap_order}; "
             "raise --cap-order if this size is intended"
         )
-    support = spec.support()
+    # the terms above the order are truncated away, as in compute and check
+    support = [pair for pair in spec.support() if pair.degree <= order]
     if len(support) > args.cap_support:
         raise UsageError(
             f"support size {len(support)} exceeds the cap {args.cap_support}; "

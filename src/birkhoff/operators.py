@@ -20,21 +20,28 @@ zero test in Q(i), never by a tolerance.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import UsageError
-from .scalars import GAUSSIAN_RING, GAUSSIAN_ZERO, CoefficientRing, GaussianRational
-from .series import ExponentPair, PolySeries, monomials, term_order
+from .scalars import (
+    GAUSSIAN_RING,
+    GAUSSIAN_ZERO,
+    CoefficientRing,
+    GaussianRational,
+    gaussian_integer,
+)
+from .series import ExponentPair, PolySeries, _layout, _pair_reader, monomials, term_order
 
 
 class FreqVector:
     """Nonzero frequencies lambda_1..lambda_n in Q(i).
 
-    Each instance remembers the eigenvalues it has computed, by exponent
-    pair; equality and hashing look only at the frequencies.
+    Each instance remembers the eigenvalues it has computed, by packed
+    series key; equality and hashing look only at the frequencies.
     """
 
-    __slots__ = ("entries", "_eigenvalues")
+    __slots__ = ("entries", "_keyed")
 
     def __init__(self, entries: Sequence[GaussianRational]):
         items = tuple(entries)
@@ -48,7 +55,9 @@ class FreqVector:
             if value.is_zero:
                 raise UsageError(f"frequency {j + 1} is zero; all frequencies must be nonzero")
         self.entries = items
-        self._eigenvalues: dict[ExponentPair, GaussianRational] = {}
+        # field width -> packed key -> eigenvalue and inverse as
+        # (numerator, denominator, numerator, denominator), None if resonant
+        self._keyed: dict[int, dict[int, tuple | None]] = {}
 
     @staticmethod
     def of(*values) -> "FreqVector":
@@ -75,15 +84,27 @@ class FreqVector:
 
     def eigenvalue(self, pair: ExponentPair) -> GaussianRational:
         """<alpha - beta, lambda> for the monomial x^alpha y^beta."""
-        total = self._eigenvalues.get(pair)
-        if total is None:
-            total = GAUSSIAN_ZERO
-            for a, b, lam in zip(pair.alpha, pair.beta, self.entries):
-                k = a - b
-                if k:
-                    total = total + lam.scaled(k)
-            self._eigenvalues[pair] = total
+        total = GAUSSIAN_ZERO
+        for a, b, lam in zip(pair.alpha, pair.beta, self.entries):
+            k = a - b
+            if k:
+                total = total + lam.scaled(k)
         return total
+
+    def _table(self, series: PolySeries) -> dict[int, tuple | None]:
+        """The eigenvalue data of every key of the series, by key."""
+        table = self._keyed.setdefault(_layout(series.n, series.order)[0], {})
+        pair_of = _pair_reader(series.n, series.order)
+        for key in series.nums.keys() - table.keys():
+            eig = self.eigenvalue(pair_of(key))
+            if eig.is_zero:
+                table[key] = None
+            else:
+                inv = eig.inverse()
+                table[key] = (
+                    gaussian_integer(eig.a, eig.b), eig.d, gaussian_integer(inv.a, inv.b), inv.d
+                )
+        return table
 
     def is_resonant(self, pair: ExponentPair) -> bool:
         return self.eigenvalue(pair).is_zero
@@ -144,31 +165,42 @@ def _check_dimension(series: PolySeries, freq: FreqVector) -> None:
 def homological_operator(series: PolySeries, freq: FreqVector) -> PolySeries:
     """D: multiply each monomial by its eigenvalue <alpha - beta, lambda>."""
     _check_dimension(series, freq)
-    out = {}
-    for pair, value in series.terms.items():
-        eig = freq.eigenvalue(pair)
-        if eig.is_zero:
-            continue
-        out[pair] = value * eig
-    return PolySeries._trusted(series.n, series.order, series.ring, out)
+    return _times_eigen(series, freq, inverse=False)
 
 
 def resonant_projection(series: PolySeries, freq: FreqVector) -> PolySeries:
     """A: keep exactly the terms with eigenvalue zero."""
     _check_dimension(series, freq)
-    return series.filter_terms(freq.is_resonant)
+    table = freq._table(series)
+    return series._select(lambda key: table[key] is None)
 
 
 def partial_inverse(series: PolySeries, freq: FreqVector) -> PolySeries:
     """B: divide non-resonant terms by their eigenvalue, kill resonant ones."""
     _check_dimension(series, freq)
-    out = {}
-    for pair, value in series.terms.items():
-        eig = freq.eigenvalue(pair)
-        if eig.is_zero:
-            continue
-        out[pair] = value * eig.inverse()
-    return PolySeries._trusted(series.n, series.order, series.ring, out)
+    return _times_eigen(series, freq, inverse=True)
+
+
+def _times_eigen(series: PolySeries, freq: FreqVector, inverse: bool) -> PolySeries:
+    """Each non-resonant term times its eigenvalue or its inverse, resonant
+    terms dropped.
+
+    Each factor is num/den with num a Gaussian integer; the numerators are
+    brought over the lcm L of the dens (which divide the eigenvalue norms),
+    so the result is one pass over numerators over series.den * L.
+    """
+    table = freq._table(series)
+    at = 2 if inverse else 0
+    picked = [
+        (key, value, entry[at], entry[at + 1])
+        for key, value in series.nums.items()
+        if (entry := table[key]) is not None
+    ]
+    common = lcm(*[den for _, _, _, den in picked])
+    return series._make(
+        {key: num * (common // den) * value for key, value, num, den in picked},
+        series.den * common,
+    )
 
 
 def resonant_pairs(freq: FreqVector, order: int) -> list[ExponentPair]:

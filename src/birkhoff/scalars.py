@@ -13,10 +13,13 @@ gcd(a, b, d) = 1, and a ``SymScalar`` maps each exponent tuple to an
 integer numerator over one shared ``den``.  Equal values therefore have
 equal fields, so ``==`` and ``hash`` compare fields.  A real value is just
 b = 0, and a product of two reals multiplies only the a's and the d's.
+A series over Q(i) keeps integer numerators over one denominator; a
+complex numerator is a ``GaussianInteger`` and a real one a plain ``int``.
 
 Values answer for their own arithmetic: ``+ - *``, ``is_zero`` and
 ``scaled(q)`` by an int or ``Fraction``.  A ``SymScalar`` may also be
-multiplied by a real ``GaussianRational`` (an eigenvalue or its inverse).
+multiplied by a real ``GaussianRational`` (an eigenvalue or its inverse),
+and by an ``int`` from the left.
 The components are read as ``Fraction`` through ``re``/``im`` and
 ``terms``; text and JSON are written from the integers.  The public
 ``SymScalar`` constructor checks the arity and sign of every exponent key
@@ -236,6 +239,65 @@ GAUSSIAN_ZERO = GaussianRational.of(0)
 GAUSSIAN_ONE = GaussianRational.of(1)
 
 
+class GaussianInteger:
+    """A Gaussian integer a + b i with b != 0, the numerator of a complex value.
+
+    A real numerator is a plain ``int``: every operation returns an int when
+    the imaginary part vanishes, so ints and Gaussian integers mix freely
+    and each value has one form.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __add__(self, other: "int | GaussianInteger") -> "int | GaussianInteger":
+        if type(other) is int:
+            return _gaussian(self.re + other, self.im)
+        return gaussian_integer(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "GaussianInteger":
+        return _gaussian(-self.re, -self.im)
+
+    def __mul__(self, other: "int | GaussianInteger") -> "int | GaussianInteger":
+        if type(other) is int:
+            return gaussian_integer(self.re * other, self.im * other)
+        if type(other) is GaussianInteger:
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return gaussian_integer(a * c - b * d, a * d + b * c)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, k: int) -> "GaussianInteger":
+        """Exact division by an int that divides both parts."""
+        return _gaussian(self.re // k, self.im // k)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is GaussianInteger and self.re == other.re and self.im == other.im
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"GaussianInteger({self.re}, {self.im})"
+
+
+def _gaussian(a: int, b: int) -> GaussianInteger:
+    """a + b i for b != 0."""
+    value = _new(GaussianInteger)
+    value.re = a
+    value.im = b
+    return value
+
+
+def gaussian_integer(a: int, b: int) -> "int | GaussianInteger":
+    """a + b i as a numerator: the int a when b is 0."""
+    return _gaussian(a, b) if b else a
+
+
 def _check_arity(nvars: int, exponents: tuple[int, ...]) -> None:
     if len(exponents) != nvars:
         raise UsageError(
@@ -292,6 +354,9 @@ class SymScalar:
     def is_zero(self) -> bool:
         return not self.nums
 
+    def __bool__(self) -> bool:
+        return bool(self.nums)
+
     def _require_same(self, other: "SymScalar") -> None:
         if not isinstance(other, SymScalar) or other.nvars != self.nvars:
             raise UsageError("symbolic values from different rings cannot be combined")
@@ -344,6 +409,14 @@ class SymScalar:
                 key = tuple(map(add, e1, e2))
                 product[key] = get(key, 0) + c1 * c2
         return _fill(_new(SymScalar), self.nvars, product, self.den * other.den)
+
+    def __rmul__(self, k: int) -> "SymScalar":
+        """k * self for an int k: a numerator of a series' content form."""
+        if type(k) is not int:
+            raise UsageError(
+                f"symbolic mode supports only real rational frequencies; got factor {k!r}"
+            )
+        return self._times(k, 1)
 
     def _times(self, num: int, den: int) -> "SymScalar":
         """self * num/den for den > 0."""

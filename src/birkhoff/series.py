@@ -6,42 +6,61 @@ degree above M.  The truncation order is part of a series' identity; mixing
 two different orders (or dimensions, or rings) is a usage error rather than a
 silent re-truncation, so differential tests cannot lose coverage quietly.
 
+A series is stored in content form (the ``fmpq_poly`` layout of FLINT): one
+denominator ``den`` > 0 and a dict ``nums`` from packed exponent keys to
+nonzero numerators.  Over Q(i) a numerator is an ``int`` for a real value
+and a :class:`~birkhoff.scalars.GaussianInteger` for a complex one, and
+gcd(den, every numerator component) = 1, so equal series have equal fields
+and ``==`` and ``hash`` compare fields.  Over a :class:`SymRing` the
+numerators are the ``SymScalar`` values themselves over ``den`` = 1.  The
+``terms`` view, from :class:`ExponentPair` to reduced values in canonical
+term order, is built on first use and kept.
+
+A key packs one exponent pair into one int (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): from the most significant end, the total degree, then
+alpha_1..alpha_n and beta_1..beta_n in 2n fields of w = (M + 2).bit_length()
+bits.  Keys therefore sort in the canonical term order (degree, alpha,
+beta), and the degree of a key is one shift.  A pair of terms multiplies to
+the key k1 + k2, and its bracket term at index j has the key k1 + k2 - u_j,
+where u_j holds a 1 in the x_j and the y_j fields and a 2 in the degree
+field.  No field overflows: the pairs kept have combined degree at most
+M + 2 < 2**w.  No field borrows: a nonzero bracket factor needs both the x_j
+and the y_j sums to be at least 1.
+
 The bracket is
     {F, G} = sum_j (dF/dy_j dG/dx_j - dF/dx_j dG/dy_j),
-computed term-pair-wise with the second operand's terms sorted by degree, so
-each row stops at the first pair whose combined degree minus 2 exceeds the
-truncation order.
-
-The product and the bracket work on packed exponents (Monagan and Pearce,
-"Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007).  Each operand's keys are packed once per call into one
-int with 2n fields of w = (M + 2).bit_length() bits, alpha_1..alpha_n then
-beta_1..beta_n.  A pair of terms multiplies to the key k1 + k2, and its
-bracket term at index j has the key k1 + k2 - u_j, where u_j holds a 1 in
-the x_j and the y_j fields.  No field overflows: the pairs kept have
-combined degree at most M + 2 < 2**w.  No field borrows: a nonzero bracket
-factor needs both the x_j and the y_j sums to be at least 1.  Terms
-accumulate in an int-keyed dict, and each result key is unpacked once, to
-an :class:`ExponentPair`, in first-insertion order.
-
-Arithmetic results come from :meth:`PolySeries._trusted`, which skips the
-per-term checks of the validating public constructor: their terms already
-have arity n, degree at most M and nonzero values.
+computed term-pair-wise over numerators with the second operand's keys
+sorted, so each row stops at the first key whose combined degree minus 2
+exceeds the truncation order.  The product and the bracket accumulate
+numerators over D1 D2, and each result is brought to content form with one
+gcd: every arithmetic result goes through :meth:`PolySeries._make`, which
+skips the per-term checks of the validating public constructor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter, lshift
-from typing import Callable, Iterable, Iterator, NamedTuple
+from functools import cache
+from math import gcd, lcm
+from operator import lshift
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import UsageError
-from .scalars import CoefficientRing, GAUSSIAN_RING
+from .scalars import (
+    GAUSSIAN_RING,
+    CoefficientRing,
+    GaussianRational,
+    SymRing,
+    SymScalar,
+    _ratio_of,
+    _reduced,
+    gaussian_integer,
+)
 
 
 _new = object.__new__
-
-
 class ExponentPair(NamedTuple):
     """Multi-index pair (alpha, beta) labelling the monomial x^alpha y^beta."""
 
@@ -97,53 +116,76 @@ def term_order(pair: ExponentPair) -> tuple:
 class PolySeries:
     """Sparse graded series truncated at a fixed total-degree order."""
 
-    __slots__ = ("n", "order", "ring", "terms")
+    __slots__ = ("n", "order", "ring", "den", "nums", "_terms")
 
     def __init__(
         self,
         n: int,
         order: int,
         ring: CoefficientRing,
-        terms: dict[ExponentPair, object] | None = None,
+        terms: Mapping[ExponentPair, object] | None = None,
     ):
         if n < 1:
             raise UsageError(f"dimension must be positive, got {n}")
         if order < 0:
             raise UsageError(f"truncation order must be non-negative, got {order}")
-        self.n = n
-        self.order = order
-        self.ring = ring
-        cleaned: dict[ExponentPair, object] = {}
-        if terms:
-            for pair, value in terms.items():
-                if len(pair.alpha) != n:
-                    raise UsageError(
-                        f"exponent pair {pair} does not match dimension {n}"
-                    )
-                if pair.degree > order or value.is_zero:
-                    continue
-                cleaned[pair] = value
-        self.terms = cleaned
+        symbolic = isinstance(ring, SymRing)
+        value_type = SymScalar if symbolic else GaussianRational
+        _, shifts, top, _ = _layout(n, order)
+        kept = {}
+        for pair, value in (terms or {}).items():
+            if len(pair.alpha) != n or len(pair.beta) != n:
+                raise UsageError(f"exponent pair {pair} does not match dimension {n}")
+            if min(pair.alpha + pair.beta) < 0:
+                raise UsageError(f"negative exponent in pair {pair}")
+            if not isinstance(value, value_type):
+                raise UsageError(
+                    f"expected a {value_type.__name__} coefficient, got {type(value).__name__}"
+                )
+            degree = pair.degree
+            if degree <= order and not value.is_zero:
+                kept[sum(map(lshift, pair.alpha + pair.beta, shifts)) | degree << top] = value
+        if symbolic:
+            den, nums = 1, kept
+        else:
+            # values in lowest terms over the lcm of their denominators are
+            # in content form
+            den = lcm(*[value.d for value in kept.values()])
+            nums = {
+                key: gaussian_integer(value.a * (den // value.d), value.b * (den // value.d))
+                for key, value in kept.items()
+            }
+        _fill(self, n, order, ring, nums, den)
 
     @staticmethod
     def zero(n: int, order: int, ring: CoefficientRing = GAUSSIAN_RING) -> "PolySeries":
         return PolySeries(n, order, ring)
 
-    @staticmethod
-    def _trusted(
-        n: int, order: int, ring: CoefficientRing, terms: dict[ExponentPair, object]
-    ) -> "PolySeries":
-        """The series over terms known to have arity n, degree <= order and
-        nonzero values, without the checks of ``__init__``.
+    def _make(self, nums: dict, den: int) -> "PolySeries":
+        """The series like self over nums / den, zeros dropped, in content form.
 
-        Arithmetic results are built here.  The dict is taken over, not copied.
+        Every arithmetic result is built here, without the checks of
+        ``__init__``: the keys are trusted to have degree <= order.
         """
-        series = _new(PolySeries)
-        series.n = n
-        series.order = order
-        series.ring = ring
-        series.terms = terms
-        return series
+        nums = {key: value for key, value in nums.items() if value}
+        if den != 1:
+            if isinstance(self.ring, SymRing):
+                fraction = Fraction(1, den)
+                nums = {key: value.scaled(fraction) for key, value in nums.items()}
+                den = 1
+            else:
+                values = nums.values()
+                parts = [value for value in values if type(value) is int]
+                if len(parts) != len(nums):
+                    parts += [
+                        part for value in values if type(value) is not int
+                        for part in (value.re, value.im)
+                    ]
+                g = gcd(den, *parts)
+                if g != 1:
+                    den //= g
+                    nums = {key: value // g for key, value in nums.items()}
+        return _fill(_new(PolySeries), self.n, self.order, self.ring, nums, den)
 
     def _require_compatible(self, other: "PolySeries") -> None:
         if not isinstance(other, PolySeries):
@@ -158,114 +200,157 @@ class PolySeries:
         if other.ring is not self.ring and other.ring != self.ring:
             raise UsageError("coefficient ring mismatch")
 
-    def __add__(self, other: "PolySeries") -> "PolySeries":
+    def _combined(self, other: "PolySeries", sign: int) -> "PolySeries":
+        """self + sign * other, over the lcm of the two denominators."""
         self._require_compatible(other)
-        merged = dict(self.terms)
-        for pair, value in other.terms.items():
-            if pair in merged:
-                total = merged[pair] + value
-                if total.is_zero:
-                    del merged[pair]
-                else:
-                    merged[pair] = total
-            else:
-                merged[pair] = value
-        return PolySeries._trusted(self.n, self.order, self.ring, merged)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            merged = dict(self.nums)
+            factor = sign
+        else:
+            g = gcd(d1, d2)
+            scale = d2 // g
+            merged = {key: scale * value for key, value in self.nums.items()}
+            factor = sign * (d1 // g)
+            d1 *= scale
+        get = merged.get
+        for key, value in other.nums.items():
+            if factor != 1:
+                value = factor * value
+            known = get(key)
+            merged[key] = value if known is None else known + value
+        return self._make(merged, d1)
 
-    def __neg__(self) -> "PolySeries":
-        return PolySeries._trusted(
-            self.n, self.order, self.ring,
-            {pair: -value for pair, value in self.terms.items()},
-        )
+    def __add__(self, other: "PolySeries") -> "PolySeries":
+        return self._combined(other, 1)
 
     def __sub__(self, other: "PolySeries") -> "PolySeries":
-        return self + (-other)
+        return self._combined(other, -1)
+
+    def __neg__(self) -> "PolySeries":
+        return self._make({key: -value for key, value in self.nums.items()}, self.den)
 
     def __mul__(self, other: "PolySeries") -> "PolySeries":
         self._require_compatible(other)
         order = self.order
-        width = _field_width(order)
-        right = _pack(other, width)
+        top = _layout(self.n, order)[2]
+        right = sorted(other.nums.items())
         product: dict[int, object] = {}
         get = product.get
-        for k1, d1, _, v1 in _pack(self, width):
-            for k2, d2, _, v2 in right:
-                if d1 + d2 > order:
-                    continue
+        for k1, v1 in self.nums.items():
+            # a pair multiplies to degree d1 + d2
+            limit = order + 1 - (k1 >> top) << top
+            for k2, v2 in right:
+                if k2 >= limit:
+                    break
                 key = k1 + k2
                 piece = v1 * v2
                 known = get(key)
                 product[key] = piece if known is None else known + piece
-        return PolySeries._trusted(self.n, order, self.ring, _unpack(product, self.n, width))
+        return self._make(product, self.den * other.den)
 
-    def scale(self, q: Fraction) -> "PolySeries":
-        if q == 0:
-            return PolySeries(self.n, self.order, self.ring)
-        return PolySeries._trusted(
-            self.n, self.order, self.ring,
-            {pair: value.scaled(q) for pair, value in self.terms.items()},
+    def scale(self, q: int | Fraction) -> "PolySeries":
+        num, den = _ratio_of(q)
+        if not num:
+            return self._make({}, 1)
+        if num == 1:
+            return self._make(self.nums, self.den * den)
+        return self._make(
+            {key: num * value for key, value in self.nums.items()}, self.den * den
+        )
+
+    def _select(self, keep: Callable[[int], bool]) -> "PolySeries":
+        """The terms whose keys pass keep."""
+        return self._make(
+            {key: value for key, value in self.nums.items() if keep(key)}, self.den
         )
 
     def filter_terms(self, keep: Callable[[ExponentPair], bool]) -> "PolySeries":
-        return PolySeries._trusted(
-            self.n, self.order, self.ring,
-            {pair: value for pair, value in self.terms.items() if keep(pair)},
-        )
+        pair_of = _pair_reader(self.n, self.order)
+        return self._select(lambda key: keep(pair_of(key)))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
+
+    @property
+    def terms(self) -> Mapping[ExponentPair, object]:
+        """Read-only map from exponent pairs to reduced values, in term order."""
+        view = self._terms
+        if view is None:
+            pair_of = _pair_reader(self.n, self.order)
+            den = self.den
+            symbolic = isinstance(self.ring, SymRing)
+            values = {}
+            for key in sorted(self.nums):
+                num = self.nums[key]
+                if symbolic:
+                    values[pair_of(key)] = num
+                elif type(num) is int:
+                    values[pair_of(key)] = _reduced(num, 0, den)
+                else:
+                    values[pair_of(key)] = _reduced(num.re, num.im, den)
+            view = self._terms = MappingProxyType(values)
+        return view
 
     def coefficient(self, pair: ExponentPair):
         return self.terms.get(pair, self.ring.zero)
 
     def grade(self, s: int) -> "PolySeries":
         """The homogeneous degree-s part, as a series of the same order."""
-        return self.filter_terms(lambda pair: pair.degree == s)
+        top = _layout(self.n, self.order)[2]
+        return self._select(lambda key: key >> top == s)
 
     def grades(self) -> list[int]:
-        return sorted({pair.degree for pair in self.terms})
+        top = _layout(self.n, self.order)[2]
+        return sorted({key >> top for key in self.nums})
 
     def min_degree(self) -> int | None:
-        if not self.terms:
+        if not self.nums:
             return None
-        return min(pair.degree for pair in self.terms)
+        return min(self.nums) >> _layout(self.n, self.order)[2]
 
     def with_order(self, order: int) -> "PolySeries":
         """Explicit re-truncation (or headroom extension) to a new order."""
-        return PolySeries(self.n, order, self.ring, dict(self.terms))
+        return PolySeries(self.n, order, self.ring, self.terms)
 
     def poisson(self, other: "PolySeries") -> "PolySeries":
         self._require_compatible(other)
         n, order = self.n, self.order
-        width = _field_width(order)
-        units = [(1 << width * j) | (1 << width * (n + j)) for j in range(n)]
-        by_degree = sorted(_pack(other, width), key=itemgetter(1))
+        width, shifts, top, units = _layout(n, order)
+        mask = (1 << width) - 1
+        x_shifts, y_shifts = shifts[:n], shifts[n:]
+        right = [
+            (key, [key >> s & mask for s in x_shifts], [key >> s & mask for s in y_shifts], value)
+            for key, value in sorted(other.nums.items())
+        ]
         result: dict[int, object] = {}
         get = result.get
-        for k1, d1, p1, v1 in _pack(self, width):
+        for k1, v1 in self.nums.items():
             # a pair brackets to degree d1 + d2 - 2
-            limit = order + 2 - d1
-            rows = list(zip(units, p1.alpha, p1.beta))
-            for k2, d2, p2, v2 in by_degree:
-                if d2 > limit:
+            limit = order + 3 - (k1 >> top) << top
+            rows = list(zip(
+                units, [k1 >> s & mask for s in x_shifts], [k1 >> s & mask for s in y_shifts]
+            ))
+            for k2, a2s, b2s, v2 in right:
+                if k2 >= limit:
                     break
                 base = None
                 total = k1 + k2
-                for (unit, a1, b1), a2, b2 in zip(rows, p2.alpha, p2.beta):
+                for (unit, a1, b1), a2, b2 in zip(rows, a2s, b2s):
                     factor = b1 * a2 - a1 * b2
                     if not factor:
                         continue
                     if base is None:
                         base = v1 * v2
                     key = total - unit
-                    piece = base.scaled(factor)
+                    piece = factor * base
                     known = get(key)
                     result[key] = piece if known is None else known + piece
-        return PolySeries._trusted(n, order, self.ring, _unpack(result, n, width))
+        return self._make(result, self.den * other.den)
 
     def sorted_terms(self) -> list[tuple[ExponentPair, object]]:
-        return sorted(self.terms.items(), key=lambda item: term_order(item[0]))
+        return list(self.terms.items())
 
     def __iter__(self) -> Iterator[tuple[ExponentPair, object]]:
         return iter(self.sorted_terms())
@@ -277,11 +362,12 @@ class PolySeries:
             other.n == self.n
             and other.order == self.order
             and (other.ring is self.ring or other.ring == self.ring)
-            and other.terms == self.terms
+            and other.den == self.den
+            and other.nums == self.nums
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.order, tuple(sorted(self.terms.keys()))))
+        return hash((self.n, self.order, self.den, frozenset(self.nums.items())))
 
     def _monomial_text(self, pair: ExponentPair) -> str:
         pieces = []
@@ -330,32 +416,38 @@ class PolySeries:
         return rows
 
 
-def _field_width(order: int) -> int:
-    """Bits per packed exponent: every field of k1 + k2 stays <= order + 2."""
-    return (order + 2).bit_length()
+@cache
+def _layout(n: int, order: int) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
+    """Field width w, the shifts of alpha_1..beta_n, the degree shift and the u_j."""
+    width = (order + 2).bit_length()
+    shifts = tuple(range((2 * n - 1) * width, -1, -width))
+    top = 2 * n * width
+    units = tuple(2 << top | 1 << shifts[j] | 1 << shifts[n + j] for j in range(n))
+    return width, shifts, top, units
 
 
-def _pack(series: PolySeries, width: int) -> list[tuple[int, int, ExponentPair, object]]:
-    """(packed key, degree, pair, value) for each term, in dictionary order."""
-    shifts = range(0, 2 * series.n * width, width)
-    return [
-        (sum(map(lshift, pair.alpha + pair.beta, shifts)), pair.degree, pair, value)
-        for pair, value in series.terms.items()
-    ]
-
-
-def _unpack(packed: dict[int, object], n: int, width: int) -> dict[ExponentPair, object]:
-    """The nonzero terms of an int-keyed accumulator, keyed by ExponentPair."""
+def _pair_reader(n: int, order: int) -> Callable[[int], ExponentPair]:
+    """The function from a key of this layout to its exponent pair."""
+    width, shifts, _, _ = _layout(n, order)
     mask = (1 << width) - 1
-    x_shifts = range(0, n * width, width)
-    y_shifts = range(n * width, 2 * n * width, width)
-    terms = {}
-    for key, value in packed.items():
-        if not value.is_zero:
-            alpha = tuple([key >> shift & mask for shift in x_shifts])
-            beta = tuple([key >> shift & mask for shift in y_shifts])
-            terms[ExponentPair(alpha, beta)] = value
-    return terms
+    x_shifts, y_shifts = shifts[:n], shifts[n:]
+
+    def pair_of(key: int) -> ExponentPair:
+        return ExponentPair(
+            tuple([key >> s & mask for s in x_shifts]), tuple([key >> s & mask for s in y_shifts])
+        )
+
+    return pair_of
+
+
+def _fill(series: PolySeries, n: int, order: int, ring, nums: dict, den: int) -> PolySeries:
+    series.n = n
+    series.order = order
+    series.ring = ring
+    series.den = den
+    series.nums = nums
+    series._terms = None
+    return series
 
 
 def sum_nonzero(pieces: Iterable[PolySeries], zero: PolySeries) -> PolySeries:

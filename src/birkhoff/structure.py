@@ -73,18 +73,17 @@ def symbolic_normalize(
     seen = set()
     for pair in support:
         key = ExponentPair(tuple(pair.alpha), tuple(pair.beta))
+        name = f"alpha={list(key.alpha)} beta={list(key.beta)}"
         if len(key.alpha) != freq.n:
-            raise UsageError(
-                f"support pair {key} does not match n={freq.n}"
-            )
+            raise UsageError(f"support pair {name} does not match n={freq.n}")
         if key.degree < 3:
             raise UsageError(
-                f"support pair {key} has degree {key.degree}; degrees below 3 "
+                f"support pair {name} has degree {key.degree}; degrees below 3 "
                 "are not part of the perturbation"
             )
         if key.degree > order:
             raise UsageError(
-                f"support pair {key} has degree {key.degree}, above the order {order}"
+                f"support pair {name} has degree {key.degree}, above the order {order}"
             )
         if key in seen:
             continue

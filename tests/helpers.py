@@ -150,6 +150,34 @@ def poisson_oracle(f: PolySeries, g: PolySeries) -> PolySeries:
 
 
 # ---------------------------------------------------------------------------
+# termwise oracles: one GaussianRational operation per term
+
+
+def add_oracle(f: PolySeries, g: PolySeries) -> PolySeries:
+    """f + g by summing the term dicts value by value."""
+    acc = series_terms(f)
+    for key, value in series_terms(g).items():
+        acc[key] = acc[key] + value if key in acc else value
+    return build_series(f.n, f.order, acc)
+
+
+def scale_oracle(f: PolySeries, q: int | Fraction) -> PolySeries:
+    return build_series(f.n, f.order, {key: v.scaled(q) for key, v in series_terms(f).items()})
+
+
+def partial_inverse_oracle(f: PolySeries, freq: FreqVector) -> PolySeries:
+    """B f: each term divided by its eigenvalue <alpha - beta, lambda>, resonant terms dropped."""
+    out = {}
+    for (alpha, beta), value in series_terms(f).items():
+        eig = GaussianRational.of(0)
+        for a, b, lam in zip(alpha, beta, freq.entries):
+            eig = eig + lam * GaussianRational.of(a - b)
+        if not eig.is_zero:
+            out[alpha, beta] = value / eig
+    return build_series(f.n, f.order, out)
+
+
+# ---------------------------------------------------------------------------
 # flow-driven normalization oracle
 
 

@@ -736,6 +736,23 @@ class TestStructureCommand:
         assert code == 2
         assert "support size 5 exceeds the cap 2" in err
 
+    def test_order_below_term_degree_truncates(self, capsys):
+        # the quartic input term lies above the order and is dropped, as in compute
+        path = REPO_ROOT / "tests" / "golden" / "onedof_real.json"
+        code, out, err = run_cli(["structure", "--order", "3", "--input", str(path)], capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["order"], report["monomials"], report["verdict"]) == (3, 0, "pass")
+
+    def test_support_cap_counts_truncated_support(self, tmp_path, capsys):
+        # one of the five support pairs has degree 4; at order 3 four remain
+        path = spec_file(tmp_path, self.SUPPORT)
+        args = ["structure", "--input", path, "--order", "3", "--cap-support"]
+        assert run_cli(args + ["4"], capsys)[0] == 0
+        code, _, err = run_cli(args + ["3"], capsys)
+        assert code == 2
+        assert "support size 4 exceeds the cap 3" in err
+
     def test_raised_caps_accepted(self, tmp_path, capsys):
         small = {
             "n": 1,
@@ -984,6 +1001,15 @@ class TestDeterminism:
         for r in runs:
             assert r.returncode == 0, r.stderr.decode()
         assert runs[0].stdout == runs[1].stdout
+
+    def test_structure_bytes_identical_across_hash_seeds(self):
+        # the symbolic ring iterates packed-key dicts and sets of SymScalar keys
+        path = str(REPO_ROOT / "tests" / "golden" / "resonant_2dof.json")
+        runs = [self._subprocess_run(["structure", "--input", path], s) for s in (5, 6)]
+        for r in runs:
+            assert r.returncode == 0, r.stderr.decode()
+        assert runs[0].stdout == runs[1].stdout
+        assert json.loads(runs[0].stdout)["monomials"] > 0
 
     def test_in_process_repeat_is_identical(self, tmp_path, capsys):
         path = spec_file(tmp_path, WORKED)

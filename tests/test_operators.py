@@ -8,6 +8,8 @@ from birkhoff import (
     FreqVector,
     GaussianRational,
     ParseError,
+    PolySeries,
+    SymRing,
     UsageError,
     homological_operator,
     make_pair,
@@ -92,6 +94,13 @@ class TestOperators:
         # B(x2^2 y1) = x2^2 y1 / 4 at lam = (2, 3)
         m = build_series(2, 4, {((0, 2), (1, 0)): 1})
         assert partial_inverse(m, freq(2, 3)) == m.scale(Fraction(1, 4))
+
+    def test_symbolic_series_needs_real_eigenvalues(self):
+        ring = SymRing((((3,), (0,)),))
+        s = PolySeries(1, 4, ring, {make_pair((3,), (0,)): ring.indeterminate(((3,), (0,)))})
+        with pytest.raises(UsageError, match="only real rational frequencies"):
+            partial_inverse(s, FreqVector.of(gr(0, 1)))
+        assert not partial_inverse(s, freq(2)).is_zero
 
     def test_b_kills_kernel(self):
         m = build_series(1, 4, {((2,), (2,)): 7, ((3,), (0,)): 6})

@@ -30,18 +30,23 @@ from birkhoff import (
     nf_via_trees,
     onedof_normal_form,
     partial_inverse,
+    resonant_projection,
 )
-from birkhoff.series import make_pair, monomials
+from birkhoff.scalars import GaussianInteger
+from birkhoff.series import _layout, make_pair, monomials
 
 from helpers import (
+    add_oracle,
     direct_normalize,
     mul_oracle,
+    partial_inverse_oracle,
     poisson_oracle,
     poly_add,
     poly_evaluate,
     poly_mul,
     poly_scale,
     s_oracle,
+    scale_oracle,
 )
 
 FAST = settings(max_examples=60, deadline=None)
@@ -151,6 +156,76 @@ class TestSeriesAgainstOracles:
     def test_poisson(self, fg):
         f, g = fg
         assert f.poisson(g) == poisson_oracle(f, g)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def prime_denominator_series(draw):
+    """Three complex series of one shape (n = 1..2, order 2..6), and a
+    frequency vector.  Each coefficient is over a prime, the primes of one
+    series are distinct, so each series' den is a product of primes."""
+    n = draw(st.integers(1, 2))
+    order = draw(st.integers(2, 6))
+    pairs = [pair for degree in range(order + 1) for pair in monomials(n, degree)]
+    primes = iter(draw(st.permutations(PRIMES)) * 3)
+    parts = st.integers(-26, 26)
+
+    def one_series():
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True))
+        terms = {}
+        for pair in chosen:
+            p = next(primes)
+            terms[pair] = GaussianRational.of(Fraction(draw(parts), p), Fraction(draw(parts), p))
+        return PolySeries(n, order, GAUSSIAN_RING, terms)
+
+    freq = FreqVector.of(*draw(st.lists(st.one_of(nonzero_fractions, gaussians.filter(
+        lambda v: not v.is_zero)), min_size=n, max_size=n)))
+    return one_series(), one_series(), one_series(), freq
+
+
+def fields(series: PolySeries) -> tuple:
+    return series.n, series.order, series.den, series.nums
+
+
+class TestContentFormAgainstOracles:
+    @FAST
+    @given(case=prime_denominator_series(), q=scalings)
+    def test_each_operation(self, case, q):
+        f, g, _, freq = case
+        assert f.poisson(g) == poisson_oracle(f, g)
+        assert f * g == mul_oracle(f, g)
+        assert f + g == add_oracle(f, g)
+        assert f - g == add_oracle(f, scale_oracle(g, -1))
+        assert f.scale(q) == scale_oracle(f, q)
+        assert partial_inverse(f, freq) == partial_inverse_oracle(f, freq)
+
+    @FAST
+    @given(case=prime_denominator_series())
+    def test_one_series_built_two_ways(self, case):
+        f, g, h, _ = case
+        pairs = (
+            ((f + g) * h, f * h + g * h),
+            ((f + g).poisson(h), f.poisson(h) + g.poisson(h)),
+        )
+        for built, rebuilt in pairs:
+            assert fields(built) == fields(rebuilt)
+            assert hash(built) == hash(rebuilt)
+            constructed = PolySeries(f.n, f.order, GAUSSIAN_RING, built.terms)
+            assert fields(built) == fields(constructed)
+
+    @FAST
+    @given(case=prime_denominator_series())
+    def test_with_order_across_a_field_width(self, case):
+        # (M + 2).bit_length() is 3 at order 5 and 4 at order 6
+        f, g, _, _ = case
+        f, g = f.with_order(5), g.with_order(5)
+        wide_f, wide_g = f.with_order(6), g.with_order(6)
+        assert dict(wide_f.terms) == dict(f.terms)
+        assert fields(wide_f.with_order(5)) == fields(f)
+        assert (wide_f * wide_g).with_order(5) == f * g
+        assert wide_f.poisson(wide_g).with_order(5) == f.poisson(g)
 
 
 @st.composite
@@ -353,30 +428,53 @@ def numeric_case(draw):
     return f, g, freq
 
 
-def assert_series_invariants(series: PolySeries) -> None:
-    """What PolySeries.__init__ ensures: arity n, degree <= order, no zero value."""
-    for pair, value in series.terms.items():
+def assert_content_form(series: PolySeries) -> None:
+    """The content form every result must have: den > 0, and over Q(i)
+    gcd(den, every numerator component) = 1 (over a SymRing den = 1); no
+    zero numerator; each key holds 2n exponent fields whose sum is its
+    degree field, at most the order."""
+    width, shifts, top, _ = _layout(series.n, series.order)
+    mask = (1 << width) - 1
+    assert series.den > 0
+    parts = []
+    for key, num in series.nums.items():
+        fields = [key >> s & mask for s in shifts]
+        assert len(fields) == 2 * series.n
+        assert key == sum(f << s for f, s in zip(fields, shifts)) | sum(fields) << top
+        assert sum(fields) <= series.order
+        if isinstance(series.ring, SymRing):
+            assert isinstance(num, SymScalar) and not num.is_zero
+        elif type(num) is int:
+            assert num != 0
+            parts.append(num)
+        else:
+            assert type(num) is GaussianInteger and num.im != 0
+            parts += [num.re, num.im]
+    if isinstance(series.ring, SymRing):
+        assert series.den == 1
+    else:
+        assert math.gcd(series.den, *parts) == 1
+    for pair in series.terms:
         assert len(pair.alpha) == len(pair.beta) == series.n
-        assert pair.degree <= series.order
-        assert not value.is_zero
 
 
-class TestTrustedConstructorKeepsInvariants:
-    """Arithmetic results skip the checks of PolySeries.__init__; each must
-    still meet them, cancelled sums included."""
+class TestResultsInContentForm:
+    """Arithmetic results skip the checks of PolySeries.__init__ and are
+    built by PolySeries._make; each must be in content form, cancelled sums
+    included."""
 
     @staticmethod
     def check_results(f: PolySeries, g: PolySeries, freq: FreqVector, q) -> None:
         built = []
-        trusted = PolySeries._trusted
+        make = PolySeries._make
 
-        def checked(*args):
-            series = trusted(*args)
-            assert_series_invariants(series)
+        def checked(self, nums, den):
+            series = make(self, nums, den)
+            assert_content_form(series)
             built.append(series)
             return series
 
-        with patch.object(PolySeries, "_trusted", staticmethod(checked)):
+        with patch.object(PolySeries, "_make", checked):
             results = [
                 f.poisson(g),
                 f.poisson(f),  # {f, f} = 0: every term cancels
@@ -387,12 +485,16 @@ class TestTrustedConstructorKeepsInvariants:
                 f + (-f),
                 f.scale(q),
                 f.filter_terms(lambda pair: pair.degree % 2 == 0),
+                f.grade(3),
                 partial_inverse(f, freq),
                 homological_operator(f, freq),
+                resonant_projection(f, freq),
             ]
-        # every operation above ends in the trusted constructor
+        # every operation above ends in PolySeries._make
         assert len(built) >= len(results)
         assert f.poisson(f).is_zero and (f - f).is_zero and (f + (-f)).is_zero
+        for series in (f, g, f.with_order(f.order + 1)):
+            assert_content_form(series)  # and so is every constructed series
 
     @FAST
     @given(case=numeric_case(), q=scalings.filter(bool))

@@ -65,11 +65,13 @@ class TestSymbolicNormalize:
         assert sym.ring.nvars == 1
 
     def test_validation(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"^support pair alpha=\[1\] beta=\[1\] has degree 2;"):
             symbolic_normalize([make_pair((1,), (1,))], freq(1), 4)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"^support pair alpha=\[3, 0\] beta=\[0, 0\] does not"):
             symbolic_normalize([make_pair((3, 0), (0, 0))], freq(1), 4)
-        with pytest.raises(UsageError):
+        with pytest.raises(
+            UsageError, match=r"^support pair alpha=\[5\] beta=\[0\] has degree 5, above the order 4$"
+        ):
             symbolic_normalize([make_pair((5,), (0,))], freq(1), 4)
         with pytest.raises(UsageError):
             symbolic_normalize([], FreqVector.of(gr(0, 1)), 4)
