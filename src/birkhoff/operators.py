@@ -29,6 +29,7 @@ from .scalars import (
     GAUSSIAN_ZERO,
     CoefficientRing,
     GaussianRational,
+    SymRing,
     gaussian_integer,
 )
 from .series import ExponentPair, PolySeries, _layout, _pair_reader, monomials, term_order
@@ -37,8 +38,8 @@ from .series import ExponentPair, PolySeries, _layout, _pair_reader, monomials, 
 class FreqVector:
     """Nonzero frequencies lambda_1..lambda_n in Q(i).
 
-    Each instance remembers the eigenvalues it has computed, by packed
-    series key; equality and hashing look only at the frequencies.
+    Each instance remembers the eigenvalues it has computed, by key layout
+    and packed key; equality and hashing look only at the frequencies.
     """
 
     __slots__ = ("entries", "_keyed")
@@ -55,9 +56,10 @@ class FreqVector:
             if value.is_zero:
                 raise UsageError(f"frequency {j + 1} is zero; all frequencies must be nonzero")
         self.entries = items
-        # field width -> packed key -> eigenvalue and inverse as
-        # (numerator, denominator, numerator, denominator), None if resonant
-        self._keyed: dict[int, dict[int, tuple | None]] = {}
+        # (field width, bits below the series fields) -> packed key ->
+        # eigenvalue and inverse as (numerator, denominator, numerator,
+        # denominator), None if resonant
+        self._keyed: dict[tuple[int, int], dict[int, tuple | None]] = {}
 
     @staticmethod
     def of(*values) -> "FreqVector":
@@ -92,18 +94,31 @@ class FreqVector:
         return total
 
     def _table(self, series: PolySeries) -> dict[int, tuple | None]:
-        """The eigenvalue data of every key of the series, by key."""
-        table = self._keyed.setdefault(_layout(series.n, series.order)[0], {})
-        pair_of = _pair_reader(series.n, series.order)
-        for key in series.nums.keys() - table.keys():
-            eig = self.eigenvalue(pair_of(key))
-            if eig.is_zero:
-                table[key] = None
-            else:
-                inv = eig.inverse()
-                table[key] = (
-                    gaussian_integer(eig.a, eig.b), eig.d, gaussian_integer(inv.a, inv.b), inv.d
-                )
+        """The eigenvalue data of every key of the series, by key.
+
+        A symbolic key shares the data of its series part, which is the key
+        of its exponent pair over Q(i).
+        """
+        layout = series.layout
+        table = self._keyed.setdefault((layout.width, layout.low), {})
+        missing = series.nums.keys() - table.keys()
+        if missing:
+            low = layout.low
+            numeric = self._keyed.setdefault((layout.width, 0), {})
+            pair_of = _pair_reader(_layout(series.n, series.order, 0))
+            for key in missing:
+                part = key >> low
+                if part not in numeric:
+                    eig = self.eigenvalue(pair_of(part))
+                    if eig.is_zero:
+                        numeric[part] = None
+                    else:
+                        inv = eig.inverse()
+                        numeric[part] = (
+                            gaussian_integer(eig.a, eig.b), eig.d,
+                            gaussian_integer(inv.a, inv.b), inv.d,
+                        )
+                table[key] = numeric[part]
         return table
 
     def is_resonant(self, pair: ExponentPair) -> bool:
@@ -187,7 +202,8 @@ def _times_eigen(series: PolySeries, freq: FreqVector, inverse: bool) -> PolySer
 
     Each factor is num/den with num a Gaussian integer; the numerators are
     brought over the lcm L of the dens (which divide the eigenvalue norms),
-    so the result is one pass over numerators over series.den * L.
+    so the result is one pass over numerators over series.den * L.  A
+    symbolic series has integer numerators, so its factors must be real.
     """
     table = freq._table(series)
     at = 2 if inverse else 0
@@ -196,6 +212,12 @@ def _times_eigen(series: PolySeries, freq: FreqVector, inverse: bool) -> PolySer
         for key, value in series.nums.items()
         if (entry := table[key]) is not None
     ]
+    if isinstance(series.ring, SymRing):
+        for _, _, num, _ in picked:
+            if type(num) is not int:
+                raise UsageError(
+                    f"symbolic mode supports only real rational frequencies; got factor {num!r}"
+                )
     common = lcm(*[den for _, _, _, den in picked])
     return series._make(
         {key: num * (common // den) * value for key, value, num, den in picked},

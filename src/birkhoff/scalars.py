@@ -13,13 +13,17 @@ gcd(a, b, d) = 1, and a ``SymScalar`` maps each exponent tuple to an
 integer numerator over one shared ``den``.  Equal values therefore have
 equal fields, so ``==`` and ``hash`` compare fields.  A real value is just
 b = 0, and a product of two reals multiplies only the a's and the d's.
-A series over Q(i) keeps integer numerators over one denominator; a
-complex numerator is a ``GaussianInteger`` and a real one a plain ``int``.
+
+A series does not hold these values: it keeps integer numerators over one
+denominator, and a complex numerator is a ``GaussianInteger`` and a real
+one a plain ``int``.  A series over a ``SymRing`` holds only ``int``
+numerators, with each indeterminate monomial packed into its key, so the
+series kernel does no ``SymScalar`` arithmetic; ``SymScalar`` values are
+what a series is built from and what its ``terms`` view reads back.
 
 Values answer for their own arithmetic: ``+ - *``, ``is_zero`` and
 ``scaled(q)`` by an int or ``Fraction``.  A ``SymScalar`` may also be
-multiplied by a real ``GaussianRational`` (an eigenvalue or its inverse),
-and by an ``int`` from the left.
+multiplied by a real ``GaussianRational`` (an eigenvalue or its inverse).
 The components are read as ``Fraction`` through ``re``/``im`` and
 ``terms``; text and JSON are written from the integers.  The public
 ``SymScalar`` constructor checks the arity and sign of every exponent key
@@ -354,9 +358,6 @@ class SymScalar:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
     def _require_same(self, other: "SymScalar") -> None:
         if not isinstance(other, SymScalar) or other.nvars != self.nvars:
             raise UsageError("symbolic values from different rings cannot be combined")
@@ -409,14 +410,6 @@ class SymScalar:
                 key = tuple(map(add, e1, e2))
                 product[key] = get(key, 0) + c1 * c2
         return _fill(_new(SymScalar), self.nvars, product, self.den * other.den)
-
-    def __rmul__(self, k: int) -> "SymScalar":
-        """k * self for an int k: a numerator of a series' content form."""
-        if type(k) is not int:
-            raise UsageError(
-                f"symbolic mode supports only real rational frequencies; got factor {k!r}"
-            )
-        return self._times(k, 1)
 
     def _times(self, num: int, den: int) -> "SymScalar":
         """self * num/den for den > 0."""
@@ -498,12 +491,14 @@ def _lowest(value: SymScalar, nvars: int, nums: dict, den: int) -> SymScalar:
 class CoefficientRing:
     """The domain a series' values live in.
 
-    Values do their own arithmetic; the ring supplies the constants and
-    renders values as text and JSON.
+    Values do their own arithmetic; the ring supplies the constants, the
+    number ``nvars`` of indeterminates (none over Q(i)) and renders values
+    as text and JSON.
     """
 
     zero: object
     one: object
+    nvars = 0
 
     def render(self, value) -> str:
         raise NotImplementedError

@@ -7,26 +7,37 @@ two different orders (or dimensions, or rings) is a usage error rather than a
 silent re-truncation, so differential tests cannot lose coverage quietly.
 
 A series is stored in content form (the ``fmpq_poly`` layout of FLINT): one
-denominator ``den`` > 0 and a dict ``nums`` from packed exponent keys to
-nonzero numerators.  Over Q(i) a numerator is an ``int`` for a real value
-and a :class:`~birkhoff.scalars.GaussianInteger` for a complex one, and
-gcd(den, every numerator component) = 1, so equal series have equal fields
-and ``==`` and ``hash`` compare fields.  Over a :class:`SymRing` the
-numerators are the ``SymScalar`` values themselves over ``den`` = 1.  The
-``terms`` view, from :class:`ExponentPair` to reduced values in canonical
-term order, is built on first use and kept.
+denominator ``den`` > 0 and a dict ``nums`` from packed keys to nonzero
+numerators, with gcd(den, every numerator component) = 1, so equal series
+have equal fields and ``==`` and ``hash`` compare fields.  Over Q(i) a
+numerator is an ``int`` for a real value and a
+:class:`~birkhoff.scalars.GaussianInteger` for a complex one.  Over a
+:class:`SymRing` with k indeterminates a series is an integer polynomial in
+the 2n series variables and the k indeterminates over ``den``: every
+numerator is an ``int``, and each key also holds one monomial in the
+indeterminates.  ``SymScalar`` values exist only at the edges: the public
+constructor flattens them into keys, and the ``terms`` view, from
+:class:`ExponentPair` to reduced values in canonical term order, groups the
+keys of one exponent pair back into one ``SymScalar``.  The view is built on
+first use and kept.
 
 A key packs one exponent pair into one int (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
 vectors", CASC 2007): from the most significant end, the total degree, then
 alpha_1..alpha_n and beta_1..beta_n in 2n fields of w = (M + 2).bit_length()
-bits.  Keys therefore sort in the canonical term order (degree, alpha,
-beta), and the degree of a key is one shift.  A pair of terms multiplies to
-the key k1 + k2, and its bracket term at index j has the key k1 + k2 - u_j,
-where u_j holds a 1 in the x_j and the y_j fields and a 2 in the degree
-field.  No field overflows: the pairs kept have combined degree at most
-M + 2 < 2**w.  No field borrows: a nonzero bracket factor needs both the x_j
-and the y_j sums to be at least 1.
+bits, then the powers of the k indeterminates in k fields of
+``POWER_BITS`` bits (none over Q(i)).  Keys therefore sort in the canonical
+term order (degree, alpha, beta), the degree of a key is one shift, and the
+series part of a key, ``key >> (k * POWER_BITS)``, is the key of its exponent
+pair over Q(i).  A pair of terms multiplies to the key k1 + k2, which
+multiplies the indeterminate monomials too, and its bracket term at index j
+has the key k1 + k2 - u_j, where u_j holds a 1 in the x_j and the y_j fields
+and a 2 in the degree field.  No series field overflows: the pairs kept have
+combined degree at most M + 2 < 2**w.  No field borrows: a nonzero bracket
+factor needs both the x_j and the y_j sums to be at least 1.  The top bit of
+each indeterminate field is a guard bit: a power is at most ``MAX_POWER`` =
+2**(POWER_BITS - 1) - 1, so the sum of two powers never carries into the
+next field, and a result with a guard bit set is refused.
 
 The bracket is
     {F, G} = sum_j (dF/dy_j dG/dx_j - dF/dx_j dG/dy_j),
@@ -41,9 +52,10 @@ skips the per-term checks of the validating public constructor.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from itertools import groupby
 from math import gcd, lcm
-from operator import lshift
+from operator import lshift, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -54,13 +66,19 @@ from .scalars import (
     GaussianRational,
     SymRing,
     SymScalar,
+    _lowest,
     _ratio_of,
     _reduced,
     gaussian_integer,
 )
 
+# Bits of one indeterminate field of a key, its guard bit included.
+POWER_BITS = 8
+MAX_POWER = (1 << POWER_BITS - 1) - 1
 
 _new = object.__new__
+
+
 class ExponentPair(NamedTuple):
     """Multi-index pair (alpha, beta) labelling the monomial x^alpha y^beta."""
 
@@ -116,7 +134,7 @@ def term_order(pair: ExponentPair) -> tuple:
 class PolySeries:
     """Sparse graded series truncated at a fixed total-degree order."""
 
-    __slots__ = ("n", "order", "ring", "den", "nums", "_terms")
+    __slots__ = ("n", "order", "ring", "layout", "den", "nums", "_terms")
 
     def __init__(
         self,
@@ -131,7 +149,8 @@ class PolySeries:
             raise UsageError(f"truncation order must be non-negative, got {order}")
         symbolic = isinstance(ring, SymRing)
         value_type = SymScalar if symbolic else GaussianRational
-        _, shifts, top, _ = _layout(n, order)
+        layout = _layout(n, order, ring.nvars)
+        shifts, top = layout.shifts, layout.top
         kept = {}
         for pair, value in (terms or {}).items():
             if len(pair.alpha) != n or len(pair.beta) != n:
@@ -142,11 +161,28 @@ class PolySeries:
                 raise UsageError(
                     f"expected a {value_type.__name__} coefficient, got {type(value).__name__}"
                 )
+            if symbolic and value.nvars != ring.nvars:
+                raise UsageError(
+                    f"a symbolic value in {value.nvars} indeterminates does not match "
+                    f"a ring of {ring.nvars}"
+                )
             degree = pair.degree
             if degree <= order and not value.is_zero:
                 kept[sum(map(lshift, pair.alpha + pair.beta, shifts)) | degree << top] = value
         if symbolic:
-            den, nums = 1, kept
+            # each value's monomials go into the low fields of its pair's key
+            den = lcm(*[value.den for value in kept.values()])
+            powers = layout.powers
+            nums = {}
+            for base, value in kept.items():
+                scale = den // value.den
+                for exponents, num in value.nums.items():
+                    if max(exponents, default=0) > MAX_POWER:
+                        raise UsageError(
+                            f"symbolic monomial {exponents} has a power above {MAX_POWER}, "
+                            "the largest a series key holds"
+                        )
+                    nums[base | sum(map(lshift, exponents, powers))] = num * scale
         else:
             # values in lowest terms over the lcm of their denominators are
             # in content form
@@ -155,7 +191,7 @@ class PolySeries:
                 key: gaussian_integer(value.a * (den // value.d), value.b * (den // value.d))
                 for key, value in kept.items()
             }
-        _fill(self, n, order, ring, nums, den)
+        _fill(self, n, order, ring, layout, nums, den)
 
     @staticmethod
     def zero(n: int, order: int, ring: CoefficientRing = GAUSSIAN_RING) -> "PolySeries":
@@ -165,27 +201,29 @@ class PolySeries:
         """The series like self over nums / den, zeros dropped, in content form.
 
         Every arithmetic result is built here, without the checks of
-        ``__init__``: the keys are trusted to have degree <= order.
+        ``__init__``: the keys are trusted to have degree <= order, and only
+        their guard bits are read.
         """
         nums = {key: value for key, value in nums.items() if value}
+        guard = self.layout.guard
+        if guard and nums and reduce(or_, nums) & guard:
+            raise UsageError(
+                f"a symbolic power of the result exceeds {MAX_POWER}, "
+                "the largest a series key holds"
+            )
         if den != 1:
-            if isinstance(self.ring, SymRing):
-                fraction = Fraction(1, den)
-                nums = {key: value.scaled(fraction) for key, value in nums.items()}
-                den = 1
-            else:
-                values = nums.values()
-                parts = [value for value in values if type(value) is int]
-                if len(parts) != len(nums):
-                    parts += [
-                        part for value in values if type(value) is not int
-                        for part in (value.re, value.im)
-                    ]
-                g = gcd(den, *parts)
-                if g != 1:
-                    den //= g
-                    nums = {key: value // g for key, value in nums.items()}
-        return _fill(_new(PolySeries), self.n, self.order, self.ring, nums, den)
+            values = nums.values()
+            parts = [value for value in values if type(value) is int]
+            if len(parts) != len(nums):
+                parts += [
+                    part for value in values if type(value) is not int
+                    for part in (value.re, value.im)
+                ]
+            g = gcd(den, *parts)
+            if g != 1:
+                den //= g
+                nums = {key: value // g for key, value in nums.items()}
+        return _fill(_new(PolySeries), self.n, self.order, self.ring, self.layout, nums, den)
 
     def _require_compatible(self, other: "PolySeries") -> None:
         if not isinstance(other, PolySeries):
@@ -233,7 +271,7 @@ class PolySeries:
     def __mul__(self, other: "PolySeries") -> "PolySeries":
         self._require_compatible(other)
         order = self.order
-        top = _layout(self.n, order)[2]
+        top = self.layout.top
         right = sorted(other.nums.items())
         product: dict[int, object] = {}
         get = product.get
@@ -266,7 +304,7 @@ class PolySeries:
         )
 
     def filter_terms(self, keep: Callable[[ExponentPair], bool]) -> "PolySeries":
-        pair_of = _pair_reader(self.n, self.order)
+        pair_of = _pair_reader(self.layout)
         return self._select(lambda key: keep(pair_of(key)))
 
     @property
@@ -278,18 +316,24 @@ class PolySeries:
         """Read-only map from exponent pairs to reduced values, in term order."""
         view = self._terms
         if view is None:
-            pair_of = _pair_reader(self.n, self.order)
-            den = self.den
-            symbolic = isinstance(self.ring, SymRing)
+            layout = self.layout
+            pair_of = _pair_reader(layout)
+            nums, den = self.nums, self.den
             values = {}
-            for key in sorted(self.nums):
-                num = self.nums[key]
-                if symbolic:
-                    values[pair_of(key)] = num
-                elif type(num) is int:
-                    values[pair_of(key)] = _reduced(num, 0, den)
-                else:
-                    values[pair_of(key)] = _reduced(num.re, num.im, den)
+            if isinstance(self.ring, SymRing):
+                # the keys of one pair are adjacent in sorted order
+                nvars, low, powers = self.ring.nvars, layout.low, layout.powers
+                mask = (1 << POWER_BITS) - 1
+                for part, keys in groupby(sorted(nums), lambda key: key >> low):
+                    value = {tuple([key >> s & mask for s in powers]): nums[key] for key in keys}
+                    values[pair_of(part << low)] = _lowest(_new(SymScalar), nvars, value, den)
+            else:
+                for key in sorted(nums):
+                    num = nums[key]
+                    if type(num) is int:
+                        values[pair_of(key)] = _reduced(num, 0, den)
+                    else:
+                        values[pair_of(key)] = _reduced(num.re, num.im, den)
             view = self._terms = MappingProxyType(values)
         return view
 
@@ -298,17 +342,17 @@ class PolySeries:
 
     def grade(self, s: int) -> "PolySeries":
         """The homogeneous degree-s part, as a series of the same order."""
-        top = _layout(self.n, self.order)[2]
+        top = self.layout.top
         return self._select(lambda key: key >> top == s)
 
     def grades(self) -> list[int]:
-        top = _layout(self.n, self.order)[2]
+        top = self.layout.top
         return sorted({key >> top for key in self.nums})
 
     def min_degree(self) -> int | None:
         if not self.nums:
             return None
-        return min(self.nums) >> _layout(self.n, self.order)[2]
+        return min(self.nums) >> self.layout.top
 
     def with_order(self, order: int) -> "PolySeries":
         """Explicit re-truncation (or headroom extension) to a new order."""
@@ -317,9 +361,10 @@ class PolySeries:
     def poisson(self, other: "PolySeries") -> "PolySeries":
         self._require_compatible(other)
         n, order = self.n, self.order
-        width, shifts, top, units = _layout(n, order)
-        mask = (1 << width) - 1
-        x_shifts, y_shifts = shifts[:n], shifts[n:]
+        layout = self.layout
+        top, units = layout.top, layout.units
+        mask = (1 << layout.width) - 1
+        x_shifts, y_shifts = layout.shifts[:n], layout.shifts[n:]
         right = [
             (key, [key >> s & mask for s in x_shifts], [key >> s & mask for s in y_shifts], value)
             for key, value in sorted(other.nums.items())
@@ -416,21 +461,36 @@ class PolySeries:
         return rows
 
 
+class Layout(NamedTuple):
+    """Where the fields of a key lie, for n, the order and k indeterminates."""
+
+    width: int  # bits of one series field
+    shifts: tuple[int, ...]  # of the alpha_1..beta_n fields
+    top: int  # the shift of the degree field
+    units: tuple[int, ...]  # the u_j of the bracket
+    low: int  # bits below the series fields: k * POWER_BITS
+    powers: tuple[int, ...]  # shifts of the indeterminate fields
+    guard: int  # the guard bits of the indeterminate fields
+
+
 @cache
-def _layout(n: int, order: int) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
-    """Field width w, the shifts of alpha_1..beta_n, the degree shift and the u_j."""
+def _layout(n: int, order: int, nvars: int) -> Layout:
+    """The key layout of series in n degrees of freedom over nvars indeterminates."""
     width = (order + 2).bit_length()
-    shifts = tuple(range((2 * n - 1) * width, -1, -width))
-    top = 2 * n * width
+    low = nvars * POWER_BITS
+    shifts = tuple(range(low + (2 * n - 1) * width, low - 1, -width))
+    top = low + 2 * n * width
     units = tuple(2 << top | 1 << shifts[j] | 1 << shifts[n + j] for j in range(n))
-    return width, shifts, top, units
+    powers = tuple(range(low - POWER_BITS, -1, -POWER_BITS))
+    guard = sum(1 << shift + POWER_BITS - 1 for shift in powers)
+    return Layout(width, shifts, top, units, low, powers, guard)
 
 
-def _pair_reader(n: int, order: int) -> Callable[[int], ExponentPair]:
+def _pair_reader(layout: Layout) -> Callable[[int], ExponentPair]:
     """The function from a key of this layout to its exponent pair."""
-    width, shifts, _, _ = _layout(n, order)
-    mask = (1 << width) - 1
-    x_shifts, y_shifts = shifts[:n], shifts[n:]
+    mask = (1 << layout.width) - 1
+    n = len(layout.shifts) // 2
+    x_shifts, y_shifts = layout.shifts[:n], layout.shifts[n:]
 
     def pair_of(key: int) -> ExponentPair:
         return ExponentPair(
@@ -440,10 +500,13 @@ def _pair_reader(n: int, order: int) -> Callable[[int], ExponentPair]:
     return pair_of
 
 
-def _fill(series: PolySeries, n: int, order: int, ring, nums: dict, den: int) -> PolySeries:
+def _fill(
+    series: PolySeries, n: int, order: int, ring, layout: Layout, nums: dict, den: int
+) -> PolySeries:
     series.n = n
     series.order = order
     series.ring = ring
+    series.layout = layout
     series.den = den
     series.nums = nums
     series._terms = None
@@ -469,9 +532,6 @@ def from_json_terms(
 
     Duplicate exponent pairs are summed.
     """
-    from .scalars import GaussianRational
-
-    total = PolySeries.zero(n, order, ring)
     acc: dict[ExponentPair, object] = {}
     for row in rows:
         pair = make_pair(row["alpha"], row["beta"])
@@ -480,4 +540,4 @@ def from_json_terms(
             acc[pair] = acc[pair] + value
         else:
             acc[pair] = value
-    return total + PolySeries(n, order, ring, acc)
+    return PolySeries(n, order, ring, acc)

@@ -1,7 +1,8 @@
 """Independent oracles and builders shared by the test suite.
 
 Everything here recomputes results through a different route than the
-library code under test: dense dict arithmetic instead of the series
+library code under test: dense dict arithmetic on the values (over Q(i)
+or, with ``SymScalar`` arithmetic, over a ``SymRing``) instead of the series
 class, derivative-based Poisson brackets, normalization driven purely by
 flow conjugation, series composition instead of reversion, the
 invariant series S from unpruned powers, dicts of Fractions for symbolic
@@ -74,12 +75,19 @@ def series_terms(series: PolySeries) -> dict:
     return {(pair.alpha, pair.beta): value for pair, value in series}
 
 
+def series_like(f: PolySeries, entries: dict, order: int | None = None) -> PolySeries:
+    """A series of f's dimension and ring from {(alpha, beta): value}, at f's
+    order unless another is given; values are of the ring, zeros allowed."""
+    terms = {make_pair(alpha, beta): value for (alpha, beta), value in entries.items()}
+    return PolySeries(f.n, f.order if order is None else order, f.ring, terms)
+
+
 # ---------------------------------------------------------------------------
 # dense multiplication oracle
 
 
 def mul_oracle(f: PolySeries, g: PolySeries) -> PolySeries:
-    """Multiply via plain dict convolution, then truncate."""
+    """Multiply via plain dict convolution, then truncate; any ring."""
     if f.n != g.n or f.order != g.order:
         raise AssertionError("oracle misuse: operand shape mismatch")
     acc: dict = {}
@@ -90,8 +98,8 @@ def mul_oracle(f: PolySeries, g: PolySeries) -> PolySeries:
             if sum(alpha) + sum(beta) > f.order:
                 continue
             key = (alpha, beta)
-            acc[key] = acc.get(key, GaussianRational.of(0)) + v1 * v2
-    return build_series(f.n, f.order, acc)
+            acc[key] = acc.get(key, f.ring.zero) + v1 * v2
+    return series_like(f, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +121,11 @@ def _partial(series: PolySeries, var: int, side: str) -> dict:
         else:
             beta[var] -= 1
         key = (tuple(alpha), tuple(beta))
-        out[key] = out.get(key, GaussianRational.of(0)) + value.scaled(Fraction(k))
+        out[key] = out.get(key, series.ring.zero) + value.scaled(Fraction(k))
     return out
 
 
-def _dict_mul(d1: dict, d2: dict, n: int) -> dict:
+def _dict_mul(d1: dict, d2: dict, zero) -> dict:
     out: dict = {}
     for (a1, b1), v1 in d1.items():
         for (a2, b2), v2 in d2.items():
@@ -125,32 +133,34 @@ def _dict_mul(d1: dict, d2: dict, n: int) -> dict:
                 tuple(x + y for x, y in zip(a1, a2)),
                 tuple(x + y for x, y in zip(b1, b2)),
             )
-            out[key] = out.get(key, GaussianRational.of(0)) + v1 * v2
+            out[key] = out.get(key, zero) + v1 * v2
     return out
 
 
 def poisson_oracle(f: PolySeries, g: PolySeries) -> PolySeries:
-    """{f, g} assembled from eight explicit partial derivatives."""
+    """{f, g} assembled from eight explicit partial derivatives; any ring."""
+    zero = f.ring.zero
     acc: dict = {}
     for j in range(f.n):
         df_dy = _partial(f, j, "y")
         dg_dx = _partial(g, j, "x")
         df_dx = _partial(f, j, "x")
         dg_dy = _partial(g, j, "y")
-        for key, value in _dict_mul(df_dy, dg_dx, f.n).items():
-            acc[key] = acc.get(key, GaussianRational.of(0)) + value
-        for key, value in _dict_mul(df_dx, dg_dy, f.n).items():
-            acc[key] = acc.get(key, GaussianRational.of(0)) - value
+        for key, value in _dict_mul(df_dy, dg_dx, zero).items():
+            acc[key] = acc.get(key, zero) + value
+        for key, value in _dict_mul(df_dx, dg_dy, zero).items():
+            acc[key] = acc.get(key, zero) - value
     trimmed = {
         key: value
         for key, value in acc.items()
         if sum(key[0]) + sum(key[1]) <= f.order
     }
-    return build_series(f.n, f.order, trimmed)
+    return series_like(f, trimmed)
 
 
 # ---------------------------------------------------------------------------
-# termwise oracles: one GaussianRational operation per term
+# termwise oracles: one value operation per term, GaussianRational or
+# SymScalar
 
 
 def add_oracle(f: PolySeries, g: PolySeries) -> PolySeries:
@@ -158,23 +168,46 @@ def add_oracle(f: PolySeries, g: PolySeries) -> PolySeries:
     acc = series_terms(f)
     for key, value in series_terms(g).items():
         acc[key] = acc[key] + value if key in acc else value
-    return build_series(f.n, f.order, acc)
+    return series_like(f, acc)
 
 
 def scale_oracle(f: PolySeries, q: int | Fraction) -> PolySeries:
-    return build_series(f.n, f.order, {key: v.scaled(q) for key, v in series_terms(f).items()})
+    return series_like(f, {key: v.scaled(q) for key, v in series_terms(f).items()})
+
+
+def _eigenvalue(alpha, beta, freq: FreqVector) -> GaussianRational:
+    eig = GaussianRational.of(0)
+    for a, b, lam in zip(alpha, beta, freq.entries):
+        eig = eig + lam * GaussianRational.of(a - b)
+    return eig
 
 
 def partial_inverse_oracle(f: PolySeries, freq: FreqVector) -> PolySeries:
     """B f: each term divided by its eigenvalue <alpha - beta, lambda>, resonant terms dropped."""
     out = {}
     for (alpha, beta), value in series_terms(f).items():
-        eig = GaussianRational.of(0)
-        for a, b, lam in zip(alpha, beta, freq.entries):
-            eig = eig + lam * GaussianRational.of(a - b)
+        eig = _eigenvalue(alpha, beta, freq)
         if not eig.is_zero:
-            out[alpha, beta] = value / eig
-    return build_series(f.n, f.order, out)
+            out[alpha, beta] = value * eig.inverse()
+    return series_like(f, out)
+
+
+def resonant_projection_oracle(f: PolySeries, freq: FreqVector) -> PolySeries:
+    """A f: the terms whose eigenvalue is zero."""
+    return series_like(f, {
+        (alpha, beta): value
+        for (alpha, beta), value in series_terms(f).items()
+        if _eigenvalue(alpha, beta, freq).is_zero
+    })
+
+
+def with_order_oracle(f: PolySeries, order: int) -> PolySeries:
+    """f re-truncated at (or extended to) the given order."""
+    return series_like(f, {
+        (alpha, beta): value
+        for (alpha, beta), value in series_terms(f).items()
+        if sum(alpha) + sum(beta) <= order
+    }, order)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,19 @@ from birkhoff import (
     ParseError,
     PolySeries,
     SymRing,
+    SymScalar,
     UsageError,
     homological_operator,
+    lie_normalize,
     make_pair,
     partial_inverse,
     resonant_pairs,
     resonant_projection,
+    symbolic_normalize,
 )
+from birkhoff.series import _layout
 
-from helpers import build_series, gr, poisson_oracle, random_series
+from helpers import build_series, gr, poisson_oracle, random_hamiltonian, random_series
 
 
 def freq(*values) -> FreqVector:
@@ -181,3 +185,34 @@ class TestResonantPairs:
     def test_excludes_diagonal(self):
         rows = resonant_pairs(freq(1), 6)
         assert rows == []
+
+
+class TestEigenvalueCache:
+    """A FreqVector remembers eigenvalues by the series part of a key, so
+    numeric and symbolic series of one order can share it."""
+
+    def test_numeric_then_symbolic_then_numeric(self):
+        order = 5
+        hamiltonian = random_hamiltonian(freq(1, 2), order, seed=3, max_terms=8)
+        support = [pair for pair in hamiltonian.terms if pair.degree >= 3]
+        runs = (
+            lambda fv: lie_normalize(hamiltonian, fv),
+            lambda fv: symbolic_normalize(support, fv, order),
+            lambda fv: lie_normalize(hamiltonian, fv),
+        )
+        shared = freq(1, 2)
+        for run in runs:
+            assert run(shared) == run(freq(1, 2))
+
+    def test_a_symbolic_key_equal_to_a_numeric_key(self):
+        # the constant h^k, with k the key of x over Q(i), has the key k too
+        layout = _layout(1, 4, 0)
+        k = 1 << layout.shifts[0] | 1 << layout.top
+        ring = SymRing((((3,), (0,)),))
+        x = build_series(1, 4, {((1,), (0,)): 1})
+        constant = PolySeries(1, 4, ring, {make_pair((0,), (0,)): SymScalar(1, {(k,): 1})})
+        shared = freq(3)
+        assert partial_inverse(x, shared) == build_series(1, 4, {((1,), (0,)): Fraction(1, 3)})
+        assert resonant_projection(constant, shared) == constant
+        assert partial_inverse(constant, shared).is_zero
+        assert partial_inverse(x, shared) == partial_inverse(x, freq(3))

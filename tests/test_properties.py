@@ -33,7 +33,7 @@ from birkhoff import (
     resonant_projection,
 )
 from birkhoff.scalars import GaussianInteger
-from birkhoff.series import _layout, make_pair, monomials
+from birkhoff.series import MAX_POWER, POWER_BITS, _layout, make_pair, monomials
 
 from helpers import (
     add_oracle,
@@ -45,8 +45,10 @@ from helpers import (
     poly_evaluate,
     poly_mul,
     poly_scale,
+    resonant_projection_oracle,
     s_oracle,
     scale_oracle,
+    with_order_oracle,
 )
 
 FAST = settings(max_examples=60, deadline=None)
@@ -189,6 +191,37 @@ def fields(series: PolySeries) -> tuple:
     return series.n, series.order, series.den, series.nums
 
 
+SYM_RING = SymRing(tuple((pair.alpha, pair.beta) for pair in monomials(1, 3)))
+
+
+@st.composite
+def prime_denominator_symbolic_series(draw):
+    """Three symbolic series over four indeterminates (n = 1..2, order 2..6)
+    and a real frequency vector.  Each symbolic monomial's coefficient is over
+    a prime, so the SymScalar values of one series have different
+    denominators, and the values reach powers up to 3."""
+    n = draw(st.integers(1, 2))
+    order = draw(st.integers(2, 6))
+    pairs = [pair for degree in range(order + 1) for pair in monomials(n, degree)]
+    primes = iter(draw(st.permutations(PRIMES)) * 8)
+    exponents = st.tuples(*[st.integers(0, 3)] * SYM_RING.nvars)
+
+    def one_value():
+        chosen = draw(st.lists(exponents, min_size=1, max_size=3, unique=True))
+        return SymScalar(SYM_RING.nvars, {
+            e: Fraction(draw(st.integers(-26, 26).filter(bool)), next(primes)) for e in chosen
+        })
+
+    def one_series():
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True))
+        return PolySeries(n, order, SYM_RING, {pair: one_value() for pair in chosen})
+
+    # resonant about half the time: (1, 1) and (1, 2) have resonant classes
+    lam = st.one_of(nonzero_fractions, st.sampled_from([1, 2]))
+    freq = FreqVector.of(*draw(st.lists(lam, min_size=n, max_size=n)))
+    return one_series(), one_series(), one_series(), freq
+
+
 class TestContentFormAgainstOracles:
     @FAST
     @given(case=prime_denominator_series(), q=scalings)
@@ -200,6 +233,31 @@ class TestContentFormAgainstOracles:
         assert f - g == add_oracle(f, scale_oracle(g, -1))
         assert f.scale(q) == scale_oracle(f, q)
         assert partial_inverse(f, freq) == partial_inverse_oracle(f, freq)
+
+    @FAST
+    @given(case=prime_denominator_symbolic_series(), q=scalings)
+    def test_each_symbolic_operation(self, case, q):
+        f, g, _, freq = case
+        assert f.poisson(g) == poisson_oracle(f, g)
+        assert f * g == mul_oracle(f, g)
+        assert f + g == add_oracle(f, g)
+        assert f - g == add_oracle(f, scale_oracle(g, -1))
+        assert f.scale(q) == scale_oracle(f, q)
+        assert partial_inverse(f, freq) == partial_inverse_oracle(f, freq)
+        assert resonant_projection(f, freq) == resonant_projection_oracle(f, freq)
+        for order in (f.order - 1, f.order + 1, 12):
+            assert f.with_order(order) == with_order_oracle(f, order)
+
+    @FAST
+    @given(case=prime_denominator_symbolic_series())
+    def test_one_symbolic_series_built_two_ways(self, case):
+        f, g, h, _ = case
+        for built, rebuilt in (
+            ((f + g) * h, f * h + g * h),
+            ((f + g).poisson(h), f.poisson(h) + g.poisson(h)),
+        ):
+            assert fields(built) == fields(rebuilt)
+            assert fields(built) == fields(PolySeries(f.n, f.order, SYM_RING, built.terms))
 
     @FAST
     @given(case=prime_denominator_series())
@@ -429,31 +487,34 @@ def numeric_case(draw):
 
 
 def assert_content_form(series: PolySeries) -> None:
-    """The content form every result must have: den > 0, and over Q(i)
-    gcd(den, every numerator component) = 1 (over a SymRing den = 1); no
-    zero numerator; each key holds 2n exponent fields whose sum is its
-    degree field, at most the order."""
-    width, shifts, top, _ = _layout(series.n, series.order)
-    mask = (1 << width) - 1
+    """The content form every result must have: den > 0, gcd(den, every
+    numerator component) = 1, and no zero numerator.  Each key holds 2n
+    exponent fields whose sum is its degree field, at most the order, and
+    below them one field per indeterminate of the ring, with its guard bit
+    clear; over a SymRing every numerator is an int."""
+    symbolic = isinstance(series.ring, SymRing)
+    layout = _layout(series.n, series.order, series.ring.nvars)
+    mask, power_mask = (1 << layout.width) - 1, (1 << POWER_BITS) - 1
     assert series.den > 0
     parts = []
     for key, num in series.nums.items():
-        fields = [key >> s & mask for s in shifts]
-        assert len(fields) == 2 * series.n
-        assert key == sum(f << s for f, s in zip(fields, shifts)) | sum(fields) << top
+        fields = [key >> s & mask for s in layout.shifts]
+        powers = [key >> s & power_mask for s in layout.powers]
+        assert len(fields) == 2 * series.n and len(powers) == series.ring.nvars
+        assert key == (
+            sum(f << s for f, s in zip(fields + powers, layout.shifts + layout.powers))
+            | sum(fields) << layout.top
+        )
         assert sum(fields) <= series.order
-        if isinstance(series.ring, SymRing):
-            assert isinstance(num, SymScalar) and not num.is_zero
-        elif type(num) is int:
+        assert not key & layout.guard and max(powers, default=0) <= MAX_POWER
+        if type(num) is int:
             assert num != 0
             parts.append(num)
         else:
+            assert not symbolic
             assert type(num) is GaussianInteger and num.im != 0
             parts += [num.re, num.im]
-    if isinstance(series.ring, SymRing):
-        assert series.den == 1
-    else:
-        assert math.gcd(series.den, *parts) == 1
+    assert math.gcd(series.den, *parts) == 1
     for pair in series.terms:
         assert len(pair.alpha) == len(pair.beta) == series.n
 

@@ -9,11 +9,13 @@ from hypothesis import given, strategies as st
 from birkhoff import (
     GAUSSIAN_RING,
     PolySeries,
+    SymRing,
+    SymScalar,
     UsageError,
     from_json_terms,
     make_pair,
 )
-from birkhoff.series import monomials
+from birkhoff.series import MAX_POWER, monomials
 
 from helpers import (
     _exponents,
@@ -23,6 +25,18 @@ from helpers import (
     poisson_oracle,
     random_series,
 )
+
+POWER_RING = SymRing((((3,), (0,)), ((2,), (1,))))
+
+
+def h(first: int, second: int, coeff: int | Fraction = 1) -> SymScalar:
+    """coeff * h1^first * h2^second in the two indeterminates of POWER_RING."""
+    return SymScalar(2, {(first, second): coeff})
+
+
+def power_series(entries: dict) -> PolySeries:
+    """A series at n = 1, order 4 over POWER_RING from {(a, b): value}."""
+    return PolySeries(1, 4, POWER_RING, {make_pair((a,), (b,)): v for (a, b), v in entries.items()})
 
 
 class TestExponentPair:
@@ -252,3 +266,52 @@ class TestJson:
             {"alpha": [1], "beta": [1], "coeff": "-2"},
         ]
         assert from_json_terms(1, 4, rows).is_zero
+
+
+class TestSymbolicPowerFields:
+    """Over a SymRing each indeterminate's power has a key field of its own,
+    whose top bit is a guard bit: a power past MAX_POWER is refused, and never
+    carries into the neighbouring field (h2's field is the lowest, h1's the
+    next)."""
+
+    def test_constructor_refuses_a_power_past_the_field(self):
+        for value in (h(0, MAX_POWER + 1), h(MAX_POWER + 1, 0), h(1, 256)):
+            with pytest.raises(UsageError, match=f"has a power above {MAX_POWER}"):
+                power_series({(1, 0): h(1, 1), (0, 0): value})
+        with pytest.raises(UsageError, match="in 3 indeterminates does not match a ring of 2"):
+            power_series({(1, 0): SymScalar(3, {(1, 0, 0): 1})})
+
+    @pytest.mark.parametrize("first, second", [(64, 64), (1, MAX_POWER), (MAX_POWER, MAX_POWER)])
+    def test_product_past_the_field_is_refused(self, first, second):
+        for f, g in (
+            (power_series({(0, 0): h(0, first)}), power_series({(1, 1): h(0, second)})),
+            (power_series({(1, 0): h(first, 1)}), power_series({(0, 1): h(second, 0)})),
+        ):
+            for product in (lambda: f * g, lambda: g * f):
+                with pytest.raises(UsageError, match=f"power of the result exceeds {MAX_POWER}"):
+                    product()
+
+    def test_bracket_past_the_field_is_refused(self):
+        f = power_series({(1, 0): h(2, MAX_POWER), (2, 0): h(1, 0)})
+        g = power_series({(0, 1): h(0, 1, Fraction(1, 3))})
+        for bracket in (lambda: f.poisson(g), lambda: g.poisson(f)):
+            with pytest.raises(UsageError, match=f"power of the result exceeds {MAX_POWER}"):
+                bracket()
+
+    def test_powers_up_to_the_bound_compute(self):
+        f = power_series({
+            (0, 0): h(64, 0) - h(0, MAX_POWER, Fraction(1, 3)),
+            (1, 0): h(64, 0),
+            (2, 1): h(0, 64, 5),
+        })
+        g = power_series({
+            (0, 0): h(63, 0) + h(1, 0, Fraction(2, 7)),
+            (0, 1): h(63, 0, -1),
+            (1, 1): h(1, 0, 3),
+        })
+        for result, oracle in ((f * g, mul_oracle(f, g)), (f.poisson(g), poisson_oracle(f, g))):
+            assert result == oracle
+            assert max(max(e) for v in result.terms.values() for e in v.nums) == MAX_POWER
+        assert (f * g).coefficient(make_pair((0,), (0,))) == f.coefficient(
+            make_pair((0,), (0,))
+        ) * g.coefficient(make_pair((0,), (0,)))
