@@ -13,11 +13,15 @@ without running the degree-by-degree recursion:
    where H_* is H minus its quadratic part.  S is invariant under formal
    symplectic changes of variables fixing the origin, which the property
    tests exercise by conjugating with random time-1 flows.  Each power
-   H_*^m keeps only the terms that can still reach S through w^wmax: a
-   degree cut, since every factor of H_* adds at least 3 to the degree,
+   H_*^m is a content-form ``PolySeries`` (integer numerators on packed
+   keys over one denominator) on a key layout wide enough for every degree
+   kept, and keeps only the terms that can still reach S through w^wmax:
+   a degree cut, since every factor of H_* adds at least 3 to the degree,
    and a charge cut on |a - b| for x^a y^b, since each remaining factor
-   moves the charge by at most the largest charge in H_*.  The average and
-   its derivative are read straight off the diagonal terms.
+   moves the charge by at most the largest charge in H_*.  Both cuts act
+   in the product loop, and each power costs one gcd.  The average and its
+   derivative are read straight off the diagonal terms; the reversion and
+   the partition check below work on ``GaussianRational`` values.
 3. ``nf_from_S`` recovers the normal form nu(z) = lambda z + N_2 z^2 + ...
    by series reversion: the inverse function of nu is assembled from S and
    then reverted with the Lagrange-Buermann coefficients
@@ -222,33 +226,6 @@ def average(series: PolySeries) -> WSeries:
     return WSeries(series.order // 2, series.ring, out)
 
 
-def _next_power(
-    power: dict[tuple[int, int], object],
-    tail: list[tuple[int, int, object]],
-    top: int,
-    reach: int,
-) -> dict[tuple[int, int], object]:
-    """The terms x^a y^b of power * tail with a + b <= top and |a - b| <= reach.
-
-    Keys are (a, b); ``tail`` is sorted by degree, so each row stops at the
-    first factor that would pass ``top``, and no pair outside the two cuts
-    is multiplied.
-    """
-    out: dict[tuple[int, int], object] = {}
-    for (a1, b1), v1 in power.items():
-        room = top - a1 - b1
-        for a2, b2, v2 in tail:
-            if a2 + b2 > room:
-                break
-            a, b = a1 + a2, b1 + b2
-            if abs(a - b) > reach:
-                continue
-            piece = v1 * v2
-            known = out.get((a, b))
-            out[a, b] = piece if known is None else known + piece
-    return {key: value for key, value in out.items() if not value.is_zero}
-
-
 def compute_S(
     hamiltonian: PolySeries, lam: GaussianRational, wmax: int
 ) -> WSeries:
@@ -267,6 +244,12 @@ def compute_S(
     * charge |a - b| at most c_max (mmax - m), with c_max the largest
       |a - b| in H_*: each of the at most mmax - m remaining factors shifts
       the charge by at most c_max, and a diagonal term has charge 0.
+
+    Each power is a content-form series on the key layout of the working
+    order 2(wmax + mmax - 1), whose fields hold every degree kept.  The
+    product loop multiplies numerators and applies both cuts pair by pair;
+    the tail is sorted by key, so the degree cut ends a row.  Each power
+    is closed with one gcd; the same loop serves both coefficient rings.
     """
     if hamiltonian.n != 1:
         raise UsageError(
@@ -276,31 +259,49 @@ def compute_S(
     if wmax < 1:
         raise UsageError(f"wmax must be at least 1, got {wmax}")
     mmax = max(1, 2 * wmax - 2)
-    tail = sorted(
-        (
-            (pair.alpha[0], pair.beta[0], value)
-            for pair, value in hamiltonian.terms.items()
-            if pair.degree >= 3
-        ),
-        key=lambda term: term[0] + term[1],
-    )
-    cmax = max((abs(a - b) for a, b, _ in tail), default=0)
+    h = hamiltonian.with_order(max(hamiltonian.order, 2 * (wmax + mmax - 1)))
+    top, mask = h.layout.top, (1 << h.layout.width) - 1
+    x_shift, y_shift = h.layout.shifts
+
+    def charge(key: int) -> int:
+        return (key >> x_shift & mask) - (key >> y_shift & mask)
+
+    tail = h._select(lambda key: key >> top >= 3)
+    rows = [(key, charge(key), value) for key, value in sorted(tail.nums.items())]
+    cmax = max((abs(c) for _, c, _ in rows), default=0)
     lam_inv = lam.inverse()
     lam_power = GaussianRational.of(1)
     coeffs: dict[int, object] = {}
-    power = {(0, 0): hamiltonian.ring.one}
+    power = h._make({0: 1}, 1)
     for m in range(1, mmax + 1):
-        power = _next_power(power, tail, 2 * (wmax + m - 1), cmax * (mmax - m))
-        if not power:
+        reach, bound = cmax * (mmax - m), 2 * (wmax + m - 1) + 1
+        out: dict[int, object] = {}
+        get = out.get
+        for k1, v1 in power.nums.items():
+            # a pair keeps degree < bound and charge c1 + c2 within reach
+            limit = bound - (k1 >> top) << top
+            c1 = charge(k1)
+            low, high = -reach - c1, reach - c1
+            for k2, c2, v2 in rows:
+                if k2 >= limit:
+                    break
+                if not low <= c2 <= high:
+                    continue
+                key = k1 + k2
+                piece = v1 * v2
+                known = get(key)
+                out[key] = piece if known is None else known + piece
+        power = power._make(out, power.den * tail.den)
+        if power.is_zero:
             break
         weight = Fraction((-1) ** (m - 1), math.factorial(m))
         # a diagonal term of power m has 2a >= 3m, so a >= 2 and a >= m - 1;
         # the degree cut gives j <= wmax
-        for (a, b), value in power.items():
-            if a == b:
-                piece = value.scaled(weight * math.perm(a, m - 1)) * lam_power
-                j = a - m + 1
-                coeffs[j] = coeffs[j] + piece if j in coeffs else piece
+        for pair, value in power._select(lambda key: not charge(key)).terms.items():
+            a = pair.alpha[0]
+            piece = value.scaled(weight * math.perm(a, m - 1)) * lam_power
+            j = a - m + 1
+            coeffs[j] = coeffs[j] + piece if j in coeffs else piece
         lam_power = lam_power * lam_inv
     return WSeries(wmax, hamiltonian.ring, coeffs)
 

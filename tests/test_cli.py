@@ -1011,6 +1011,16 @@ class TestDeterminism:
         assert runs[0].stdout == runs[1].stdout
         assert json.loads(runs[0].stdout)["monomials"] > 0
 
+    def test_onedof_bytes_identical_across_hash_seeds(self):
+        # compute_S iterates the packed-key dicts of each power
+        path = str(REPO_ROOT / "tests" / "golden" / "onedof_imaginary.json")
+        for argv in (["compute", "--method", "onedof"], ["s-series"]):
+            runs = [self._subprocess_run([*argv, "--input", path], s) for s in (7, 8)]
+            for r in runs:
+                assert r.returncode == 0, r.stderr.decode()
+            assert runs[0].stdout == runs[1].stdout
+            assert json.loads(runs[0].stdout)
+
     def test_in_process_repeat_is_identical(self, tmp_path, capsys):
         path = spec_file(tmp_path, WORKED)
         outs = []

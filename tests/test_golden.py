@@ -1,4 +1,4 @@
-"""Byte-exact golden CLI outputs for three small fixed problems.
+"""Byte-exact golden CLI outputs for four small fixed problems.
 
 Each case runs one command on one input under ``tests/golden/`` and
 compares the report's bytes with the stored file.  Any rewrite that keeps
@@ -46,6 +46,10 @@ CASES = (
         ("resonant_2dof", ["compute", "--method", "trees", "--no-kernel-correction"]),
         ("resonant_2dof", ["check"]),
         ("resonant_2dof", ["structure"]),
+        # all nine cubic and quartic monomials at bench depth: working order
+        # 54 for compute_S, where a key field is 6 bits wide
+        ("onedof_deep", ["compute", "--method", "onedof", "--order", "20"]),
+        ("onedof_deep", ["s-series", "--order", "10"]),
     ]
 )
 

@@ -24,6 +24,7 @@ from birkhoff import (
     revert_wseries,
 )
 from birkhoff import FreqVector
+from birkhoff.scalars import GaussianInteger
 from birkhoff.series import monomials
 
 from helpers import build_series, compose_wseries, gr, random_series
@@ -155,26 +156,28 @@ class TestComputeS:
         assert s.coefficient(2) == expected
 
     def test_work_count_at_order_20(self, monkeypatch):
-        # all nine cubic and quartic monomials with positive coefficients, so
-        # no coefficient cancels; the count is that of the cuts in compute_S
-        # (the unpruned powers at working order 54 take 37 544 products)
+        # all nine cubic and quartic monomials with coefficients (1 + i) k/(k+1),
+        # so no coefficient cancels and every numerator product in the kernel
+        # has a GaussianInteger operand; the count is that of the cuts in
+        # compute_S (the unpruned powers at working order 54 take 37 544)
         pairs = [pair for degree in (3, 4) for pair in monomials(1, degree)]
         entries = {
-            (pair.alpha, pair.beta): Fraction(k, k + 1)
+            (pair.alpha, pair.beta): gr(Fraction(k, k + 1), Fraction(k, k + 1))
             for k, pair in enumerate(pairs, start=1)
         }
         h = ham1(20, gr(1), entries)
         calls = 0
-        multiply = GaussianRational.__mul__
+        multiply = GaussianInteger.__mul__
 
         def counted(a, b):
             nonlocal calls
             calls += 1
             return multiply(a, b)
 
-        monkeypatch.setattr(GaussianRational, "__mul__", counted)
+        monkeypatch.setattr(GaussianInteger, "__mul__", counted)
+        monkeypatch.setattr(GaussianInteger, "__rmul__", counted)
         compute_S(h, gr(1), 10)
-        assert calls == 16016
+        assert calls == 15943
 
 
 def make_key(label):

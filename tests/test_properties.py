@@ -9,6 +9,7 @@ rewrite of these layers must keep them passing.
 """
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -486,6 +487,67 @@ def numeric_case(draw):
     return f, g, freq
 
 
+# Frequencies per dimension: resonant and non-resonant, real and complex.
+# (1, 8) and (1, i) have no resonance but the diagonal through order 6.
+FREQUENCIES = {
+    1: [(1,), (2,), (Fraction(-1, 2),), (GaussianRational.of(0, 1),)],
+    2: [(1, 1), (1, -1), (1, 2), (1, 8), (1, GaussianRational.of(0, 1))],
+}
+
+
+# x^6 and y^5: charges 6 and -5, beyond any cubic's
+HIGH_CHARGE = (ExponentPair((6,), (0,)), ExponentPair((0,), (5,)))
+
+
+@st.composite
+def onedof_s_cases(draw):
+    """One-DOF H of degree 3..6, a frequency and a w-degree wmax = 1..6.
+
+    Supports may lack cubic terms, and may carry the high-charge monomials
+    x^6 or y^5; coefficients are real or complex, lambda real or imaginary.
+    """
+    wmax = draw(st.integers(1, 6))
+    freq = FreqVector.of(*draw(st.sampled_from(FREQUENCIES[1])))
+    lowest = draw(st.sampled_from((3, 4)))
+    highest = draw(st.integers(lowest, 6))
+    pairs = [pair for degree in range(lowest, highest + 1) for pair in monomials(1, degree)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True))
+    for pair in HIGH_CHARGE:
+        if pair not in chosen and draw(st.booleans()):
+            chosen.append(pair)
+    values = gaussians if draw(st.booleans()) else reals
+    tail = PolySeries(1, 6, GAUSSIAN_RING, {p: draw(values) for p in chosen})
+    return freq.quadratic_part(6, GAUSSIAN_RING) + tail, freq.entries[0], wmax
+
+
+def symmetric_case(wmax: int):
+    """x^3 + y^3 + x^2 y^2 at lambda = 1: both cuts are tight on this support.
+
+    The charge cut keeps x^{3k} at power k = mmax/2 only just, and the
+    degree cut keeps (x y)^{wmax + m - 1} in every power m only just.
+    """
+    one = GaussianRational.of(1)
+    terms = {ExponentPair((3,), (0,)): one, ExponentPair((0,), (3,)): one,
+             ExponentPair((2,), (2,)): one}
+    h = FreqVector.of(1).quadratic_part(6, GAUSSIAN_RING) + PolySeries(
+        1, 6, GAUSSIAN_RING, terms
+    )
+    return h, one, wmax
+
+
+@st.composite
+def symbolic_onedof_s_cases(draw):
+    """One-DOF H over a SymRing, one indeterminate per monomial of a drawn
+    subset of the cubics and quartics, a real lambda and wmax = 1..4."""
+    pairs = [pair for degree in (3, 4) for pair in monomials(1, degree)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    ring = SymRing(tuple((pair.alpha, pair.beta) for pair in chosen))
+    terms = {pair: ring.indeterminate((pair.alpha, pair.beta)) for pair in chosen}
+    lam = GaussianRational.of(draw(st.sampled_from((1, 2, Fraction(5, 3)))))
+    h = FreqVector.of(lam).quadratic_part(4, ring) + PolySeries(1, 4, ring, terms)
+    return h, lam, draw(st.integers(1, 4))
+
+
 def assert_content_form(series: PolySeries) -> None:
     """The content form every result must have: den > 0, gcd(den, every
     numerator component) = 1, and no zero numerator.  Each key holds 2n
@@ -519,23 +581,30 @@ def assert_content_form(series: PolySeries) -> None:
         assert len(pair.alpha) == len(pair.beta) == series.n
 
 
+@contextmanager
+def checked_make():
+    """Check every series PolySeries._make builds, and collect them."""
+    built = []
+    make = PolySeries._make
+
+    def checked(self, nums, den):
+        series = make(self, nums, den)
+        assert_content_form(series)
+        built.append(series)
+        return series
+
+    with patch.object(PolySeries, "_make", checked):
+        yield built
+
+
 class TestResultsInContentForm:
     """Arithmetic results skip the checks of PolySeries.__init__ and are
     built by PolySeries._make; each must be in content form, cancelled sums
-    included."""
+    and the powers of H_* in compute_S included."""
 
     @staticmethod
     def check_results(f: PolySeries, g: PolySeries, freq: FreqVector, q) -> None:
-        built = []
-        make = PolySeries._make
-
-        def checked(self, nums, den):
-            series = make(self, nums, den)
-            assert_content_form(series)
-            built.append(series)
-            return series
-
-        with patch.object(PolySeries, "_make", checked):
+        with checked_make() as built:
             results = [
                 f.poisson(g),
                 f.poisson(f),  # {f, f} = 0: every term cancels
@@ -568,13 +637,14 @@ class TestResultsInContentForm:
         f, g, freq, _ = case
         self.check_results(f, g, freq, q)
 
+    @SLOW
+    @given(case=st.one_of(onedof_s_cases(), symbolic_onedof_s_cases()))
+    def test_compute_s_powers(self, case):
+        with checked_make() as built:
+            compute_S(*case)
+        assert len(built) >= 3  # the tail, the unit power and power 1
 
-# Frequencies per dimension: resonant and non-resonant, real and complex.
-# (1, 8) and (1, i) have no resonance but the diagonal through order 6.
-FREQUENCIES = {
-    1: [(1,), (2,), (Fraction(-1, 2),), (GaussianRational.of(0, 1),)],
-    2: [(1, 1), (1, -1), (1, 2), (1, 8), (1, GaussianRational.of(0, 1))],
-}
+
 PIPELINES = settings(max_examples=100, deadline=None)
 
 
@@ -631,46 +701,6 @@ class TestPipelinesAgainstFlowOracle:
         assert form_by_recursion(g, s, freq) == expected
 
 
-# x^6 and y^5: charges 6 and -5, beyond any cubic's
-HIGH_CHARGE = (ExponentPair((6,), (0,)), ExponentPair((0,), (5,)))
-
-
-@st.composite
-def onedof_s_cases(draw):
-    """One-DOF H of degree 3..6, a frequency and a w-degree wmax = 1..6.
-
-    Supports may lack cubic terms, and may carry the high-charge monomials
-    x^6 or y^5; coefficients are real or complex, lambda real or imaginary.
-    """
-    wmax = draw(st.integers(1, 6))
-    freq = FreqVector.of(*draw(st.sampled_from(FREQUENCIES[1])))
-    lowest = draw(st.sampled_from((3, 4)))
-    highest = draw(st.integers(lowest, 6))
-    pairs = [pair for degree in range(lowest, highest + 1) for pair in monomials(1, degree)]
-    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True))
-    for pair in HIGH_CHARGE:
-        if pair not in chosen and draw(st.booleans()):
-            chosen.append(pair)
-    values = gaussians if draw(st.booleans()) else reals
-    tail = PolySeries(1, 6, GAUSSIAN_RING, {p: draw(values) for p in chosen})
-    return freq.quadratic_part(6, GAUSSIAN_RING) + tail, freq.entries[0], wmax
-
-
-def symmetric_case(wmax: int):
-    """x^3 + y^3 + x^2 y^2 at lambda = 1: both cuts are tight on this support.
-
-    The charge cut keeps x^{3k} at power k = mmax/2 only just, and the
-    degree cut keeps (x y)^{wmax + m - 1} in every power m only just.
-    """
-    one = GaussianRational.of(1)
-    terms = {ExponentPair((3,), (0,)): one, ExponentPair((0,), (3,)): one,
-             ExponentPair((2,), (2,)): one}
-    h = FreqVector.of(1).quadratic_part(6, GAUSSIAN_RING) + PolySeries(
-        1, 6, GAUSSIAN_RING, terms
-    )
-    return h, one, wmax
-
-
 class TestComputeSAgainstUnprunedPowers:
     @settings(max_examples=100, deadline=None)
     @given(case=onedof_s_cases())
@@ -689,3 +719,8 @@ class TestComputeSAgainstUnprunedPowers:
         lam = GaussianRational.of(2)
         h = FreqVector.of(lam).quadratic_part(4, ring) + PolySeries(1, 4, ring, terms)
         assert compute_S(h, lam, 4) == s_oracle(h, lam, 4)
+
+    @SLOW
+    @given(case=symbolic_onedof_s_cases())
+    def test_symbolic_cuts_drop_nothing_on_drawn_supports(self, case):
+        assert compute_S(*case) == s_oracle(*case)
