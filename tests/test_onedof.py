@@ -370,6 +370,46 @@ class TestNfFromS:
         with pytest.raises(UsageError):
             nf_from_S(wser(2, {2: 1}), gr(0))
 
+    # S with a w^0 term, a w^1 term, w^1 = lambda, and a complex case at
+    # lambda = 3i, under both conventions: the exact error or the rendered nu
+    EDGE_S = {
+        "w0": (wser(4, {0: 1, 2: 3}), gr(2)),
+        "w1": (wser(4, {1: Fraction(1, 2), 2: 1}), gr(2)),
+        "w1-is-lambda": (wser(4, {1: 2, 3: -1}), gr(2)),
+        "complex": (
+            wser(5, {2: gr(1, 2), 3: gr(Fraction(-1, 3), 1), 5: gr(0, 4)}), gr(0, 3)
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "case, convention, expected",
+        [
+            ("w0", "proof", (InternalCheckError, "inverse series acquired a constant term")),
+            ("w0", "stated", (InternalCheckError, "inverse series acquired a constant term")),
+            ("w1", "proof",
+             (InternalCheckError, "reversion produced linear coefficient 8/3, expected 2")),
+            ("w1", "stated",
+             (InternalCheckError, "reversion produced linear coefficient 4/3, expected 2")),
+            ("w1-is-lambda", "proof",
+             (UsageError, "cannot revert a series with zero linear coefficient")),
+            ("w1-is-lambda", "stated",
+             (InternalCheckError, "reversion produced linear coefficient 2/3, expected 2")),
+            ("complex", "proof",
+             "3i w + (1+2i) w^2 + (7/3+3i) w^3 + (20/3+5i) w^4 + (169/9+307/27i) w^5"),
+            ("complex", "stated",
+             "3i w + (6-3i) w^2 + (-21-17i) w^3 + (-35+130i) w^4 + (753-113i) w^5"),
+        ],
+    )
+    def test_edge_inputs(self, case, convention, expected):
+        s, lam = self.EDGE_S[case]
+        if isinstance(expected, str):
+            assert nf_from_S(s, lam, convention).render() == expected
+            return
+        error, message = expected
+        with pytest.raises(error) as caught:
+            nf_from_S(s, lam, convention)
+        assert type(caught.value) is error and str(caught.value) == message
+
 
 class TestOneDofPipeline:
     def test_already_normal_input_is_reproduced(self):
