@@ -46,7 +46,7 @@ from .scalars import (
     format_rational,
     parse_rational,
 )
-from .series import ExponentPair, PolySeries, from_json_terms, make_pair
+from .series import ExponentPair, PolySeries, compositions, from_json_terms, make_pair
 from .structure import (
     StructureReport,
     SymbolicNormalForm,
@@ -71,7 +71,6 @@ from .trees import (
     all_trees,
     catalan_count,
     code_via_factorization,
-    compositions,
     format_code,
     from_code,
     parse_code,

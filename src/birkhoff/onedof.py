@@ -20,24 +20,25 @@ without running the degree-by-degree recursion:
    and a charge cut on |a - b| for x^a y^b, since each remaining factor
    moves the charge by at most the largest charge in H_*.  Both cuts act
    in the product loop, and each power costs one gcd.  The average and its
-   derivative are read straight off the diagonal terms; the reversion and
-   the partition check below work on ``GaussianRational`` values.
+   derivative are read straight off the diagonal terms.
 3. ``nf_from_S`` recovers the normal form nu(z) = lambda z + N_2 z^2 + ...
-   by series reversion: the inverse function of nu is assembled from S and
-   then reverted with the Lagrange-Buermann coefficients
-   g_s = (1/s) [z^{s-1}] (z / nu(z))^s.
+   as nu = lambda (id - c S)^{-1}: it reverts phi(u) = u - c S(u) with the
+   Lagrange-Buermann coefficients g_s = (1/s) [u^{s-1}] (u / phi(u))^s.
 
-Two candidate assemblies of nu^{-1} from S are implemented:
+The constant c fixes the convention:
 
-* ``convention="proof"`` (default):  nu^{-1}(w) = w/lambda - (1/lambda) S(w/lambda)
-* ``convention="stated"``:           nu^{-1}(w) = w/lambda + S(w/lambda)
+* ``convention="proof"`` (default):  c = 1/lambda
+* ``convention="stated"``:           c = -1
 
 The default is the one validated by exact agreement with the two other
 pipelines; the alternative is kept for comparison and fails that agreement.
-Under the default convention the result is additionally cross-checked, term
-by term, against an independent partition-sum formula evaluated in rescaled
-variables (lambda normalized to 1); any mismatch raises
+Every coefficient of phi^{-1} is additionally cross-checked, term by term,
+against an independent partition-sum formula in c S; any mismatch raises
 ``InternalCheckError`` with a full diagnostic.
+
+Steps 2 and 3 run over either coefficient ring: over a ``SymRing`` the
+result writes each N_k as a polynomial in the input coefficients, for a
+real lambda.  Only 1/lambda stays numeric.
 """
 
 from __future__ import annotations
@@ -49,7 +50,13 @@ from typing import Iterator, Sequence
 
 from .errors import InternalCheckError, UsageError
 from .operators import FreqVector, validate_hamiltonian
-from .scalars import GAUSSIAN_RING, CoefficientRing, GaussianRational
+from .scalars import (
+    GAUSSIAN_ONE,
+    GAUSSIAN_RING,
+    CoefficientRing,
+    GaussianRational,
+    join_terms,
+)
 from .series import ExponentPair, PolySeries
 
 CONVENTIONS = ("proof", "stated")
@@ -134,18 +141,6 @@ class WSeries:
             {k: v * g for k, v in self.coeffs.items()},
         )
 
-    def scale_argument(self, g: GaussianRational) -> "WSeries":
-        """Substitute w -> g w, i.e. c_k -> c_k g^k."""
-        out = {}
-        power = GaussianRational.of(1)
-        current = 0
-        for k in sorted(self.coeffs):
-            while current < k:
-                power = power * g
-                current += 1
-            out[k] = self.coeffs[k] * power
-        return WSeries(self.order, self.ring, out)
-
     def derivative(self) -> "WSeries":
         if self.order == 0:
             return WSeries(0, self.ring)
@@ -184,19 +179,10 @@ class WSeries:
         return hash((self.order, tuple(sorted(self.coeffs))))
 
     def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, value in self.sorted_items():
-            body = "1" if k == 0 else ("w" if k == 1 else f"w^{k}")
-            parts.append(f"{self.ring.render(value)} {body}")
-        text = parts[0]
-        for piece in parts[1:]:
-            if piece.startswith("-") and not piece.startswith("(-"):
-                text += f" - {piece[1:]}"
-            else:
-                text += f" + {piece}"
-        return text
+        return join_terms(
+            f"{self.ring.render(value)} " + ("1" if k == 0 else "w" if k == 1 else f"w^{k}")
+            for k, value in self.sorted_items()
+        )
 
     def __repr__(self) -> str:
         return f"WSeries(order={self.order}, {self.render()})"
@@ -249,7 +235,8 @@ def compute_S(
     order 2(wmax + mmax - 1), whose fields hold every degree kept.  The
     product loop multiplies numerators and applies both cuts pair by pair;
     the tail is sorted by key, so the degree cut ends a row.  Each power
-    is closed with one gcd; the same loop serves both coefficient rings.
+    is closed with one gcd; the same loop serves both coefficient rings,
+    and S comes out over the input's ring, ready for ``nf_from_S``.
     """
     if hamiltonian.n != 1:
         raise UsageError(
@@ -313,17 +300,16 @@ def is_linearizable(
     return compute_S(hamiltonian, lam, wmax).is_zero
 
 
-def invert_unit_series(
-    coeffs: Sequence[GaussianRational], order: int
-) -> list[GaussianRational]:
+def invert_unit_series(coeffs: Sequence[object], order: int) -> list[object]:
     """Coefficients of 1 / (a_0 + a_1 u + ...) through u^order; a_0 != 0."""
-    series = list(coeffs) + [GaussianRational.of(0)] * (order + 1 - len(coeffs))
-    if series[0].is_zero:
+    if not coeffs or coeffs[0].is_zero:
         raise UsageError("cannot invert a series with zero constant term")
+    zero = coeffs[0].scaled(0)
+    series = list(coeffs) + [zero] * (order + 1 - len(coeffs))
     lead_inv = series[0].inverse()
     out = [lead_inv]
     for k in range(1, order + 1):
-        total = GaussianRational.of(0)
+        total = zero
         for i in range(1, k + 1):
             total = total + series[i] * out[k - i]
         out.append(-(lead_inv * total))
@@ -331,31 +317,25 @@ def invert_unit_series(
 
 
 def revert_wseries(series: WSeries) -> WSeries:
-    """Reversion of a general series with zero constant and nonzero linear term."""
-    if series.ring is not GAUSSIAN_RING and series.ring != GAUSSIAN_RING:
-        raise UsageError("series reversion works over the numeric ring only")
+    """Compositional inverse of a series with zero constant and nonzero linear term.
+
+    Lagrange-Buermann: g_s = (1/s) [z^{s-1}] (z / f(z))^s, over the series'
+    own ring.  The linear coefficient must be invertible there: over a
+    SymRing, a nonzero constant.
+    """
     if not series.coefficient(0).is_zero:
         raise UsageError("cannot revert a series with a constant term")
-    lam = series.coefficient(1)
-    if lam.is_zero:
+    if series.coefficient(1).is_zero:
         raise UsageError("cannot revert a series with zero linear coefficient")
-    order = series.order
+    order, ring = series.order, series.ring
     line = [series.coefficient(k + 1) for k in range(order)]
-    base = invert_unit_series(line, order - 1)
-    coeffs: dict[int, GaussianRational] = {}
-    power = [GaussianRational.of(1)] + [GaussianRational.of(0)] * (order - 1)
+    base = WSeries(order - 1, ring, dict(enumerate(invert_unit_series(line, order - 1))))
+    power = WSeries(order - 1, ring, {0: ring.one})
+    coeffs = {}
     for s in range(1, order + 1):
-        new_power = [GaussianRational.of(0)] * order
-        for i, left in enumerate(power):
-            if left.is_zero:
-                continue
-            for j, right in enumerate(base):
-                if i + j >= order:
-                    break
-                new_power[i + j] = new_power[i + j] + left * right
-        power = new_power
-        coeffs[s] = power[s - 1].scaled(Fraction(1, s))
-    return WSeries(order, GAUSSIAN_RING, coeffs)
+        power = power * base
+        coeffs[s] = power.coefficient(s - 1).scaled(Fraction(1, s))
+    return WSeries(order, ring, coeffs)
 
 
 def _partitions(total: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -370,15 +350,17 @@ def _partitions(total: int, largest: int | None = None) -> Iterator[tuple[int, .
             yield (head,) + rest
 
 
-def partition_normal_form(s_series: WSeries, m: int) -> GaussianRational:
-    """Independent partition-sum value for N_m under unit linear frequency.
+def partition_normal_form(s_series: WSeries, m: int) -> object:
+    """Independent partition-sum value for [u^m] of the inverse of u - T(u).
 
-    N_m = sum over multisets {alpha_k} with sum (k-1) alpha_k = m - 1 of
-    (m - 1 + |alpha|)! / (alpha! m!) * prod S_k^{alpha_k}.
+    With T = s_series = sum_k T_k u^k (k >= 2), that coefficient is the sum
+    over multisets {alpha_k} with sum (k-1) alpha_k = m - 1 of
+    (m - 1 + |alpha|)! / (alpha! m!) * prod T_k^{alpha_k}.
     """
     if m < 2:
         raise UsageError(f"the partition formula starts at m=2, got m={m}")
-    total = GaussianRational.of(0)
+    ring = s_series.ring
+    total = ring.zero
     for parts in _partitions(m - 1):
         multiplicity: dict[int, int] = {}
         for p in parts:
@@ -386,7 +368,7 @@ def partition_normal_form(s_series: WSeries, m: int) -> GaussianRational:
             multiplicity[k] = multiplicity.get(k, 0) + 1
         size = len(parts)
         weight = Fraction(math.factorial(m - 1 + size), math.factorial(m))
-        product = GaussianRational.of(1)
+        product = ring.one
         for k, count in multiplicity.items():
             weight /= math.factorial(count)
             coeff = s_series.coefficient(k)
@@ -401,55 +383,41 @@ def partition_normal_form(s_series: WSeries, m: int) -> GaussianRational:
 def nf_from_S(
     s_series: WSeries, lam: GaussianRational, convention: str = "proof"
 ) -> WSeries:
-    """Recover nu from S by series reversion, as a series in w.
+    """Recover nu = lambda (id - c S)^{-1} from S, as a series in w.
 
-    Coefficient 1 of the result is lambda, coefficient k >= 2 is N_k.
-    Under the default convention the tail is cross-checked against the
-    partition-sum formula in rescaled variables; a mismatch raises
-    InternalCheckError.
+    c is 1/lambda under the "proof" convention and -1 under "stated".
+    Coefficient 1 of the result is lambda, coefficient k >= 2 is N_k.  Each
+    coefficient of (id - c S)^{-1} is cross-checked against the
+    partition-sum formula for c S; a mismatch raises InternalCheckError.
+    S may be over either coefficient ring; over a SymRing lambda must be
+    real.
     """
     if convention not in CONVENTIONS:
         raise UsageError(
             f"unknown convention {convention!r}; choose one of {CONVENTIONS}"
         )
-    if s_series.ring is not GAUSSIAN_RING and s_series.ring != GAUSSIAN_RING:
-        raise UsageError("nf_from_S works over the numeric ring only")
     if lam.is_zero:
         raise UsageError("the frequency lambda must be nonzero")
-    order = s_series.order
-    lam_inv = lam.inverse()
-    shrunk = s_series.scale_argument(lam_inv)
-    if convention == "proof":
-        inverse_tail = shrunk.scale_by_gaussian(-lam_inv)
-    else:
-        inverse_tail = shrunk
-    coeffs = {1: lam_inv}
-    for k, value in inverse_tail.sorted_items():
-        if k == 0:
-            raise InternalCheckError("inverse series acquired a constant term")
-        if k == 1:
-            coeffs[1] = coeffs[1] + value
-        else:
-            coeffs[k] = value
-    psi = WSeries(order, GAUSSIAN_RING, coeffs)
-    nu = revert_wseries(psi)
-    lead = nu.coefficient(1)
-    if lead != lam:
+    if not s_series.coefficient(0).is_zero:
+        raise InternalCheckError("inverse series acquired a constant term")
+    order, ring = s_series.order, s_series.ring
+    c = lam.inverse() if convention == "proof" else -GAUSSIAN_ONE
+    cs = s_series.scale_by_gaussian(c)
+    inverse = revert_wseries(WSeries(order, ring, {1: ring.one}) - cs)
+    nu = inverse.scale_by_gaussian(lam)
+    if inverse.coefficient(1) != ring.one:
         raise InternalCheckError(
-            f"reversion produced linear coefficient {lead}, expected {lam}"
+            f"reversion produced linear coefficient {nu.coefficient(1)}, expected {lam}"
         )
-    if convention == "proof":
-        rescaled_s = s_series.scale_by_gaussian(lam_inv)
-        rescaled_nu = nu.scale_by_gaussian(lam_inv)
-        for m in range(2, order + 1):
-            expected = partition_normal_form(rescaled_s, m)
-            actual = rescaled_nu.coefficient(m)
-            if expected != actual:
-                raise InternalCheckError(
-                    "partition cross-check failed at degree "
-                    f"{m}: reversion gives {actual}, partition sum gives {expected}; "
-                    f"S = {s_series.render()}, nu = {nu.render()}"
-                )
+    for m in range(2, order + 1):
+        expected = partition_normal_form(cs, m)
+        actual = inverse.coefficient(m)
+        if expected != actual:
+            raise InternalCheckError(
+                "partition cross-check failed at degree "
+                f"{m}: reversion gives {actual}, partition sum gives {expected}; "
+                f"S = {s_series.render()}, nu = {nu.render()}"
+            )
     return nu
 
 

@@ -24,8 +24,9 @@ what a series is built from and what its ``terms`` view reads back.
 Values answer for their own arithmetic: ``+ - *``, ``is_zero`` and
 ``scaled(q)`` by an int or ``Fraction``.  A ``SymScalar`` may also be
 multiplied by a real ``GaussianRational`` (an eigenvalue or its inverse).
-The components are read as ``Fraction`` through ``re``/``im`` and
-``terms``; text and JSON are written from the integers.  The public
+``inverse()`` serves both classes; a ``SymScalar`` has one only when it
+is a nonzero constant.  The components are read as ``Fraction`` through
+``re``/``im`` and ``terms``; text and JSON are written from the integers.  The public
 ``SymScalar`` constructor checks the arity and sign of every exponent key
 of a nonzero term; arithmetic results skip that check, because their keys
 are sums of keys already checked.  A
@@ -42,7 +43,7 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, UsageError
 
@@ -86,6 +87,20 @@ def _ratio_text(num: int, den: int) -> str:
             "a coefficient has more digits than the interpreter's "
             f"{sys.get_int_max_str_digits()}-digit limit for writing an integer"
         ) from None
+
+
+def join_terms(terms: Iterable[str]) -> str:
+    """Rendered terms as one sum: " - t" for a term "-t", " + t" otherwise.
+
+    No terms make "0".
+    """
+    parts = list(terms)
+    if not parts:
+        return "0"
+    text = parts[0]
+    for term in parts[1:]:
+        text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return text
 
 
 def format_rational(value: Fraction) -> str:
@@ -421,6 +436,21 @@ class SymScalar:
     def scaled(self, q: int | Fraction) -> "SymScalar":
         return self._times(*_ratio_of(q))
 
+    def inverse(self) -> "SymScalar":
+        """1 / self, for a nonzero constant only.
+
+        Zero raises ZeroDivisionError, as for ``GaussianRational``; a value
+        that involves an indeterminate has no inverse among polynomials.
+        """
+        if not self.nums:
+            raise ZeroDivisionError("inverse of zero symbolic value")
+        constant = (0,) * self.nvars
+        if len(self.nums) != 1 or constant not in self.nums:
+            raise UsageError(
+                f"a symbolic value has an inverse only when constant, got {self!r}"
+            )
+        return SymScalar.constant(self.nvars, Fraction(self.den, self.nums[constant]))
+
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in graded-lexicographic order on the exponent vectors."""
         den = self.den
@@ -584,8 +614,6 @@ class SymRing(CoefficientRing):
         return "h[%s;%s]" % (",".join(map(str, alpha)), ",".join(map(str, beta)))
 
     def render(self, value: SymScalar) -> str:
-        if value.is_zero:
-            return "0"
         parts: list[str] = []
         for exponents, num in value._sorted_nums():
             factors = []
@@ -597,10 +625,7 @@ class SymRing(CoefficientRing):
             body = "*".join(factors)
             coeff = _ratio_text(num, value.den)
             parts.append(coeff if not body else f"{coeff}*{body}")
-        rendered = parts[0]
-        for piece in parts[1:]:
-            rendered += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return rendered
+        return join_terms(parts)
 
     def value_to_json(self, value: SymScalar) -> list:
         rows = []

@@ -70,6 +70,7 @@ from .scalars import (
     _ratio_of,
     _reduced,
     gaussian_integer,
+    join_terms,
 )
 
 # Bits of one indeterminate field of a key, its guard bit included.
@@ -104,13 +105,25 @@ def make_pair(alpha: Iterable[int], beta: Iterable[int]) -> ExponentPair:
     return ExponentPair(a, b)
 
 
-def _exponent_tuples(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """Tuples of slots non-negative integers summing to total, in lex order."""
-    if slots == 1:
+def compositions(total: int, parts: int, minimum: int = 1) -> Iterator[tuple[int, ...]]:
+    """Ordered compositions of ``total`` into ``parts`` entries >= minimum.
+
+    Lexicographic order; with minimum 0 these are the exponent tuples of
+    degree ``total`` in ``parts`` variables.
+    """
+    if parts < 0:
+        raise UsageError(f"parts must be non-negative, got {parts}")
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if total < parts * minimum:
+        return
+    if parts == 1:
         yield (total,)
         return
-    for head in range(total + 1):
-        for rest in _exponent_tuples(total - head, slots - 1):
+    for head in range(minimum, total - (parts - 1) * minimum + 1):
+        for rest in compositions(total - head, parts - 1, minimum):
             yield (head,) + rest
 
 
@@ -121,8 +134,8 @@ def monomials(n: int, degree: int) -> Iterator[ExponentPair]:
     lexicographically.
     """
     for da in range(degree + 1):
-        for alpha in _exponent_tuples(da, n):
-            for beta in _exponent_tuples(degree - da, n):
+        for alpha in compositions(da, n, 0):
+            for beta in compositions(degree - da, n, 0):
                 yield ExponentPair(alpha, beta)
 
 
@@ -430,20 +443,10 @@ class PolySeries:
 
     def render(self) -> str:
         """Canonical text form: graded-lex term order, explicit coefficients."""
-        if self.is_zero:
-            return "0"
-        parts = []
-        for pair, value in self.sorted_terms():
-            coeff = self.ring.render(value)
-            body = self._monomial_text(pair)
-            parts.append(f"{coeff} {body}".strip())
-        text = parts[0]
-        for piece in parts[1:]:
-            if piece.startswith("-") and not piece.startswith("(-"):
-                text += f" - {piece[1:]}"
-            else:
-                text += f" + {piece}"
-        return text
+        return join_terms(
+            f"{self.ring.render(value)} {self._monomial_text(pair)}".strip()
+            for pair, value in self.sorted_terms()
+        )
 
     def __repr__(self) -> str:
         return f"PolySeries(n={self.n}, order={self.order}, {self.render()})"

@@ -64,12 +64,11 @@ from .operators import (
     validate_hamiltonian,
 )
 from .scalars import format_rational
-from .series import PolySeries, sum_nonzero
+from .series import PolySeries, compositions, sum_nonzero
 from .trees import (
     MAX_LEAVES,
     Tree,
     all_trees,
-    compositions,
     format_code,
     right_factors,
     to_code,

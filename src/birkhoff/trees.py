@@ -1,4 +1,4 @@
-"""Full binary trees, their backslash codes, and composition helpers.
+"""Full binary trees and their backslash codes.
 
 A tree is either the leaf or an ordered product (left, right) of two trees.
 Trees with s leaves are counted by the Catalan number C(s-1).
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InvalidCodeError, UsageError
 
@@ -211,21 +211,3 @@ def parse_code(text: str) -> list[int]:
             raise InvalidCodeError(f"cannot read {piece!r} as a positive integer entry")
         entries.append(int(piece))
     return entries
-
-
-def compositions(total: int, parts: int, minimum: int = 1) -> Iterator[tuple[int, ...]]:
-    """Ordered compositions of ``total`` into ``parts`` entries >= minimum."""
-    if parts < 0:
-        raise UsageError(f"parts must be non-negative, got {parts}")
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if total < parts * minimum:
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(minimum, total - (parts - 1) * minimum + 1):
-        for rest in compositions(total - head, parts - 1, minimum):
-            yield (head,) + rest

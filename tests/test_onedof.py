@@ -23,7 +23,7 @@ from birkhoff import (
     partition_normal_form,
     revert_wseries,
 )
-from birkhoff import FreqVector
+from birkhoff import FreqVector, onedof
 from birkhoff.scalars import GaussianInteger
 from birkhoff.series import monomials
 
@@ -53,10 +53,6 @@ class TestWSeries:
     def test_order_mismatch(self):
         with pytest.raises(UsageError):
             wser(4, {1: 1}) + wser(5, {1: 1})
-
-    def test_scale_argument(self):
-        s = wser(3, {1: 2, 3: 8})
-        assert s.scale_argument(gr(Fraction(1, 2))) == wser(3, {1: 1, 3: 1})
 
     def test_derivative(self):
         s = wser(4, {2: 3, 4: 1})
@@ -409,6 +405,49 @@ class TestNfFromS:
         with pytest.raises(error) as caught:
             nf_from_S(s, lam, convention)
         assert type(caught.value) is error and str(caught.value) == message
+
+    @pytest.mark.parametrize("symbolic", [False, True])
+    def test_partition_cross_check_catches_a_wrong_reversion(self, monkeypatch, symbolic):
+        if symbolic:
+            label = ((2,), (2,))
+            ring = SymRing((label,))
+            s = WSeries(4, ring, {2: ring.indeterminate(label), 4: ring.one})
+        else:
+            ring = GAUSSIAN_RING
+            s = wser(4, {2: 1, 4: 1})
+        revert = onedof.revert_wseries
+        monkeypatch.setattr(
+            onedof, "revert_wseries",
+            lambda series: revert(series) + WSeries(4, ring, {3: ring.one}),
+        )
+        with pytest.raises(InternalCheckError, match="partition cross-check failed at degree 3"):
+            nf_from_S(s, gr(2))
+
+
+class TestSymbolicReversion:
+    """The back half over a SymRing: leads must be nonzero constants."""
+
+    LABEL = ((3,), (0,))
+    RING = SymRing((LABEL,))
+
+    def test_revert_with_constant_lead(self):
+        ring, x = self.RING, self.RING.indeterminate(self.LABEL)
+        two = ring.one.scaled(2)
+        psi = WSeries(4, ring, {1: two, 2: x})
+        inverse = revert_wseries(psi)
+        assert inverse.coefficient(1) == ring.one.scaled(Fraction(1, 2))
+        assert inverse.coefficient(2) == x.scaled(Fraction(-1, 8))
+        identity = WSeries(4, ring, {1: ring.one})
+        assert compose_wseries(psi, inverse) == identity
+
+    def test_invert_unit_series_takes_zero_from_its_input(self):
+        ring, x = self.RING, self.RING.indeterminate(self.LABEL)
+        assert invert_unit_series([ring.one, x], 2) == [ring.one, -x, x * x]
+
+    def test_non_constant_lead_is_a_usage_error(self):
+        ring, x = self.RING, self.RING.indeterminate(self.LABEL)
+        with pytest.raises(UsageError, match="only when constant"):
+            revert_wseries(WSeries(3, ring, {1: x, 2: ring.one}))
 
 
 class TestOneDofPipeline:

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from unittest.mock import patch
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from birkhoff import (
@@ -23,11 +24,14 @@ from birkhoff import (
     PolySeries,
     SymRing,
     SymScalar,
+    UsageError,
+    WSeries,
     compute_S,
     form_by_recursion,
     form_by_trees,
     homological_operator,
     lie_normalize,
+    nf_from_S,
     nf_via_trees,
     onedof_normal_form,
     partial_inverse,
@@ -535,17 +539,30 @@ def symmetric_case(wmax: int):
     return h, one, wmax
 
 
+# the nine cubic and quartic monomials of one degree of freedom
+ONEDOF_PAIRS = [pair for degree in (3, 4) for pair in monomials(1, degree)]
+SYMBOLIC_LAMBDAS = (1, 2, Fraction(5, 3))
+
+
+def symbolic_onedof_hamiltonian(pairs, lam: GaussianRational, order: int) -> PolySeries:
+    """H_2 + sum of one indeterminate per pair, over a SymRing."""
+    ring = SymRing(tuple((pair.alpha, pair.beta) for pair in pairs))
+    terms = {pair: ring.indeterminate((pair.alpha, pair.beta)) for pair in pairs}
+    return FreqVector.of(lam).quadratic_part(order, ring) + PolySeries(1, order, ring, terms)
+
+
+onedof_supports = st.lists(
+    st.sampled_from(ONEDOF_PAIRS), min_size=1, max_size=len(ONEDOF_PAIRS), unique=True
+)
+symbolic_lambdas = st.sampled_from(SYMBOLIC_LAMBDAS).map(GaussianRational.of)
+
+
 @st.composite
 def symbolic_onedof_s_cases(draw):
     """One-DOF H over a SymRing, one indeterminate per monomial of a drawn
     subset of the cubics and quartics, a real lambda and wmax = 1..4."""
-    pairs = [pair for degree in (3, 4) for pair in monomials(1, degree)]
-    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
-    ring = SymRing(tuple((pair.alpha, pair.beta) for pair in chosen))
-    terms = {pair: ring.indeterminate((pair.alpha, pair.beta)) for pair in chosen}
-    lam = GaussianRational.of(draw(st.sampled_from((1, 2, Fraction(5, 3)))))
-    h = FreqVector.of(lam).quadratic_part(4, ring) + PolySeries(1, 4, ring, terms)
-    return h, lam, draw(st.integers(1, 4))
+    lam = draw(symbolic_lambdas)
+    return symbolic_onedof_hamiltonian(draw(onedof_supports), lam, 4), lam, draw(st.integers(1, 4))
 
 
 def assert_content_form(series: PolySeries) -> None:
@@ -724,3 +741,62 @@ class TestComputeSAgainstUnprunedPowers:
     @given(case=symbolic_onedof_s_cases())
     def test_symbolic_cuts_drop_nothing_on_drawn_supports(self, case):
         assert compute_S(*case) == s_oracle(*case)
+
+
+class TestSymbolicOneDof:
+    """onedof over a SymRing writes N_k as a polynomial in the input
+    coefficients; it must equal symbolic lie and specialize to numeric onedof."""
+
+    @SLOW
+    @given(pairs=onedof_supports, lam=symbolic_lambdas, order=st.integers(4, 8))
+    def test_equals_symbolic_lie(self, pairs, lam, order):
+        h = symbolic_onedof_hamiltonian(pairs, lam, order)
+        expected = lie_normalize(h, FreqVector.of(lam)).normal_form
+        assert onedof_normal_form(h, lam).normal_form == expected
+
+    def test_equals_symbolic_lie_on_every_monomial_at_order_10(self):
+        lam = GaussianRational.of(Fraction(5, 3))
+        h = symbolic_onedof_hamiltonian(ONEDOF_PAIRS, lam, 10)
+        expected = lie_normalize(h, FreqVector.of(lam)).normal_form
+        assert onedof_normal_form(h, lam).normal_form == expected
+
+    @SLOW
+    @given(
+        pairs=onedof_supports,
+        lam=symbolic_lambdas,
+        order=st.integers(4, 8),
+        convention=st.sampled_from(("proof", "stated")),
+        data=st.data(),
+    )
+    def test_specialization_commutes(self, pairs, lam, order, convention, data):
+        h = symbolic_onedof_hamiltonian(pairs, lam, order)
+        values = [data.draw(values_in_q_i) for _ in pairs]
+        numeric = FreqVector.of(lam).quadratic_part(order, GAUSSIAN_RING) + PolySeries(
+            1, order, GAUSSIAN_RING, dict(zip(pairs, values))
+        )
+        symbolic_nu = onedof_normal_form(h, lam, convention).nu
+        numeric_nu = onedof_normal_form(numeric, lam, convention).nu
+        assert symbolic_nu.ring == h.ring
+        for k in range(order // 2 + 1):
+            assert symbolic_nu.coefficient(k).evaluate(values) == numeric_nu.coefficient(k)
+
+    def test_stated_convention_runs_over_a_sym_ring(self):
+        lam = GaussianRational.of(2)
+        h = symbolic_onedof_hamiltonian(ONEDOF_PAIRS, lam, 8)
+        proof = onedof_normal_form(h, lam).nu
+        stated = onedof_normal_form(h, lam, "stated").nu
+        assert stated.coefficient(1) == proof.coefficient(1) == h.ring.one * lam
+        # N_2 is c lambda S_2: S_2 under proof, -lambda S_2 under stated
+        assert stated.coefficient(2) == proof.coefficient(2).scaled(-2)
+        assert stated != proof
+
+    @pytest.mark.parametrize("convention", ("proof", "stated"))
+    def test_complex_lambda_and_symbolic_lead_are_usage_errors(self, convention):
+        h = symbolic_onedof_hamiltonian(ONEDOF_PAIRS, GaussianRational.of(1), 6)
+        s = compute_S(h, GaussianRational.of(1), 3)
+        with pytest.raises(UsageError, match="real rational frequencies"):
+            nf_from_S(s, GaussianRational.of(0, 1), convention)
+        label = (ONEDOF_PAIRS[0].alpha, ONEDOF_PAIRS[0].beta)
+        lead = WSeries(3, s.ring, {1: s.ring.indeterminate(label)})
+        with pytest.raises(UsageError, match="only when constant"):
+            nf_from_S(s + lead, GaussianRational.of(1), convention)

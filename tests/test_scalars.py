@@ -245,6 +245,18 @@ class TestSymScalar:
         out = ring.indeterminate(LABEL_A) * GaussianRational.of(2).inverse()
         assert out.terms == {(1, 0, 0): Fraction(1, 2)}
 
+    def test_inverse_of_constants_only(self):
+        ring = self._ring()
+        half = SymScalar.constant(3, Fraction(-2, 3)).inverse()
+        assert half == SymScalar.constant(3, Fraction(-3, 2))
+        assert ring.one.inverse() == ring.one
+        with pytest.raises(ZeroDivisionError):
+            ring.zero.inverse()
+        a = ring.indeterminate(LABEL_A)
+        for value in (a, a + ring.one):
+            with pytest.raises(UsageError, match="only when constant"):
+                value.inverse()
+
     def test_sorted_terms_graded(self):
         ring = self._ring()
         a = ring.indeterminate(LABEL_A)
