@@ -3,10 +3,11 @@
 Everything here recomputes results through a different route than the
 library code under test: dense dict arithmetic on the values (over Q(i)
 or, with ``SymScalar`` arithmetic, over a ``SymRing``) instead of the series
-class, derivative-based Poisson brackets, normalization driven purely by
-flow conjugation, series composition instead of reversion, the
-invariant series S from unpruned powers, dicts of Fractions for symbolic
-scalars, and the Akiyama-Tanigawa tableau for Bernoulli numbers.  Tests
+class, Poisson brackets from partial derivatives and from the formula for
+one term pair, normalization driven purely by flow conjugation, series
+composition instead of reversion, the invariant series S from unpruned
+powers, dicts of Fractions for symbolic scalars, and the Akiyama-Tanigawa
+tableau for Bernoulli numbers.  Tests
 compare library output against these, so a shared bug would have to be
 implemented twice in two different shapes to slip through.  It also
 holds the environment for tests that start a child interpreter.
@@ -156,6 +157,33 @@ def poisson_oracle(f: PolySeries, g: PolySeries) -> PolySeries:
         if sum(key[0]) + sum(key[1]) <= f.order
     }
     return series_like(f, trimmed)
+
+
+def poisson_pairwise_oracle(f: PolySeries, g: PolySeries) -> PolySeries:
+    """{f, g} term pair by term pair; any ring.
+
+    The pair x^a1 y^b1, x^a2 y^b2 brackets to
+    sum_j (b1_j a2_j - a1_j b2_j) x^(a1 + a2 - e_j) y^(b1 + b2 - e_j).
+    """
+    zero = f.ring.zero
+    acc: dict = {}
+    for (a1, b1), v1 in series_terms(f).items():
+        for (a2, b2), v2 in series_terms(g).items():
+            alpha = [x + y for x, y in zip(a1, a2)]
+            beta = [x + y for x, y in zip(b1, b2)]
+            if sum(alpha) + sum(beta) - 2 > f.order:
+                continue
+            for j in range(f.n):
+                factor = b1[j] * a2[j] - a1[j] * b2[j]
+                if not factor:
+                    continue
+                alpha[j] -= 1
+                beta[j] -= 1
+                key = (tuple(alpha), tuple(beta))
+                acc[key] = acc.get(key, zero) + (v1 * v2).scaled(Fraction(factor))
+                alpha[j] += 1
+                beta[j] += 1
+    return series_like(f, acc)
 
 
 # ---------------------------------------------------------------------------

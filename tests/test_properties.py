@@ -46,6 +46,7 @@ from helpers import (
     mul_oracle,
     partial_inverse_oracle,
     poisson_oracle,
+    poisson_pairwise_oracle,
     poly_add,
     poly_evaluate,
     poly_mul,
@@ -233,6 +234,7 @@ class TestContentFormAgainstOracles:
     def test_each_operation(self, case, q):
         f, g, _, freq = case
         assert f.poisson(g) == poisson_oracle(f, g)
+        assert f.poisson(g) == poisson_pairwise_oracle(f, g)
         assert f * g == mul_oracle(f, g)
         assert f + g == add_oracle(f, g)
         assert f - g == add_oracle(f, scale_oracle(g, -1))
@@ -244,6 +246,7 @@ class TestContentFormAgainstOracles:
     def test_each_symbolic_operation(self, case, q):
         f, g, _, freq = case
         assert f.poisson(g) == poisson_oracle(f, g)
+        assert f.poisson(g) == poisson_pairwise_oracle(f, g)
         assert f * g == mul_oracle(f, g)
         assert f + g == add_oracle(f, g)
         assert f - g == add_oracle(f, scale_oracle(g, -1))

@@ -23,6 +23,7 @@ from helpers import (
     gr,
     mul_oracle,
     poisson_oracle,
+    poisson_pairwise_oracle,
     random_series,
 )
 
@@ -194,10 +195,18 @@ class TestPoisson:
         mono = build_series(1, 8, {((3,), (1,)): 1})
         assert quad.poisson(mono) == mono.scale(Fraction(4))
 
-    def test_antisymmetry_and_self_bracket(self):
-        f = random_series(2, 6, 42, min_degree=1)
-        g = random_series(2, 6, 43, min_degree=1)
-        assert f.poisson(g) == -(g.poisson(f))
+    @pytest.mark.parametrize("ring", ["real", "complex", "symbolic"])
+    def test_antisymmetry_and_self_bracket(self, ring):
+        if ring == "symbolic":
+            f = power_series({(1, 2): h(1, 0, Fraction(1, 3)), (3, 0): h(0, 2) + h(1, 1, -2)})
+            g = power_series({(0, 1): h(2, 0, 5), (2, 1): h(0, 1, Fraction(-3, 7)) + h(1, 0)})
+        else:
+            imaginary = ring == "complex"
+            f = random_series(2, 6, 42, min_degree=1, imaginary=imaginary)
+            g = random_series(2, 6, 43, min_degree=1, imaginary=imaginary)
+        forward, backward = f.poisson(g), -(g.poisson(f))
+        assert not forward.is_zero
+        assert (forward.den, forward.nums) == (backward.den, backward.nums)
         assert f.poisson(f).is_zero
 
     @pytest.mark.parametrize("seed", range(8))
@@ -235,6 +244,53 @@ class TestPoisson:
         g = random_series(2, 10, 78, min_degree=3, max_degree=3, max_terms=4)
         bracket = f.poisson(g)
         assert bracket.grades() in ([], [5])
+
+
+class TestPoissonEdges:
+    """Brackets where one operand has no term in x_j or in y_j, and brackets
+    whose terms land exactly at the truncation degree or one above it."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_operand_without_x_j_or_y_j(self, n):
+        zero = (0,) * (n - 2)
+        # f has no x_2 and no y_1 term; g has no y_2 term
+        f = build_series(n, 6, {((2, 0) + zero, (0, 1) + zero): 1})
+        g = build_series(n, 6, {((0, 1) + zero, (1, 0) + zero): 1})
+        expected = build_series(n, 6, {
+            ((2, 0) + zero, (1, 0) + zero): 1,
+            ((1, 1) + zero, (0, 1) + zero): -2,
+        })
+        assert f.poisson(g) == expected
+        assert g.poisson(f) == -expected
+        # no operand has a y term, or none an x term: every product is empty
+        xs = build_series(n, 6, {((1, 2) + zero, (0, 0) + zero): gr(1, 2)})
+        ys = build_series(n, 6, {((0, 0) + zero, (0, 3) + zero): 3})
+        assert xs.poisson(xs).is_zero and ys.poisson(ys).is_zero
+        both = [f, g, xs, ys, xs + ys, f + ys]
+        for left in both:
+            for right in both:
+                bracket = left.poisson(right)
+                assert bracket == poisson_oracle(left, right)
+                assert bracket == poisson_pairwise_oracle(left, right)
+
+    @pytest.mark.parametrize("order", [5, 6, 13, 14])
+    def test_terms_at_the_order_kept_and_above_dropped(self, order):
+        # (order + 2).bit_length(), the width of a key field, changes
+        # between 5 and 6 and between 13 and 14
+        m = order
+        f = build_series(2, m, {
+            ((m - 1, 0), (0, 0)): 1, ((m, 0), (0, 0)): 1, ((0, m), (0, 0)): 1,
+        })
+        g = build_series(2, m, {
+            ((0, 0), (3, 0)): 1, ((0, 1), (0, 1)): 1, ((0, 1), (0, 2)): 1,
+        })
+        # the degree-(m + 1) terms -3m x1^(m-1) y1^2 and -2m x2^m y2 are cut
+        expected = build_series(2, m, {
+            ((m - 2, 0), (2, 0)): -3 * (m - 1), ((0, m), (0, 0)): -m,
+        })
+        assert f.poisson(g) == expected
+        assert g.poisson(f) == -expected
+        assert expected.grades() == [m]
 
 
 class TestRendering:
@@ -291,9 +347,10 @@ class TestSymbolicPowerFields:
                 with pytest.raises(UsageError, match=f"power of the result exceeds {MAX_POWER}"):
                     product()
 
-    def test_bracket_past_the_field_is_refused(self):
-        f = power_series({(1, 0): h(2, MAX_POWER), (2, 0): h(1, 0)})
-        g = power_series({(0, 1): h(0, 1, Fraction(1, 3))})
+    @pytest.mark.parametrize("first, second", [(MAX_POWER, 1), (64, 64), (MAX_POWER, MAX_POWER)])
+    def test_bracket_past_the_field_is_refused(self, first, second):
+        f = power_series({(1, 0): h(2, first), (2, 0): h(1, 0)})
+        g = power_series({(0, 1): h(0, second, Fraction(1, 3))})
         for bracket in (lambda: f.poisson(g), lambda: g.poisson(f)):
             with pytest.raises(UsageError, match=f"power of the result exceeds {MAX_POWER}"):
                 bracket()
