@@ -30,23 +30,25 @@ bits, then the powers of the k indeterminates in k fields of
 term order (degree, alpha, beta), the degree of a key is one shift, and the
 series part of a key, ``key >> (k * POWER_BITS)``, is the key of its exponent
 pair over Q(i).  A pair of terms multiplies to the key k1 + k2, which
-multiplies the indeterminate monomials too, and its bracket term at index j
-has the key k1 + k2 - u_j, where u_j holds a 1 in the x_j and the y_j fields
-and a 2 in the degree field.  No series field overflows: the pairs kept have
-combined degree at most M + 2 < 2**w.  No field borrows: a nonzero bracket
-factor needs both the x_j and the y_j sums to be at least 1.  The top bit of
-each indeterminate field is a guard bit: a power is at most ``MAX_POWER`` =
-2**(POWER_BITS - 1) - 1, so the sum of two powers never carries into the
-next field, and a result with a guard bit set is refused.
+multiplies the indeterminate monomials too.  The derivative of a term in a
+series variable v has the key k - 2**top - 2**s, where s is the shift of
+the v field: one less in the v field and in the degree field.  No field
+borrows, because only the terms with a nonzero v field have a derivative.
+No series field overflows: a kept product has degree at most M < 2**w.  The
+top bit of each indeterminate field is a guard bit: a power is at most
+``MAX_POWER`` = 2**(POWER_BITS - 1) - 1, so the sum of two powers never
+carries into the next field, and a result with a guard bit set is refused.
 
 The bracket is
     {F, G} = sum_j (dF/dy_j dG/dx_j - dF/dx_j dG/dy_j),
-computed term-pair-wise over numerators with the second operand's keys
-sorted, so each row stops at the first key whose combined degree minus 2
-exceeds the truncation order.  The product and the bracket accumulate
-numerators over D1 D2, and each result is brought to content form with one
-gcd: every arithmetic result goes through :meth:`PolySeries._make`, which
-skips the per-term checks of the validating public constructor.
+2n products of derivative term lists, each exponent folded into the
+numerator and the minus sign into the left list.  The product and the
+bracket run one product loop, which keeps the right list sorted, so each
+row stops at the first key whose degree takes the pair past the truncation
+order.  Numerators accumulate over D1 D2, and each result is brought to
+content form with one gcd: every arithmetic result goes through
+:meth:`PolySeries._make`, which skips the per-term checks of the
+validating public constructor.
 """
 
 from __future__ import annotations
@@ -283,22 +285,9 @@ class PolySeries:
 
     def __mul__(self, other: "PolySeries") -> "PolySeries":
         self._require_compatible(other)
-        order = self.order
-        top = self.layout.top
-        right = sorted(other.nums.items())
-        product: dict[int, object] = {}
-        get = product.get
-        for k1, v1 in self.nums.items():
-            # a pair multiplies to degree d1 + d2
-            limit = order + 1 - (k1 >> top) << top
-            for k2, v2 in right:
-                if k2 >= limit:
-                    break
-                key = k1 + k2
-                piece = v1 * v2
-                known = get(key)
-                product[key] = piece if known is None else known + piece
-        return self._make(product, self.den * other.den)
+        return _sum_of_products(
+            self, [(self.nums.items(), sorted(other.nums.items()))], self.den * other.den
+        )
 
     def scale(self, q: int | Fraction) -> "PolySeries":
         num, den = _ratio_of(q)
@@ -372,40 +361,12 @@ class PolySeries:
         return PolySeries(self.n, order, self.ring, self.terms)
 
     def poisson(self, other: "PolySeries") -> "PolySeries":
+        """{F, G} with F = self: the sum over j of dF/dy_j dG/dx_j - dF/dx_j dG/dy_j."""
         self._require_compatible(other)
-        n, order = self.n, self.order
-        layout = self.layout
-        top, units = layout.top, layout.units
-        mask = (1 << layout.width) - 1
-        x_shifts, y_shifts = layout.shifts[:n], layout.shifts[n:]
-        right = [
-            (key, [key >> s & mask for s in x_shifts], [key >> s & mask for s in y_shifts], value)
-            for key, value in sorted(other.nums.items())
-        ]
-        result: dict[int, object] = {}
-        get = result.get
-        for k1, v1 in self.nums.items():
-            # a pair brackets to degree d1 + d2 - 2
-            limit = order + 3 - (k1 >> top) << top
-            rows = list(zip(
-                units, [k1 >> s & mask for s in x_shifts], [k1 >> s & mask for s in y_shifts]
-            ))
-            for k2, a2s, b2s, v2 in right:
-                if k2 >= limit:
-                    break
-                base = None
-                total = k1 + k2
-                for (unit, a1, b1), a2, b2 in zip(rows, a2s, b2s):
-                    factor = b1 * a2 - a1 * b2
-                    if not factor:
-                        continue
-                    if base is None:
-                        base = v1 * v2
-                    key = total - unit
-                    piece = factor * base
-                    known = get(key)
-                    result[key] = piece if known is None else known + piece
-        return self._make(result, self.den * other.den)
+        n, layout = self.n, self.layout
+        left = _derivatives(layout, self.nums.items(), (-1,) * n + (1,) * n)
+        right = _derivatives(layout, sorted(other.nums.items()), (1,) * (2 * n))
+        return _sum_of_products(self, zip(left, right[n:] + right[:n]), self.den * other.den)
 
     def sorted_terms(self) -> list[tuple[ExponentPair, object]]:
         return list(self.terms.items())
@@ -470,7 +431,6 @@ class Layout(NamedTuple):
     width: int  # bits of one series field
     shifts: tuple[int, ...]  # of the alpha_1..beta_n fields
     top: int  # the shift of the degree field
-    units: tuple[int, ...]  # the u_j of the bracket
     low: int  # bits below the series fields: k * POWER_BITS
     powers: tuple[int, ...]  # shifts of the indeterminate fields
     guard: int  # the guard bits of the indeterminate fields
@@ -483,10 +443,44 @@ def _layout(n: int, order: int, nvars: int) -> Layout:
     low = nvars * POWER_BITS
     shifts = tuple(range(low + (2 * n - 1) * width, low - 1, -width))
     top = low + 2 * n * width
-    units = tuple(2 << top | 1 << shifts[j] | 1 << shifts[n + j] for j in range(n))
     powers = tuple(range(low - POWER_BITS, -1, -POWER_BITS))
     guard = sum(1 << shift + POWER_BITS - 1 for shift in powers)
-    return Layout(width, shifts, top, units, low, powers, guard)
+    return Layout(width, shifts, top, low, powers, guard)
+
+
+def _derivatives(layout: Layout, items: Iterable, signs: tuple[int, ...]) -> list[list]:
+    """sign * dF/dv over the terms (key, numerator) of F, in their order, for
+    each series variable v = x_1..y_n and its sign: a term with a zero v
+    field has no derivative, the others lose one v and one degree."""
+    top, mask = layout.top, (1 << layout.width) - 1
+    lists = []
+    for shift, sign in zip(layout.shifts, signs):
+        unit = 1 << top | 1 << shift
+        lists.append([
+            (key - unit, power * value)
+            for key, value in items if (power := sign * (key >> shift & mask))
+        ])
+    return lists
+
+
+def _sum_of_products(like: PolySeries, products: Iterable, den: int) -> PolySeries:
+    """The series like ``like`` over den holding the sum of the truncated
+    products of the (left, right) term lists; each right list is sorted, so
+    a row stops at the first key that takes the pair past the order."""
+    order, top = like.order, like.layout.top
+    result: dict[int, object] = {}
+    get = result.get
+    for left, right in products:
+        for k1, v1 in left:
+            limit = order + 1 - (k1 >> top) << top
+            for k2, v2 in right:
+                if k2 >= limit:
+                    break
+                key = k1 + k2
+                piece = v1 * v2
+                known = get(key)
+                result[key] = piece if known is None else known + piece
+    return like._make(result, den)
 
 
 def _pair_reader(layout: Layout) -> Callable[[int], ExponentPair]:
