@@ -407,7 +407,8 @@ def nf_from_S(
     nu = inverse.scale_by_gaussian(lam)
     if inverse.coefficient(1) != ring.one:
         raise InternalCheckError(
-            f"reversion produced linear coefficient {nu.coefficient(1)}, expected {lam}"
+            f"reversion produced linear coefficient {ring.render_plain(nu.coefficient(1))}, "
+            f"expected {lam}"
         )
     for m in range(2, order + 1):
         expected = partition_normal_form(cs, m)
@@ -415,7 +416,8 @@ def nf_from_S(
         if expected != actual:
             raise InternalCheckError(
                 "partition cross-check failed at degree "
-                f"{m}: reversion gives {actual}, partition sum gives {expected}; "
+                f"{m}: reversion gives {ring.render_plain(actual)}, "
+                f"partition sum gives {ring.render_plain(expected)}; "
                 f"S = {s_series.render()}, nu = {nu.render()}"
             )
     return nu

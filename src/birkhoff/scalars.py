@@ -531,11 +531,12 @@ class CoefficientRing:
     nvars = 0
 
     def render(self, value) -> str:
+        """Text form as a factor: a sum of terms goes in parentheses."""
         raise NotImplementedError
 
     def render_plain(self, value) -> str:
         """Standalone text form, no grouping parentheses."""
-        return self.render(value)
+        raise NotImplementedError
 
     def value_to_json(self, value):
         raise NotImplementedError
@@ -550,9 +551,7 @@ class GaussianRing(CoefficientRing):
 
     def render(self, value: GaussianRational) -> str:
         text = str(value)
-        if value.a and value.b:
-            return f"({text})"
-        return text
+        return f"({text})" if value.a and value.b else text
 
     def render_plain(self, value: GaussianRational) -> str:
         return str(value)
@@ -614,6 +613,10 @@ class SymRing(CoefficientRing):
         return "h[%s;%s]" % (",".join(map(str, alpha)), ",".join(map(str, beta)))
 
     def render(self, value: SymScalar) -> str:
+        text = self.render_plain(value)
+        return f"({text})" if len(value.nums) > 1 else text
+
+    def render_plain(self, value: SymScalar) -> str:
         parts: list[str] = []
         for exponents, num in value._sorted_nums():
             factors = []

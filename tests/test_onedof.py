@@ -420,8 +420,13 @@ class TestNfFromS:
             onedof, "revert_wseries",
             lambda series: revert(series) + WSeries(4, ring, {3: ring.one}),
         )
-        with pytest.raises(InternalCheckError, match="partition cross-check failed at degree 3"):
+        with pytest.raises(InternalCheckError, match="cross-check failed at degree 3") as caught:
             nf_from_S(s, gr(2))
+        if symbolic:
+            # values render through the ring, a sum in parentheses before w^k
+            message = str(caught.value)
+            assert "reversion gives 1 + 1/2*h[2;2]^2, partition sum gives 1/2*h[2;2]^2;" in message
+            assert "+ (2 + 1*h[2;2]^2) w^3 +" in message
 
 
 class TestSymbolicReversion:
@@ -429,6 +434,13 @@ class TestSymbolicReversion:
 
     LABEL = ((3,), (0,))
     RING = SymRing((LABEL,))
+
+    def test_lead_check_renders_through_the_ring(self):
+        ring = self.RING
+        s = WSeries(4, ring, {1: ring.one.scaled(Fraction(1, 2)), 2: ring.one})
+        with pytest.raises(InternalCheckError) as caught:
+            nf_from_S(s, gr(2))
+        assert str(caught.value) == "reversion produced linear coefficient 8/3, expected 2"
 
     def test_revert_with_constant_lead(self):
         ring, x = self.RING, self.RING.indeterminate(self.LABEL)

@@ -276,6 +276,9 @@ class TestSymScalar:
         ring = self._ring()
         assert ring.render(ring.indeterminate(LABEL_A)) == "1*h[3,0;0,0]"
         assert ring.render(ring.zero) == "0"
+        two_terms = ring.indeterminate(LABEL_A) - ring.one
+        assert ring.render(two_terms) == "(-1 + 1*h[3,0;0,0])"
+        assert ring.render_plain(two_terms) == "-1 + 1*h[3,0;0,0]"
 
     def test_value_to_json_rows(self):
         ring = self._ring()

@@ -12,6 +12,7 @@ from birkhoff import (
     SymRing,
     SymScalar,
     UsageError,
+    WSeries,
     from_json_terms,
     make_pair,
 )
@@ -308,6 +309,19 @@ class TestRendering:
     def test_render_complex_coeff(self):
         s = build_series(1, 4, {((1,), (0,)): gr(1, 1)})
         assert s.render() == "(1+1i) x1"
+
+    def test_render_symbolic_sum_in_parentheses(self):
+        ring = SymRing((((1,), (2,)), ((2,), (1,))))
+        value = SymScalar(2, {(1, 0): Fraction(-1, 2), (0, 2): Fraction(9, 4)})
+        single = SymScalar(2, {(1, 0): 3})
+        s = PolySeries(1, 4, ring, {make_pair((1,), (1,)): value, make_pair((2,), (0,)): single})
+        assert s.render() == "(-1/2*h[1;2] + 9/4*h[2;1]^2) x1 y1 + 3*h[1;2] x1^2"
+        w = WSeries(2, ring, {1: value, 2: -value})
+        assert w.render() == "(-1/2*h[1;2] + 9/4*h[2;1]^2) w + (1/2*h[1;2] - 9/4*h[2;1]^2) w^2"
+        # rows and JSON text stay bare
+        assert w.to_rows() == [
+            ["1", "-1/2*h[1;2] + 9/4*h[2;1]^2"], ["2", "1/2*h[1;2] - 9/4*h[2;1]^2"]
+        ]
 
 
 class TestJson:
