@@ -196,15 +196,20 @@ class TestPoisson:
         mono = build_series(1, 8, {((3,), (1,)): 1})
         assert quad.poisson(mono) == mono.scale(Fraction(4))
 
-    @pytest.mark.parametrize("ring", ["real", "complex", "symbolic"])
-    def test_antisymmetry_and_self_bracket(self, ring):
+    def test_antisymmetry_and_self_bracket(self):
+        f = random_series(2, 6, 42, min_degree=1)
+        g = random_series(2, 6, 43, min_degree=1)
+        assert f.poisson(g) == -(g.poisson(f))
+        assert f.poisson(f).is_zero
+
+    @pytest.mark.parametrize("ring", ["complex", "symbolic"])
+    def test_antisymmetry_gives_equal_fields(self, ring):
         if ring == "symbolic":
             f = power_series({(1, 2): h(1, 0, Fraction(1, 3)), (3, 0): h(0, 2) + h(1, 1, -2)})
             g = power_series({(0, 1): h(2, 0, 5), (2, 1): h(0, 1, Fraction(-3, 7)) + h(1, 0)})
         else:
-            imaginary = ring == "complex"
-            f = random_series(2, 6, 42, min_degree=1, imaginary=imaginary)
-            g = random_series(2, 6, 43, min_degree=1, imaginary=imaginary)
+            f = random_series(2, 6, 42, min_degree=1, imaginary=True)
+            g = random_series(2, 6, 43, min_degree=1, imaginary=True)
         forward, backward = f.poisson(g), -(g.poisson(f))
         assert not forward.is_zero
         assert (forward.den, forward.nums) == (backward.den, backward.nums)
@@ -361,13 +366,13 @@ class TestSymbolicPowerFields:
                 with pytest.raises(UsageError, match=f"power of the result exceeds {MAX_POWER}"):
                     product()
 
-    @pytest.mark.parametrize("first, second", [(MAX_POWER, 1), (64, 64), (MAX_POWER, MAX_POWER)])
-    def test_bracket_past_the_field_is_refused(self, first, second):
-        f = power_series({(1, 0): h(2, first), (2, 0): h(1, 0)})
-        g = power_series({(0, 1): h(0, second, Fraction(1, 3))})
-        for bracket in (lambda: f.poisson(g), lambda: g.poisson(f)):
-            with pytest.raises(UsageError, match=f"power of the result exceeds {MAX_POWER}"):
-                bracket()
+    def test_bracket_past_the_field_is_refused(self):
+        for first, second in ((MAX_POWER, 1), (64, 64), (MAX_POWER, MAX_POWER)):
+            f = power_series({(1, 0): h(2, first), (2, 0): h(1, 0)})
+            g = power_series({(0, 1): h(0, second, Fraction(1, 3))})
+            for bracket in (lambda: f.poisson(g), lambda: g.poisson(f)):
+                with pytest.raises(UsageError, match=f"power of the result exceeds {MAX_POWER}"):
+                    bracket()
 
     def test_powers_up_to_the_bound_compute(self):
         f = power_series({
