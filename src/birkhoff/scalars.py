@@ -551,7 +551,9 @@ class GaussianRing(CoefficientRing):
 
     def render(self, value: GaussianRational) -> str:
         text = str(value)
-        return f"({text})" if value.a and value.b else text
+        if value.a and value.b:
+            return f"({text})"
+        return text
 
     def render_plain(self, value: GaussianRational) -> str:
         return str(value)

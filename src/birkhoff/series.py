@@ -31,23 +31,22 @@ term order (degree, alpha, beta), the degree of a key is one shift, and the
 series part of a key, ``key >> (k * POWER_BITS)``, is the key of its exponent
 pair over Q(i).  A pair of terms multiplies to the key k1 + k2, which
 multiplies the indeterminate monomials too.  The derivative of a term in a
-series variable v has the key k - 2**top - 2**s, where s is the shift of
-the v field: one less in the v field and in the degree field.  No field
-borrows, because only the terms with a nonzero v field have a derivative.
-No series field overflows: a kept product has degree at most M < 2**w.  The
-top bit of each indeterminate field is a guard bit: a power is at most
-``MAX_POWER`` = 2**(POWER_BITS - 1) - 1, so the sum of two powers never
-carries into the next field, and a result with a guard bit set is refused.
+series variable v has the key k - 2**top - 2**s, s the shift of the v field;
+only a term with a nonzero v field has one, so no field borrows.  No series
+field overflows: a kept product has degree at most M < 2**w (the + 2 in w is
+headroom the former term-pair bracket needed).  The top bit of each
+indeterminate field is a guard bit: a power is at most ``MAX_POWER`` =
+2**(POWER_BITS - 1) - 1, so the sum of two powers never carries into the next
+field, and a result with a guard bit set is refused.
 
 The bracket is
     {F, G} = sum_j (dF/dy_j dG/dx_j - dF/dx_j dG/dy_j),
-2n products of derivative term lists, each exponent folded into the
-numerator and the minus sign into the left list.  The product and the
-bracket run one product loop, which keeps the right list sorted, so each
-row stops at the first key whose degree takes the pair past the truncation
-order.  Numerators accumulate over D1 D2, and each result is brought to
-content form with one gcd: every arithmetic result goes through
-:meth:`PolySeries._make`, which skips the per-term checks of the
+2n products of derivative term lists, each exponent folded into the numerator
+and the minus sign into the left list.  The product and the bracket share one
+loop over a sorted right list, so each row stops at the first key whose
+degree passes the truncation order.  Numerators accumulate over D1 D2, and
+each result is brought to content form with one gcd: every arithmetic result
+goes through :meth:`PolySeries._make`, which skips the per-term checks of the
 validating public constructor.
 """
 

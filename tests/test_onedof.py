@@ -420,7 +420,9 @@ class TestNfFromS:
             onedof, "revert_wseries",
             lambda series: revert(series) + WSeries(4, ring, {3: ring.one}),
         )
-        with pytest.raises(InternalCheckError, match="cross-check failed at degree 3") as caught:
+        with pytest.raises(
+            InternalCheckError, match="partition cross-check failed at degree 3"
+        ) as caught:
             nf_from_S(s, gr(2))
         if symbolic:
             # values render through the ring, a sum in parentheses before w^k
