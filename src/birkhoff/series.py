@@ -24,8 +24,8 @@ first use and kept.
 A key packs one exponent pair into one int (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
 vectors", CASC 2007): from the most significant end, the total degree, then
-alpha_1..alpha_n and beta_1..beta_n in 2n fields of w = (M + 2).bit_length()
-bits, then the powers of the k indeterminates in k fields of
+alpha_1..alpha_n and beta_1..beta_n in 2n fields of w = M.bit_length()
+bits (at least 1), then the powers of the k indeterminates in k fields of
 ``POWER_BITS`` bits (none over Q(i)).  Keys therefore sort in the canonical
 term order (degree, alpha, beta), the degree of a key is one shift, and the
 series part of a key, ``key >> (k * POWER_BITS)``, is the key of its exponent
@@ -33,8 +33,8 @@ pair over Q(i).  A pair of terms multiplies to the key k1 + k2, which
 multiplies the indeterminate monomials too.  The derivative of a term in a
 series variable v has the key k - 2**top - 2**s, s the shift of the v field;
 only a term with a nonzero v field has one, so no field borrows.  No series
-field overflows: a kept product has degree at most M < 2**w (the + 2 in w is
-headroom the former term-pair bracket needed).  The top bit of each
+field overflows: the product loop forms only keys of degree at most M, so
+every field of a kept key is at most M < 2**w.  The top bit of each
 indeterminate field is a guard bit: a power is at most ``MAX_POWER`` =
 2**(POWER_BITS - 1) - 1, so the sum of two powers never carries into the next
 field, and a result with a guard bit set is refused.
@@ -42,12 +42,24 @@ field, and a result with a guard bit set is refused.
 The bracket is
     {F, G} = sum_j (dF/dy_j dG/dx_j - dF/dx_j dG/dy_j),
 2n products of derivative term lists, each exponent folded into the numerator
-and the minus sign into the left list.  The product and the bracket share one
-loop over a sorted right list, so each row stops at the first key whose
-degree passes the truncation order.  Numerators accumulate over D1 D2, and
-each result is brought to content form with one gcd: every arithmetic result
-goes through :meth:`PolySeries._make`, which skips the per-term checks of the
-validating public constructor.
+and the minus sign into the left list; a left list is built only when its
+right partner is nonempty.  The product and the bracket share one loop over
+a sorted right list, so each row stops at the first key whose degree passes
+the truncation order.  Numerators accumulate over D1 D2, and each result is
+brought to content form with one gcd: every arithmetic result goes through
+:meth:`PolySeries._make`, which skips the per-term checks of the validating
+public constructor.
+
+When an operand holds a complex numerator, both operands' numerators
+a + b i are packed into the single ints a + b 2**K before the derivative
+lists are built (Kronecker substitution; D. Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
+44, 2009), so the loop multiplies plain ints on every ring.  A sum of
+products of packed numerators is R0 + R1 2**K + R2 2**(2K) with
+(R0 - R2) + R1 i the sum of the complex products, since 2**(2K) stands for
+i**2 = -1; K is chosen before the loop so that every |Rj| < 2**(K - 1),
+and the balanced base-2**K digits of each sum are R0, R1 and R2 (the bound
+is proved at ``_packed``).  A real numerator a packs to itself.
 """
 
 from __future__ import annotations
@@ -56,7 +68,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import groupby
 from math import gcd, lcm
-from operator import lshift, or_
+from operator import lshift, mul, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -64,6 +76,7 @@ from .errors import UsageError
 from .scalars import (
     GAUSSIAN_RING,
     CoefficientRing,
+    GaussianInteger,
     GaussianRational,
     SymRing,
     SymScalar,
@@ -284,9 +297,8 @@ class PolySeries:
 
     def __mul__(self, other: "PolySeries") -> "PolySeries":
         self._require_compatible(other)
-        return _sum_of_products(
-            self, [(self.nums.items(), sorted(other.nums.items()))], self.den * other.den
-        )
+        f, g, shift = _packed(self.nums, other.nums, 1)
+        return _sum_of_products(self, [(f.items(), sorted(g.items()))], self.den * other.den, shift)
 
     def scale(self, q: int | Fraction) -> "PolySeries":
         num, den = _ratio_of(q)
@@ -363,9 +375,13 @@ class PolySeries:
         """{F, G} with F = self: the sum over j of dF/dy_j dG/dx_j - dF/dx_j dG/dy_j."""
         self._require_compatible(other)
         n, layout = self.n, self.layout
-        left = _derivatives(layout, self.nums.items(), (-1,) * n + (1,) * n)
-        right = _derivatives(layout, sorted(other.nums.items()), (1,) * (2 * n))
-        return _sum_of_products(self, zip(left, right[n:] + right[:n]), self.den * other.den)
+        f, g, shift = _packed(self.nums, other.nums, 2 * n * self.order**2)
+        right = _derivatives(layout, sorted(g.items()), (1,) * (2 * n))
+        # dF/dx_j pairs with -dG/dy_j and dF/dy_j with dG/dx_j, the minus
+        # sign in the left list; opposite an empty right list the sign is 0
+        right = right[n:] + right[:n]
+        left = _derivatives(layout, f.items(), map(mul, (-1,) * n + (1,) * n, map(bool, right)))
+        return _sum_of_products(self, zip(left, right), self.den * other.den, shift)
 
     def sorted_terms(self) -> list[tuple[ExponentPair, object]]:
         return list(self.terms.items())
@@ -438,7 +454,7 @@ class Layout(NamedTuple):
 @cache
 def _layout(n: int, order: int, nvars: int) -> Layout:
     """The key layout of series in n degrees of freedom over nvars indeterminates."""
-    width = (order + 2).bit_length()
+    width = max(1, order.bit_length())
     low = nvars * POWER_BITS
     shifts = tuple(range(low + (2 * n - 1) * width, low - 1, -width))
     top = low + 2 * n * width
@@ -447,10 +463,11 @@ def _layout(n: int, order: int, nvars: int) -> Layout:
     return Layout(width, shifts, top, low, powers, guard)
 
 
-def _derivatives(layout: Layout, items: Iterable, signs: tuple[int, ...]) -> list[list]:
+def _derivatives(layout: Layout, items: Iterable, signs: Iterable[int]) -> list[list]:
     """sign * dF/dv over the terms (key, numerator) of F, in their order, for
     each series variable v = x_1..y_n and its sign: a term with a zero v
-    field has no derivative, the others lose one v and one degree."""
+    field has no derivative, the others lose one v and one degree.  A sign
+    of 0 gives an empty list without a pass over the terms."""
     top, mask = layout.top, (1 << layout.width) - 1
     lists = []
     for shift, sign in zip(layout.shifts, signs):
@@ -458,14 +475,51 @@ def _derivatives(layout: Layout, items: Iterable, signs: tuple[int, ...]) -> lis
         lists.append([
             (key - unit, power * value)
             for key, value in items if (power := sign * (key >> shift & mask))
-        ])
+        ] if sign else [])
     return lists
 
 
-def _sum_of_products(like: PolySeries, products: Iterable, den: int) -> PolySeries:
+def _packed(f: dict, g: dict, factor: int) -> tuple[dict, dict, int]:
+    """The numerator dicts f and g with a + b i packed as a + b X, X = 2**K,
+    and K; f, g and 0 when every numerator is an int.
+
+    A sum on one key is R0 + R1 X + R2 X**2, and K makes every
+    |Rj| < 2**(K - 1).  In one product of term lists the keys of a list are
+    distinct, so a key gets at most one piece per left term and per right
+    term: at most P = 2n min(|F|, |G|) pieces over the 2n products of a
+    bracket and P = min(|F|, |G|) for F G.  An exponent is at most the order
+    M, so a derivative scales a numerator by at most M.  With A and B the
+    largest |component| of F and of G, a piece (a + b X)(c + d X) =
+    ac + (ad + bc) X + bd X**2 has every coefficient at most 2 M**2 A B in a
+    bracket and 2 A B in a product.  With factor = 2n M**2 for a bracket and
+    1 for a product, and bound = factor min(|F|, |G|), every
+    |Rj| <= 2 bound A B < 2**(bits(A) + bits(B) + bits(bound) + 1) = 2**(K - 1)
+    for K = bits(A) + bits(B) + bits(bound) + 2.
+    """
+    if not (
+        GaussianInteger in set(map(type, f.values()))
+        or GaussianInteger in set(map(type, g.values()))
+    ):
+        return f, g, 0
+    shift = (factor * min(len(f), len(g))).bit_length() + 2
+    for nums in f, g:
+        shift += max(
+            [abs(v) if type(v) is int else max(abs(v.re), abs(v.im)) for v in nums.values()],
+            default=0,
+        ).bit_length()
+
+    def pack(nums: dict) -> dict:
+        return {key: v if type(v) is int else v.re + (v.im << shift) for key, v in nums.items()}
+
+    return pack(f), pack(g), shift
+
+
+def _sum_of_products(like: PolySeries, products: Iterable, den: int, shift: int) -> PolySeries:
     """The series like ``like`` over den holding the sum of the truncated
     products of the (left, right) term lists; each right list is sorted, so
-    a row stops at the first key that takes the pair past the order."""
+    a row stops at the first key that takes the pair past the order.  With
+    a nonzero shift K the numerators are packed by ``_packed`` and each sum
+    is read back from its balanced base-2**K digits."""
     order, top = like.order, like.layout.top
     result: dict[int, object] = {}
     get = result.get
@@ -479,6 +533,17 @@ def _sum_of_products(like: PolySeries, products: Iterable, den: int) -> PolySeri
                 piece = v1 * v2
                 known = get(key)
                 result[key] = piece if known is None else known + piece
+    if shift:
+        # adding half to every digit makes the digits of R + half plain
+        # ones; the real part R0 - R2 loses both halves
+        half, mask = 1 << shift - 1, (1 << shift) - 1
+        offset = half | half << shift | half << 2 * shift
+        result = {
+            key: gaussian_integer(
+                ((t := total + offset) & mask) - (t >> 2 * shift), (t >> shift & mask) - half
+            )
+            for key, total in result.items()
+        }
     return like._make(result, den)
 
 

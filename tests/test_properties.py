@@ -284,14 +284,16 @@ class TestContentFormAgainstOracles:
     @FAST
     @given(case=prime_denominator_series())
     def test_with_order_across_a_field_width(self, case):
-        # (M + 2).bit_length() is 3 at order 5 and 4 at order 6
-        f, g, _, _ = case
-        f, g = f.with_order(5), g.with_order(5)
-        wide_f, wide_g = f.with_order(6), g.with_order(6)
-        assert dict(wide_f.terms) == dict(f.terms)
-        assert fields(wide_f.with_order(5)) == fields(f)
-        assert (wide_f * wide_g).with_order(5) == f * g
-        assert wide_f.poisson(wide_g).with_order(5) == f.poisson(g)
+        # the key field width M.bit_length() is 3 at order 7 and 4 at order
+        # 8; (M + 2).bit_length(), the width before, was 3 at order 5 and 4
+        # at order 6
+        for low in (5, 7):
+            f, g = case[0].with_order(low), case[1].with_order(low)
+            wide_f, wide_g = f.with_order(low + 1), g.with_order(low + 1)
+            assert dict(wide_f.terms) == dict(f.terms)
+            assert fields(wide_f.with_order(low)) == fields(f)
+            assert (wide_f * wide_g).with_order(low) == f * g
+            assert wide_f.poisson(wide_g).with_order(low) == f.poisson(g)
 
 
 @st.composite
@@ -355,6 +357,111 @@ class TestSeriesAtTheTruncationDegree:
         f, g = fg
         assert f.poisson(g) == poisson_oracle(f, g)
         assert g.poisson(f) == poisson_oracle(g, f)
+
+
+# numerator components up to 2**256 in size, both signs
+huge = st.integers(-(1 << 256), 1 << 256)
+huge_gaussians = st.builds(GaussianRational.of, huge, huge)
+huge_reals = st.builds(GaussianRational.of, huge)
+
+
+@st.composite
+def huge_series_pairs(draw, right=huge_gaussians):
+    """A complex series with huge components and a series of the same
+    shape (n = 1..3, order <= 6) with values drawn from right."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 6))
+    pairs = [pair for degree in range(order + 1) for pair in monomials(n, degree)]
+
+    def one_series(values):
+        chosen = draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))
+        return PolySeries(n, order, GAUSSIAN_RING, {p: draw(values) for p in chosen})
+
+    return one_series(huge_gaussians), one_series(right)
+
+
+def assert_products_match_oracles(f: PolySeries, g: PolySeries) -> None:
+    for left, right in ((f, g), (g, f)):
+        assert left * right == mul_oracle(left, right)
+        bracket = left.poisson(right)
+        assert bracket == poisson_oracle(left, right)
+        assert bracket == poisson_pairwise_oracle(left, right)
+
+
+EXTREME = (1 << 256) - 1
+
+
+def extreme_case(shape: str, sign: int) -> tuple[PolySeries, PolySeries]:
+    """Two n = 3 series whose every numerator component is EXTREME, with the
+    sign of g given.  "dense times one": f holds every monomial of degree
+    <= 2 and g one term, so each key of f g gets exactly the one piece the
+    packing bound allows; "chain": every power x_1^k, k <= 6, in both, so
+    the key x_1^6 of f g gets min(|f|, |g|) = 7 pieces; "dense": both hold
+    every monomial of degree <= 2."""
+    value = GaussianRational.of(EXTREME, EXTREME)
+
+    def series(pairs, value):
+        return PolySeries(3, 6, GAUSSIAN_RING, {pair: value for pair in pairs})
+
+    dense = [pair for degree in range(3) for pair in monomials(3, degree)]
+    chain = [make_pair((k, 0, 0), (0, 0, 0)) for k in range(7)]
+    f_pairs, g_pairs = {
+        "dense times one": (dense, [make_pair((1, 0, 1), (1, 1, 0))]),
+        "chain": (chain, chain),
+        "dense": (dense, dense),
+    }[shape]
+    return series(f_pairs, value), series(g_pairs, value.scaled(sign))
+
+
+def imaginary_parts_cancel(z: GaussianRational, w: GaussianRational) -> tuple:
+    """f = z x_1 + conj(z) x_2 and g = w (x_2 + y_1) + conj(w) (x_1 + y_2) at
+    n = 2: the x_1 x_2 coefficient of f g is z w + conj(z w), and {f, g} is
+    its negative, sums of complex pieces with no imaginary part."""
+    def conj(v: GaussianRational) -> GaussianRational:
+        return GaussianRational.of(v.re, -v.im)
+
+    def series(entries: dict) -> PolySeries:
+        return PolySeries(2, 4, GAUSSIAN_RING, {
+            make_pair(alpha, beta): value for (alpha, beta), value in entries.items()
+        })
+
+    x1, x2, y1, y2 = ((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1))
+    f = series({x1: z, x2: conj(z)})
+    g = series({x2: w, y1: w, x1: conj(w), y2: conj(w)})
+    return f, g
+
+
+class TestPackedNumerators:
+    """Complex numerators a + b i go through the product loop packed as
+    a + b 2**K; these operands stress the bound on K."""
+
+    @FAST
+    @given(fg=huge_series_pairs())
+    def test_huge_complex_operands(self, fg):
+        assert_products_match_oracles(*fg)
+
+    @FAST
+    @given(fg=huge_series_pairs(huge_reals))
+    def test_one_real_operand(self, fg):
+        assert_products_match_oracles(*fg)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("shape", ["dense times one", "chain", "dense"])
+    def test_sums_at_the_packing_bound(self, shape, sign):
+        f, g = extreme_case(shape, sign)
+        assert_products_match_oracles(f, g)
+
+    @FAST
+    @given(z=gaussians.filter(lambda v: not v.is_real), w=gaussians.filter(lambda v: not v.is_real))
+    def test_cancelled_imaginary_parts_give_ints(self, z, w):
+        f, g = imaginary_parts_cancel(z, w)
+        x1_x2 = 2 << f.layout.top | 1 << f.layout.shifts[0] | 1 << f.layout.shifts[1]
+        product, bracket = f * g, f.poisson(g)
+        assert type(product.nums.get(x1_x2, 0)) is int
+        assert all(type(num) is int for num in bracket.nums.values())
+        for result, oracle in ((product, mul_oracle(f, g)), (bracket, poisson_oracle(f, g))):
+            assert_content_form(result)
+            assert fields(result) == fields(oracle)
 
 
 LABELS = tuple((pair.alpha, pair.beta) for pair in monomials(1, 3))[:3]
