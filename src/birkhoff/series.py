@@ -42,13 +42,12 @@ field, and a result with a guard bit set is refused.
 The bracket is
     {F, G} = sum_j (dF/dy_j dG/dx_j - dF/dx_j dG/dy_j),
 2n products of derivative term lists, each exponent folded into the numerator
-and the minus sign into the left list; a left list is built only when its
-right partner is nonempty.  The product and the bracket share one loop over
-a sorted right list, so each row stops at the first key whose degree passes
-the truncation order.  Numerators accumulate over D1 D2, and each result is
-brought to content form with one gcd: every arithmetic result goes through
-:meth:`PolySeries._make`, which skips the per-term checks of the validating
-public constructor.
+and the minus sign into the left list.  The product and the bracket share one
+loop over a sorted right list, so each row stops at the first key whose
+degree passes the truncation order.  Numerators accumulate over D1 D2, and
+each result is brought to content form with one gcd: every arithmetic result
+goes through :meth:`PolySeries._make`, which skips the per-term checks of the
+validating public constructor.
 
 When an operand holds a complex numerator, both operands' numerators
 a + b i are packed into the single ints a + b 2**K before the derivative
@@ -68,7 +67,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import groupby
 from math import gcd, lcm
-from operator import lshift, mul, or_
+from operator import lshift, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -376,12 +375,9 @@ class PolySeries:
         self._require_compatible(other)
         n, layout = self.n, self.layout
         f, g, shift = _packed(self.nums, other.nums, 2 * n * self.order**2)
+        left = _derivatives(layout, f.items(), (-1,) * n + (1,) * n)
         right = _derivatives(layout, sorted(g.items()), (1,) * (2 * n))
-        # dF/dx_j pairs with -dG/dy_j and dF/dy_j with dG/dx_j, the minus
-        # sign in the left list; opposite an empty right list the sign is 0
-        right = right[n:] + right[:n]
-        left = _derivatives(layout, f.items(), map(mul, (-1,) * n + (1,) * n, map(bool, right)))
-        return _sum_of_products(self, zip(left, right), self.den * other.den, shift)
+        return _sum_of_products(self, zip(left, right[n:] + right[:n]), self.den * other.den, shift)
 
     def sorted_terms(self) -> list[tuple[ExponentPair, object]]:
         return list(self.terms.items())
@@ -463,11 +459,10 @@ def _layout(n: int, order: int, nvars: int) -> Layout:
     return Layout(width, shifts, top, low, powers, guard)
 
 
-def _derivatives(layout: Layout, items: Iterable, signs: Iterable[int]) -> list[list]:
+def _derivatives(layout: Layout, items: Iterable, signs: tuple[int, ...]) -> list[list]:
     """sign * dF/dv over the terms (key, numerator) of F, in their order, for
     each series variable v = x_1..y_n and its sign: a term with a zero v
-    field has no derivative, the others lose one v and one degree.  A sign
-    of 0 gives an empty list without a pass over the terms."""
+    field has no derivative, the others lose one v and one degree."""
     top, mask = layout.top, (1 << layout.width) - 1
     lists = []
     for shift, sign in zip(layout.shifts, signs):
@@ -475,7 +470,7 @@ def _derivatives(layout: Layout, items: Iterable, signs: Iterable[int]) -> list[
         lists.append([
             (key - unit, power * value)
             for key, value in items if (power := sign * (key >> shift & mask))
-        ] if sign else [])
+        ])
     return lists
 
 

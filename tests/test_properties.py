@@ -284,9 +284,7 @@ class TestContentFormAgainstOracles:
     @FAST
     @given(case=prime_denominator_series())
     def test_with_order_across_a_field_width(self, case):
-        # the key field width M.bit_length() is 3 at order 7 and 4 at order
-        # 8; (M + 2).bit_length(), the width before, was 3 at order 5 and 4
-        # at order 6
+        # the key field width M.bit_length() is 3 at order 7 and 4 at order 8
         for low in (5, 7):
             f, g = case[0].with_order(low), case[1].with_order(low)
             wide_f, wide_g = f.with_order(low + 1), g.with_order(low + 1)

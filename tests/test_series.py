@@ -16,7 +16,6 @@ from birkhoff import (
     from_json_terms,
     make_pair,
 )
-import birkhoff.series as series_module
 from birkhoff.scalars import GaussianInteger
 from birkhoff.series import MAX_POWER, monomials
 
@@ -292,56 +291,26 @@ class TestPoissonEdges:
         xs = build_series(n, 6, {((1, 2) + zero, (0, 0) + zero): gr(1, 2)})
         ys = build_series(n, 6, {((0, 0) + zero, (0, 3) + zero): 3})
         assert xs.poisson(xs).is_zero and ys.poisson(ys).is_zero
-        both = [f, g, xs, ys, xs + ys, f + ys]
+        # dense is dense in x_1, y_1, x_2, y_2; x1 has only x_1, and x1_y2
+        # only x_1 and y_2, so at most two of the 2n products are nonempty
+        dense = build_series(n, 6, {
+            ((a1, a2) + zero, (b1, b2) + zero): gr(1 + a1 - b2, 1 + a2 - b1)
+            for a1 in range(3) for a2 in range(2) for b1 in range(3) for b2 in range(2)
+        })
+        x1 = build_series(n, 6, {((k, 0) + zero, (0, 0) + zero): gr(k, 1 - k) for k in range(1, 5)})
+        x1_y2 = x1 + build_series(n, 6, {((1, 0) + zero, (0, 2) + zero): gr(-3, 2)})
+        assert not dense.poisson(x1).is_zero and not x1_y2.poisson(dense).is_zero
+        both = [f, g, xs, ys, xs + ys, f + ys, dense, x1, x1_y2]
         for left in both:
             for right in both:
                 bracket = left.poisson(right)
                 assert bracket == poisson_oracle(left, right)
                 assert bracket == poisson_pairwise_oracle(left, right)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_left_lists_only_for_nonempty_partners(self, n, monkeypatch):
-        zero = (0,) * (n - 2)
-        # f is dense in x_1, y_1, x_2, y_2; g1 has only x_1, and g2 only x_1
-        # and y_2, so at most two of the 2n products have a right list
-        f = build_series(n, 6, {
-            ((a1, a2) + zero, (b1, b2) + zero): gr(1 + a1 - b2, 1 + a2 - b1)
-            for a1 in range(3) for a2 in range(2) for b1 in range(3) for b2 in range(2)
-        })
-        g1 = build_series(n, 6, {((k, 0) + zero, (0, 0) + zero): gr(k, 1 - k) for k in range(1, 5)})
-        g2 = g1 + build_series(n, 6, {((1, 0) + zero, (0, 2) + zero): gr(-3, 2)})
-        passes = []
-        derivatives = series_module._derivatives
-
-        class Counted:
-            def __init__(self, items):
-                self.items = items
-
-            def __iter__(self):
-                passes[-1] += 1
-                return iter(self.items)
-
-        def counted(layout, items, signs):
-            passes.append(0)
-            return derivatives(layout, Counted(items), signs)
-
-        monkeypatch.setattr(series_module, "_derivatives", counted)
-        # a pass over G for each of the 2n right lists, then a pass over F
-        # for each left list with a nonempty partner: with f on the left,
-        # dF/dy_1 for dG/dx_1 and dF/dx_2 for dG/dy_2
-        for left, right, lefts in ((f, g1, 1), (f, g2, 2), (g1, f, 4), (g2, f, 4)):
-            passes.clear()
-            bracket = left.poisson(right)
-            assert passes == [2 * n, lefts]
-            assert not bracket.is_zero
-            assert bracket == poisson_oracle(left, right)
-            assert bracket == poisson_pairwise_oracle(left, right)
-
     @pytest.mark.parametrize("order", [5, 6, 7, 8, 13, 14, 15, 16])
     def test_terms_at_the_order_kept_and_above_dropped(self, order):
         # order.bit_length(), the width of a key field, changes between 7
-        # and 8 and between 15 and 16; (order + 2).bit_length(), the width
-        # before, between 5 and 6 and between 13 and 14
+        # and 8 and between 15 and 16
         m = order
         f = build_series(2, m, {
             ((m - 1, 0), (0, 0)): 1, ((m, 0), (0, 0)): 1, ((0, m), (0, 0)): 1,
