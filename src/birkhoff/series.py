@@ -491,10 +491,7 @@ def _packed(f: dict, g: dict, factor: int) -> tuple[dict, dict, int]:
     |Rj| <= 2 bound A B < 2**(bits(A) + bits(B) + bits(bound) + 1) = 2**(K - 1)
     for K = bits(A) + bits(B) + bits(bound) + 2.
     """
-    if not (
-        GaussianInteger in set(map(type, f.values()))
-        or GaussianInteger in set(map(type, g.values()))
-    ):
+    if GaussianInteger not in {*map(type, f.values()), *map(type, g.values())}:
         return f, g, 0
     shift = (factor * min(len(f), len(g))).bit_length() + 2
     for nums in f, g:
