@@ -19,6 +19,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ParseError, UsageError
 from .lie import NormalizationResult, exp_lie, lie_normalize, random_symplectic_conjugate
@@ -206,7 +207,48 @@ def _emit(text: str, path: str) -> None:
 
 
 def _emit_json(obj: object, path: str) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", path)
+    _emit(_json_text(obj, "\n") + "\n", path)
+
+
+def _json_text(value: object, newline: str) -> str:
+    """The text of ``json.dumps(value, indent=2)``, nested below ``newline``
+    (a line break and the current indent).
+
+    A report holds only str, int, bool, None, lists, tuples and dicts with
+    str keys; any other value raises TypeError.  Each container is one
+    ``str.join``, a list of ints joins their reprs without a call per item,
+    and strings go through the C escaper that json uses under
+    ``ensure_ascii``.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            _quote(key) + ": " + (_quote(item) if type(item) is str else _json_text(item, inner))
+            for key, item in value.items()
+        ]) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:
+            body = ("," + inner).join(map(int.__repr__, value))
+        else:
+            body = ("," + inner).join([_json_text(item, inner) for item in value])
+        return "[" + inner + body + newline + "]"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _pairs_json(pairs) -> list[dict]:

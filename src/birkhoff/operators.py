@@ -14,35 +14,44 @@ Three companions are defined termwise from that diagonal action:
   and killing kernel terms.
 
 They satisfy AB = BA = AD = DA = 0, A^2 = A, DB = BD = I - A; these are the
-identities the property tests exercise.  Resonance is decided by an exact
-zero test in Q(i), never by a tolerance.
+identities the property tests exercise.
+
+A :class:`FreqVector` writes its frequencies once over one common
+denominator, lambda_j = (re_j + im_j i)/den with integers re_j, im_j and
+den > 0, so the eigenvalue of x^alpha y^beta is (R + I i)/den for the
+integer charges R = <k, re> and I = <k, im>, k = alpha - beta.  Resonance
+is therefore an exact integer zero test, R = I = 0, never a tolerance, and
+``resonant_pairs`` matches the alpha and beta of equal charge in a dict.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import UsageError
 from .scalars import (
     GAUSSIAN_RING,
-    GAUSSIAN_ZERO,
     CoefficientRing,
     GaussianRational,
     SymRing,
+    _reduced,
     gaussian_integer,
 )
-from .series import ExponentPair, PolySeries, _layout, _pair_reader, monomials, term_order
+from .series import ExponentPair, PolySeries, _layout, compositions, term_order
 
 
 class FreqVector:
     """Nonzero frequencies lambda_1..lambda_n in Q(i).
 
-    Each instance remembers the eigenvalues it has computed, by key layout
-    and packed key; equality and hashing look only at the frequencies.
+    ``re``, ``im`` and ``den`` write lambda_j = (re_j + im_j i)/den over the
+    lcm of the frequencies' denominators.  Each instance remembers the
+    eigenvalues it has computed, by key layout and packed key; equality and
+    hashing look only at the frequencies.
     """
 
-    __slots__ = ("entries", "_keyed")
+    __slots__ = ("entries", "re", "im", "den", "_keyed")
 
     def __init__(self, entries: Sequence[GaussianRational]):
         items = tuple(entries)
@@ -56,6 +65,10 @@ class FreqVector:
             if value.is_zero:
                 raise UsageError(f"frequency {j + 1} is zero; all frequencies must be nonzero")
         self.entries = items
+        den = lcm(*[value.d for value in items])
+        self.re = tuple([value.a * (den // value.d) for value in items])
+        self.im = tuple([value.b * (den // value.d) for value in items])
+        self.den = den
         # (field width, bits below the series fields) -> packed key ->
         # eigenvalue and inverse as (numerator, denominator, numerator,
         # denominator), None if resonant
@@ -84,45 +97,55 @@ class FreqVector:
     def is_real(self) -> bool:
         return all(v.is_real for v in self.entries)
 
+    def _charge(self, k: Sequence[int]) -> tuple[int, int]:
+        """(<k, re>, <k, im>), den times <k, lambda> in real and imaginary parts."""
+        return sum(map(mul, k, self.re)), sum(map(mul, k, self.im))
+
     def eigenvalue(self, pair: ExponentPair) -> GaussianRational:
         """<alpha - beta, lambda> for the monomial x^alpha y^beta."""
-        total = GAUSSIAN_ZERO
-        for a, b, lam in zip(pair.alpha, pair.beta, self.entries):
-            k = a - b
-            if k:
-                total = total + lam.scaled(k)
-        return total
+        return _reduced(*self._charge(tuple(map(sub, pair.alpha, pair.beta))), self.den)
 
     def _table(self, series: PolySeries) -> dict[int, tuple | None]:
         """The eigenvalue data of every key of the series, by key.
 
         A symbolic key shares the data of its series part, which is the key
-        of its exponent pair over Q(i).
+        of its exponent pair over Q(i); k = alpha - beta is read from the
+        fields of that part.
         """
         layout = series.layout
         table = self._keyed.setdefault((layout.width, layout.low), {})
         missing = series.nums.keys() - table.keys()
         if missing:
-            low = layout.low
+            low, mask, den = layout.low, (1 << layout.width) - 1, self.den
             numeric = self._keyed.setdefault((layout.width, 0), {})
-            pair_of = _pair_reader(_layout(series.n, series.order, 0))
+            shifts = _layout(series.n, series.order, 0).shifts
+            # (x_j shift, y_j shift, re_j, im_j) of each degree of freedom
+            fields = list(zip(shifts[:self.n], shifts[self.n:], self.re, self.im))
             for key in missing:
                 part = key >> low
                 if part not in numeric:
-                    eig = self.eigenvalue(pair_of(part))
-                    if eig.is_zero:
+                    a = b = 0
+                    for xs, ys, re, im in fields:
+                        k = (part >> xs & mask) - (part >> ys & mask)
+                        a += k * re
+                        b += k * im
+                    if not a and not b:
                         numeric[part] = None
                     else:
-                        inv = eig.inverse()
+                        g = gcd(a, b, den)
+                        a, b, d = a // g, b // g, den // g
+                        # 1/((a + b i)/d) = d (a - b i)/(a**2 + b**2)
+                        norm = a * a + b * b
+                        h = gcd(d * a, d * b, norm)
                         numeric[part] = (
-                            gaussian_integer(eig.a, eig.b), eig.d,
-                            gaussian_integer(inv.a, inv.b), inv.d,
+                            gaussian_integer(a, b), d,
+                            gaussian_integer(d * a // h, -d * b // h), norm // h,
                         )
                 table[key] = numeric[part]
         return table
 
     def is_resonant(self, pair: ExponentPair) -> bool:
-        return self.eigenvalue(pair).is_zero
+        return self._charge(tuple(map(sub, pair.alpha, pair.beta))) == (0, 0)
 
     def quadratic_part(
         self, order: int, ring: CoefficientRing = GAUSSIAN_RING
@@ -229,13 +252,28 @@ def resonant_pairs(freq: FreqVector, order: int) -> list[ExponentPair]:
     """All non-trivial resonant exponent pairs of total degree <= order.
 
     Trivial means diagonal (alpha == beta): those are resonant for every
-    frequency vector and are omitted.  Results are in canonical term order.
+    frequency vector and are omitted.  A pair is resonant when alpha and
+    beta have the same charge (<., re>, <., im>), so for each split of a
+    degree into |alpha| + |beta| the betas are bucketed by charge and each
+    alpha picks its bucket.  Results are in canonical term order.
     """
+    by_size = [
+        [(exps, freq._charge(exps)) for exps in compositions(size, freq.n, 0)]
+        for size in range(order + 1)
+    ]
+    buckets = []
+    for rows in by_size:
+        bucket: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for exps, charge in rows:
+            bucket.setdefault(charge, []).append(exps)
+        buckets.append(bucket)
     found = [
-        pair
+        ExponentPair(alpha, beta)
         for degree in range(1, order + 1)
-        for pair in monomials(freq.n, degree)
-        if not pair.is_diagonal and freq.is_resonant(pair)
+        for size in range(degree + 1)
+        for alpha, charge in by_size[size]
+        for beta in buckets[degree - size].get(charge, ())
+        if alpha != beta
     ]
     found.sort(key=term_order)
     return found

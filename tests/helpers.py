@@ -203,18 +203,22 @@ def scale_oracle(f: PolySeries, q: int | Fraction) -> PolySeries:
     return series_like(f, {key: v.scaled(q) for key, v in series_terms(f).items()})
 
 
-def _eigenvalue(alpha, beta, freq: FreqVector) -> GaussianRational:
-    eig = GaussianRational.of(0)
+def eigenvalue_oracle(alpha, beta, freq: FreqVector) -> GaussianRational:
+    """<alpha - beta, lambda> summed in GaussianRational arithmetic, one
+    frequency at a time."""
+    total = GaussianRational.of(0)
     for a, b, lam in zip(alpha, beta, freq.entries):
-        eig = eig + lam * GaussianRational.of(a - b)
-    return eig
+        k = a - b
+        if k:
+            total = total + lam.scaled(k)
+    return total
 
 
 def partial_inverse_oracle(f: PolySeries, freq: FreqVector) -> PolySeries:
     """B f: each term divided by its eigenvalue <alpha - beta, lambda>, resonant terms dropped."""
     out = {}
     for (alpha, beta), value in series_terms(f).items():
-        eig = _eigenvalue(alpha, beta, freq)
+        eig = eigenvalue_oracle(alpha, beta, freq)
         if not eig.is_zero:
             out[alpha, beta] = value * eig.inverse()
     return series_like(f, out)
@@ -225,7 +229,7 @@ def resonant_projection_oracle(f: PolySeries, freq: FreqVector) -> PolySeries:
     return series_like(f, {
         (alpha, beta): value
         for (alpha, beta), value in series_terms(f).items()
-        if _eigenvalue(alpha, beta, freq).is_zero
+        if eigenvalue_oracle(alpha, beta, freq).is_zero
     })
 
 

@@ -14,8 +14,9 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from birkhoff import GaussianRational, ParseError, PolySeries, make_pair
+from birkhoff import GaussianRational, ParseError, PolySeries, cli, make_pair
 from birkhoff.cli import ProblemSpec, build_parser, main, parse_problem
 from helpers import REPO_ROOT, child_env
 
@@ -829,6 +830,101 @@ class TestTreesCommands:
             "count": 5,
             "mu_sum": "1/4",
         }
+
+
+# Text with non-ASCII characters, lone surrogates, quotes, backslashes,
+# control characters and JSON punctuation.
+JSON_TEXT = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from(list('"\\/[]{},: \n\t\x00\x1f\x7f\u00e9\u2028\U0001f600')),
+        st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff"]),
+    )
+)
+JSON_INTS = st.one_of(
+    st.integers(),
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([2**64, 2**64 + 1, 2**100, -(2**64) - 1]),
+)
+JSON_TREES = st.recursive(
+    st.one_of(JSON_TEXT, JSON_INTS, st.booleans(), st.none(), st.lists(JSON_INTS)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+GOLDEN = REPO_ROOT / "tests" / "golden"
+# every subcommand with an input, on every input of tests/golden; the runs
+# that do not apply to an input exit 2 under both writers
+INPUT_RUNS = (
+    ["compute", "--method", "lie"],
+    ["compute", "--method", "lie", "--no-kernel-correction"],
+    ["compute", "--method", "trees"],
+    ["compute", "--method", "trees", "--no-kernel-correction"],
+    ["compute", "--method", "onedof"],
+    ["compute", "--method", "onedof", "--convention", "stated"],
+    ["check"],
+    ["s-series"],
+    ["structure"],
+    ["structure", "--order", "6"],
+)
+TREES_RUNS = [
+    argv
+    for leaves in range(1, 8)
+    for argv in (
+        ["trees", "enumerate", "--leaves", str(leaves), "--codes", "--mu"],
+        ["trees", "mu-sum", "--leaves", str(leaves)],
+    )
+]
+
+
+class TestReportWriter:
+    """Every report is written with the bytes of ``json.dumps(obj, indent=2)``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(JSON_TREES)
+    @example([])
+    @example({})
+    @example({"": [[], {}, [[]], {"a": {}}], "b": ()})
+    @example([1, True, 2])
+    @example([False, 0, None])
+    @example({"k": [-(2**70), 2**64, 0, -1]})
+    @example(["\ud800", "\"\\", "[{,}]", "\x00\x1f", "\u00e9\U0001f600"])
+    def test_writer_equals_json_dumps(self, value):
+        assert cli._json_text(value, "\n") == json.dumps(value, indent=2)
+
+    def test_other_types_are_refused(self):
+        for value in (1.5, {1: 2}, {"a": object()}, [set()]):
+            with pytest.raises(TypeError):
+                cli._json_text(value, "\n")
+
+    def run_both(self, argv, monkeypatch, capsys):
+        """(exit code, stdout, stderr) of main(argv) with the report writer,
+        and again with ``json.dumps(obj, indent=2)`` in its place."""
+        code = main(argv)
+        written = (code, *capsys.readouterr())
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_json_text", lambda obj, newline: json.dumps(obj, indent=2))
+            code = main(argv)
+        return written, (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "name", sorted(path.stem for path in GOLDEN.glob("*.json") if "." not in path.stem)
+    )
+    def test_every_subcommand_on_every_golden_input(self, name, monkeypatch, capsys):
+        path = str(GOLDEN / f"{name}.json")
+        for argv in INPUT_RUNS:
+            written, reference = self.run_both(argv + ["--input", path], monkeypatch, capsys)
+            assert written == reference, argv
+
+    def test_trees_commands(self, monkeypatch, capsys):
+        for argv in TREES_RUNS:
+            written, reference = self.run_both(argv, monkeypatch, capsys)
+            assert written[0] == 0
+            assert written == reference, argv
 
 
 def long_options(parser: argparse.ArgumentParser) -> set[str]:

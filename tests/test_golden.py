@@ -2,7 +2,8 @@
 
 Each case runs one command on one input under ``tests/golden/`` and
 compares the report's bytes with the stored file.  Any rewrite that keeps
-outputs exact must keep every case passing unedited.  After a deliberate
+outputs exact must keep every case passing unedited.  Every stored report
+also keeps the layout of ``json.dumps(indent=2)``.  After a deliberate
 output change, rewrite the stored files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -12,6 +13,7 @@ and review the diff before committing it.
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -72,6 +74,20 @@ def run_case(name: str, argv: list[str]) -> bytes:
 )
 def test_golden_output(name, argv):
     assert run_case(name, argv) == golden_path(name, argv).read_bytes()
+
+
+# the reports are name.command.json; the input documents are name.json
+REPORTS = sorted(GOLDEN.glob("*.*.json"))
+
+
+def test_every_report_is_a_case():
+    assert REPORTS == sorted(golden_path(n, a) for n, a in CASES)
+
+
+@pytest.mark.parametrize("path", REPORTS, ids=[path.stem for path in REPORTS])
+def test_report_in_stdlib_format(path):
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from birkhoff import (
     FreqVector,
@@ -20,9 +21,17 @@ from birkhoff import (
     resonant_projection,
     symbolic_normalize,
 )
-from birkhoff.series import _layout
+from birkhoff.scalars import gaussian_integer
+from birkhoff.series import _layout, _pair_reader, monomials, term_order
 
-from helpers import build_series, gr, poisson_oracle, random_hamiltonian, random_series
+from helpers import (
+    build_series,
+    eigenvalue_oracle,
+    gr,
+    poisson_oracle,
+    random_hamiltonian,
+    random_series,
+)
 
 
 def freq(*values) -> FreqVector:
@@ -216,3 +225,119 @@ class TestEigenvalueCache:
         assert resonant_projection(constant, shared) == constant
         assert partial_inverse(constant, shared).is_zero
         assert partial_inverse(x, shared) == partial_inverse(x, freq(3))
+
+
+# Frequency parts with unequal denominators and both signs, from a small
+# pool so that drawn frequency vectors are often resonant.
+PARTS = st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-3),
+     Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), Fraction(5, 6)]
+)
+FREQUENCIES = st.builds(GaussianRational, PARTS, PARTS).filter(lambda v: not v.is_zero)
+# orders at the edges of the key field widths 3/4 and 4/5 bits
+EDGE_ORDERS = st.sampled_from([7, 8, 15, 16])
+CHARGES = settings(max_examples=40, deadline=None)
+
+
+def freq_vectors(n: int):
+    return st.lists(FREQUENCIES, min_size=n, max_size=n).map(FreqVector)
+
+
+@st.composite
+def exponent_pairs(draw, n: int, order: int):
+    """A pair of degree <= order, its exponents often at the order itself."""
+    sizes = st.integers(0, order)
+    exps = draw(st.lists(st.one_of(sizes, st.just(order)), min_size=2 * n, max_size=2 * n))
+    while sum(exps) > order:
+        exps[exps.index(max(exps))] -= 1
+    return make_pair(exps[:n], exps[n:])
+
+
+@st.composite
+def freq_and_pairs(draw):
+    n = draw(st.integers(1, 3))
+    order = draw(EDGE_ORDERS)
+    fv = draw(freq_vectors(n))
+    pairs = draw(st.lists(exponent_pairs(n, order), min_size=1, max_size=12, unique=True))
+    return fv, order, pairs
+
+
+def table_entry_oracle(alpha, beta, fv: FreqVector):
+    """The eigenvalue and its inverse as ``_table`` stores them."""
+    eig = eigenvalue_oracle(alpha, beta, fv)
+    if eig.is_zero:
+        return None
+    inv = eig.inverse()
+    return gaussian_integer(eig.a, eig.b), eig.d, gaussian_integer(inv.a, inv.b), inv.d
+
+
+def resonant_pairs_oracle(fv: FreqVector, order: int) -> list:
+    return sorted(
+        (
+            pair
+            for degree in range(1, order + 1)
+            for pair in monomials(fv.n, degree)
+            if not pair.is_diagonal and eigenvalue_oracle(pair.alpha, pair.beta, fv).is_zero
+        ),
+        key=term_order,
+    )
+
+
+class TestIntegerCharges:
+    """The integer charges over one common denominator against the
+    GaussianRational sum of ``eigenvalue_oracle``."""
+
+    def test_common_denominator(self):
+        fv = FreqVector.of(gr(Fraction(1, 2)), gr(Fraction(-1, 3), Fraction(5, 4)))
+        assert (fv.re, fv.im, fv.den) == ((6, -4), (0, 15), 12)
+
+    @CHARGES
+    @given(freq_and_pairs())
+    def test_eigenvalue_and_resonance(self, case):
+        fv, _, pairs = case
+        for pair in pairs:
+            eig = eigenvalue_oracle(pair.alpha, pair.beta, fv)
+            assert fv.eigenvalue(pair) == eig
+            assert fv.is_resonant(pair) == eig.is_zero
+
+    @CHARGES
+    @given(freq_and_pairs())
+    def test_every_table_entry(self, case):
+        fv, order, pairs = case
+        series = build_series(fv.n, order, {(p.alpha, p.beta): 1 for p in pairs})
+        table = fv._table(series)
+        pair_of = _pair_reader(series.layout)
+        assert table.keys() >= series.nums.keys()
+        for key in series.nums:
+            assert table[key] == table_entry_oracle(*pair_of(key), fv)
+
+    @CHARGES
+    @given(freq_and_pairs())
+    def test_symbolic_key_shares_its_numeric_entry(self, case):
+        fv, order, pairs = case
+        label = pairs[0]
+        ring = SymRing(((label.alpha, label.beta),))
+        h = ring.indeterminate((label.alpha, label.beta))
+        symbolic = PolySeries(fv.n, order, ring, {p: h for p in pairs})
+        numeric = build_series(fv.n, order, {(p.alpha, p.beta): 1 for p in pairs})
+        sym_table = fv._table(symbolic)
+        num_table = fv._table(numeric)
+        pair_of = _pair_reader(symbolic.layout)
+        low = symbolic.layout.low
+        assert low
+        for key in symbolic.nums:
+            assert sym_table[key] == table_entry_oracle(*pair_of(key), fv)
+            assert sym_table[key] is num_table[key >> low]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        # the brute force enumerates every monomial: n = 3 stops at order 8
+        lambda n: st.tuples(freq_vectors(n), st.sampled_from([1, 2, 7, 8] + [15, 16] * (n < 3)))
+    ))
+    @example((FreqVector.of(gr(1, 1), gr(-1, -1)), 8))
+    @example((FreqVector.of(gr(Fraction(1, 2), Fraction(1, 3)), gr(1, Fraction(2, 3))), 16))
+    @example((FreqVector.of(gr(1), gr(1), gr(1)), 8))
+    @example((FreqVector.of(gr(Fraction(1, 2)), gr(Fraction(-1, 3)), gr(1)), 8))
+    def test_resonant_pairs_against_brute_force(self, case):
+        fv, order = case
+        assert resonant_pairs(fv, order) == resonant_pairs_oracle(fv, order)
