@@ -17,6 +17,9 @@ Deprit, Celest. Mech. 1 (1969) 12-30):
 
 Table T1 is seeded with H_d and T2 with R_d.  Every inner degree is below m,
 so each entry is final when first computed and each bracket is taken once.
+Each entry is one ``bracket_sum`` and Phi_m one ``combination``: every
+sum accumulates in one dict, and an entry builds its derivative lists once
+however often it is bracketed.
 The seed R_j of T2 depends on the mode:
 
 * ``kernel_corrected=True`` (default): R_j = Phi_j - N_j, the image-part of
@@ -48,7 +51,7 @@ from .operators import (
     validate_hamiltonian,
 )
 from .scalars import GAUSSIAN_RING, GaussianRational
-from .series import PolySeries, monomials, sum_nonzero
+from .series import PolySeries, bracket_sum, combination, monomials
 
 
 @dataclass(frozen=True)
@@ -84,27 +87,25 @@ def lie_normalize(
 
     def bracket_entry(table: dict, k: int, m: int) -> PolySeries:
         """T[k][m] = sum_{j>=3} {F_j, T[k-1][m+2-j]}; every inner degree is below m."""
-        pairs = [(gen[j], table[k - 1, m + 2 - j]) for j in range(3, m - k + 1)]
-        return sum_nonzero(
-            (f.poisson(inner) for f, inner in pairs if not f.is_zero and not inner.is_zero),
-            zero,
-        )
+        return bracket_sum([(gen[j], table[k - 1, m + 2 - j]) for j in range(3, m - k + 1)], zero)
 
     for m in range(3, order + 1):
         for k in range(1, m - 2):
             t1[k, m], t2[k, m] = bracket_entry(t1, k, m), bracket_entry(t2, k, m)
-        weighted = [t1[0, m]]
-        weighted += [t1[k, m].scale(Fraction(1, math.factorial(k))) for k in range(1, m - 2)]
-        weighted += [t2[k, m].scale(Fraction(-1, math.factorial(k + 1))) for k in range(1, m - 2)]
-        acc = sum_nonzero(weighted, zero)
+        weighted = [(1, t1[0, m])]
+        weighted += [(Fraction(1, math.factorial(k)), t1[k, m]) for k in range(1, m - 2)]
+        weighted += [(Fraction(-1, math.factorial(k + 1)), t2[k, m]) for k in range(1, m - 2)]
+        acc = combination(weighted, zero)
         rhs[m] = acc
         res[m] = resonant_projection(acc, freq)
         gen[m] = partial_inverse(acc, freq)
         t2[0, m] = acc - res[m] if kernel_corrected else acc
 
     return NormalizationResult(
-        normal_form=sum_nonzero([freq.quadratic_part(order, ring), *res.values()], zero),
-        generator=sum_nonzero(gen.values(), zero),
+        normal_form=combination(
+            [(1, part) for part in (freq.quadratic_part(order, ring), *res.values())], zero
+        ),
+        generator=combination([(1, part) for part in gen.values()], zero),
         rhs_parts=rhs,
         resonant_parts=res,
         generator_parts=gen,

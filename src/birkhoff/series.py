@@ -41,24 +41,37 @@ field, and a result with a guard bit set is refused.
 
 The bracket is
     {F, G} = sum_j (dF/dy_j dG/dx_j - dF/dx_j dG/dy_j),
-2n products of derivative term lists, each exponent folded into the numerator
-and the minus sign into the left list.  The product and the bracket share one
-loop over a sorted right list, so each row stops at the first key whose
-degree passes the truncation order.  Numerators accumulate over D1 D2, and
-each result is brought to content form with one gcd: every arithmetic result
-goes through :meth:`PolySeries._make`, which skips the per-term checks of the
-validating public constructor.
+2n products of derivative term lists, each exponent folded into the
+numerator and the minus sign into the left list.  Every sum of products
+runs through one loop over sorted right lists, so each row stops at the
+first key whose degree passes the truncation order: ``F * G`` is one
+product, ``bracket_sum`` is sum {F, G} over a list of pairs (``poisson`` is
+the one-pair call), and ``combination`` is sum q S over a list of
+scalings, each S a product with the constant 1.  As Monagan and Pearce
+form a sum of products in one pass, the products of one sum accumulate in
+one dict over L, the lcm of their denominators: the integer factor of a
+product, such as L / (D_F D_G) for a bracket, scales each of its left values
+once, and the sum is brought to content form with one gcd.  Every arithmetic
+result goes through :meth:`PolySeries._make`, which skips the per-term
+checks of the validating public constructor.
 
-When an operand holds a complex numerator, both operands' numerators
-a + b i are packed into the single ints a + b 2**K before the derivative
-lists are built (Kronecker substitution; D. Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
-44, 2009), so the loop multiplies plain ints on every ring.  A sum of
-products of packed numerators is R0 + R1 2**K + R2 2**(2K) with
-(R0 - R2) + R1 i the sum of the complex products, since 2**(2K) stands for
-i**2 = -1; K is chosen before the loop so that every |Rj| < 2**(K - 1),
-and the balanced base-2**K digits of each sum are R0, R1 and R2 (the bound
-is proved at ``_packed``).  A real numerator a packs to itself.
+A series with int numerators builds the derivative lists of each bracket
+side once, on first use, and keeps them in a slot (``_left``, ``_right``),
+so the entries of a bracket table, each bracketed against many others,
+build theirs once.
+
+When an operand of a sum holds a complex numerator, the numerators
+a + b i of every operand are packed into the single ints a + b 2**K, with
+one K for the whole sum (Kronecker substitution; D. Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution",
+J. Symbolic Comput. 44, 2009), so the loop multiplies plain ints on every
+ring.  A sum of products of packed numerators is R0 + R1 2**K + R2 2**(2K)
+with (R0 - R2) + R1 i the sum of the complex products, since 2**(2K)
+stands for i**2 = -1; K is chosen before the loop so that every
+|Rj| < 2**(K - 1), and the balanced base-2**K digits of each sum are R0,
+R1 and R2 (the bound is proved at ``_packed``).  A real numerator a packs
+to itself, so a real operand's kept lists serve as they are, and the lists
+of a complex operand are built from its packed numerators for each call.
 """
 
 from __future__ import annotations
@@ -160,7 +173,7 @@ def term_order(pair: ExponentPair) -> tuple:
 class PolySeries:
     """Sparse graded series truncated at a fixed total-degree order."""
 
-    __slots__ = ("n", "order", "ring", "layout", "den", "nums", "_terms")
+    __slots__ = ("n", "order", "ring", "layout", "den", "nums", "_terms", "_left", "_right")
 
     def __init__(
         self,
@@ -230,7 +243,8 @@ class PolySeries:
         ``__init__``: the keys are trusted to have degree <= order, and only
         their guard bits are read.
         """
-        nums = {key: value for key, value in nums.items() if value}
+        if 0 in nums.values():
+            nums = {key: value for key, value in nums.items() if value}
         guard = self.layout.guard
         if guard and nums and reduce(or_, nums) & guard:
             raise UsageError(
@@ -296,8 +310,7 @@ class PolySeries:
 
     def __mul__(self, other: "PolySeries") -> "PolySeries":
         self._require_compatible(other)
-        f, g, shift = _packed(self.nums, other.nums, 1)
-        return _sum_of_products(self, [(f.items(), sorted(g.items()))], self.den * other.den, shift)
+        return _products(self, [(self.nums, other.nums, 1)], self.den * other.den)
 
     def scale(self, q: int | Fraction) -> "PolySeries":
         num, den = _ratio_of(q)
@@ -372,12 +385,7 @@ class PolySeries:
 
     def poisson(self, other: "PolySeries") -> "PolySeries":
         """{F, G} with F = self: the sum over j of dF/dy_j dG/dx_j - dF/dx_j dG/dy_j."""
-        self._require_compatible(other)
-        n, layout = self.n, self.layout
-        f, g, shift = _packed(self.nums, other.nums, 2 * n * self.order**2)
-        left = _derivatives(layout, f.items(), (-1,) * n + (1,) * n)
-        right = _derivatives(layout, sorted(g.items()), (1,) * (2 * n))
-        return _sum_of_products(self, zip(left, right[n:] + right[:n]), self.den * other.den, shift)
+        return bracket_sum([(self, other)], self)
 
     def sorted_terms(self) -> list[tuple[ExponentPair, object]]:
         return list(self.terms.items())
@@ -459,13 +467,99 @@ def _layout(n: int, order: int, nvars: int) -> Layout:
     return Layout(width, shifts, top, low, powers, guard)
 
 
-def _derivatives(layout: Layout, items: Iterable, signs: tuple[int, ...]) -> list[list]:
-    """sign * dF/dv over the terms (key, numerator) of F, in their order, for
-    each series variable v = x_1..y_n and its sign: a term with a zero v
-    field has no derivative, the others lose one v and one degree."""
-    top, mask = layout.top, (1 << layout.width) - 1
+def bracket_sum(pairs: Iterable[tuple[PolySeries, PolySeries]], like: PolySeries) -> PolySeries:
+    """The sum of {F, G} over the (F, G) pairs, a series of like's shape.
+
+    Every product accumulates in one dict over L, the lcm of the D_F D_G:
+    each pair's factor L / (D_F D_G) scales its left values as they are
+    read, and the sum gets one gcd.
+    """
+    kept = []
+    for f, g in pairs:
+        like._require_compatible(f)
+        like._require_compatible(g)
+        if f.nums and g.nums:
+            kept.append((f, g, f.den * g.den))
+    den = lcm(*[d for _, _, d in kept])
+    sides = [(_side(f, False), _side(g, True)) for f, g, _ in kept]
+    shift = 0
+    if any(None in side for side in sides):
+        shift = _packed([(f.nums, g.nums, den // d) for f, g, d in kept], 2 * like.n * like.order**2)
+        sides = [(_side(f, False, shift), _side(g, True, shift)) for f, g, _ in kept]
+    products = [(left, right, den // d) for (left, right), (_, _, d) in zip(sides, kept)]
+    return _sum_of_products(like, products, den, shift)
+
+
+def combination(items: Iterable[tuple[int | Fraction, PolySeries]], like: PolySeries) -> PolySeries:
+    """The sum of q S over the (q, S) items, a series of like's shape.
+
+    Each S is a product with the constant 1, so the sum is one accumulation
+    over the lcm of the q.den D_S, as in ``bracket_sum``.
+    """
+    terms = []
+    for q, series in items:
+        like._require_compatible(series)
+        num, den = _ratio_of(q)
+        if num and series.nums:
+            terms.append((series.nums, num, den * series.den))
+    den = lcm(*[d for _, _, d in terms])
+    return _products(like, [(nums, _ONE, num * (den // d)) for nums, num, d in terms], den)
+
+
+# the numerators of the constant 1
+_ONE = {0: 1}
+
+
+def _products(like: PolySeries, products: list, den: int) -> PolySeries:
+    """The sum of factor F G over the (F numerators, G numerators, factor)
+    products, over den."""
+    shift = _packed(products, 1)
+    lists = [
+        ([_pack(f, shift).items()], [sorted(_pack(g, shift).items())], factor)
+        for f, g, factor in products
+    ]
+    return _sum_of_products(like, lists, den, shift)
+
+
+def _side(series: PolySeries, right: bool, shift: int = 0) -> list[list] | None:
+    """The 2n derivative term lists of series as one operand of a bracket.
+
+    Left: -dF/dx_1..-dF/dx_n, dF/dy_1..dF/dy_n; right: dG/dy_1..dG/dy_n,
+    dG/dx_1..dG/dx_n, sorted; zip pairs them into the 2n products of {F, G}.
+    Over int numerators the lists are built once and kept in the series'
+    slot for that side.  With a complex numerator they are built for each
+    call from the numerators packed with shift, or None while shift is 0.
+    """
+    lists = series._right if right else series._left
+    if lists is None:
+        nums = series.nums
+        packed = GaussianInteger in {*map(type, nums.values())}
+        if packed and not shift:
+            return None
+        items = _pack(nums, shift).items() if packed else nums.items()
+        lists = _derivatives(series.layout, sorted(items) if right else items, right)
+        if packed:
+            return lists
+        if right:
+            series._right = lists
+        else:
+            series._left = lists
+    return lists
+
+
+def _derivatives(layout: Layout, items: Iterable, right: bool) -> list[list]:
+    """The term lists of sign * dF/dv over the terms (key, numerator) of F,
+    in their order, for the variables v and signs of one bracket side: a
+    term with a zero v field has no derivative, the others lose one v and
+    one degree."""
+    top, mask, shifts = layout.top, (1 << layout.width) - 1, layout.shifts
+    n = len(shifts) // 2
+    if right:
+        sides = zip(shifts[n:] + shifts[:n], (1,) * (2 * n))
+    else:
+        sides = zip(shifts, (-1,) * n + (1,) * n)
     lists = []
-    for shift, sign in zip(layout.shifts, signs):
+    for shift, sign in sides:
         unit = 1 << top | 1 << shift
         lists.append([
             (key - unit, power * value)
@@ -474,57 +568,76 @@ def _derivatives(layout: Layout, items: Iterable, signs: tuple[int, ...]) -> lis
     return lists
 
 
-def _packed(f: dict, g: dict, factor: int) -> tuple[dict, dict, int]:
-    """The numerator dicts f and g with a + b i packed as a + b X, X = 2**K,
-    and K; f, g and 0 when every numerator is an int.
+def _packed(products: list, spread: int) -> int:
+    """K for packing the numerators of the (F numerators, G numerators,
+    factor) products as a + b X, X = 2**K; 0 when every numerator is an int.
 
     A sum on one key is R0 + R1 X + R2 X**2, and K makes every
     |Rj| < 2**(K - 1).  In one product of term lists the keys of a list are
     distinct, so a key gets at most one piece per left term and per right
-    term: at most P = 2n min(|F|, |G|) pieces over the 2n products of a
-    bracket and P = min(|F|, |G|) for F G.  An exponent is at most the order
-    M, so a derivative scales a numerator by at most M.  With A and B the
-    largest |component| of F and of G, a piece (a + b X)(c + d X) =
-    ac + (ad + bc) X + bd X**2 has every coefficient at most 2 M**2 A B in a
-    bracket and 2 A B in a product.  With factor = 2n M**2 for a bracket and
-    1 for a product, and bound = factor min(|F|, |G|), every
-    |Rj| <= 2 bound A B < 2**(bits(A) + bits(B) + bits(bound) + 1) = 2**(K - 1)
-    for K = bits(A) + bits(B) + bits(bound) + 2.
+    term: at most 2n min(|F|, |G|) pieces from the 2n products of a bracket
+    and min(|F|, |G|) from F G.  An exponent is at most the order M, so a
+    derivative scales a numerator by at most M, and the factor c of a
+    product scales its left values.  With A and B the largest |component|
+    of F and of G, a piece c (a + b X)(e + f X) =
+    c (ae + (af + be) X + bf X**2) has every coefficient at most 2 |c| M**2 A B
+    in a bracket and 2 |c| A B in a product.  With spread = 2n M**2 for
+    brackets and 1 for products, and bound the sum of
+    spread min(|F|, |G|) |c| A B over the products, every
+    |Rj| <= 2 bound < 2**(bits(bound) + 1) = 2**(K - 1)
+    for K = bits(bound) + 2.
     """
-    if GaussianInteger not in {*map(type, f.values()), *map(type, g.values())}:
-        return f, g, 0
-    shift = (factor * min(len(f), len(g))).bit_length() + 2
-    for nums in f, g:
-        shift += max(
-            [abs(v) if type(v) is int else max(abs(v.re), abs(v.im)) for v in nums.values()],
-            default=0,
-        ).bit_length()
+    if not any(
+        GaussianInteger in {*map(type, f.values()), *map(type, g.values())}
+        for f, g, _ in products
+    ):
+        return 0
+    bound = sum(
+        spread * min(len(f), len(g)) * abs(factor) * _largest(f) * _largest(g)
+        for f, g, factor in products
+    )
+    return bound.bit_length() + 2
 
-    def pack(nums: dict) -> dict:
-        return {key: v if type(v) is int else v.re + (v.im << shift) for key, v in nums.items()}
 
-    return pack(f), pack(g), shift
+def _largest(nums: dict) -> int:
+    """The largest |component| of the numerators."""
+    return max(
+        [abs(v) if type(v) is int else max(abs(v.re), abs(v.im)) for v in nums.values()],
+        default=0,
+    )
+
+
+def _pack(nums: dict, shift: int) -> dict:
+    """The numerators with a + b i packed as a + b 2**shift; nums itself
+    for shift 0."""
+    if not shift:
+        return nums
+    return {key: v if type(v) is int else v.re + (v.im << shift) for key, v in nums.items()}
 
 
 def _sum_of_products(like: PolySeries, products: Iterable, den: int, shift: int) -> PolySeries:
-    """The series like ``like`` over den holding the sum of the truncated
-    products of the (left, right) term lists; each right list is sorted, so
-    a row stops at the first key that takes the pair past the order.  With
-    a nonzero shift K the numerators are packed by ``_packed`` and each sum
-    is read back from its balanced base-2**K digits."""
+    """The series like ``like`` over den holding the sum of factor times the
+    truncated products of the (left, right) term lists of each (lefts,
+    rights, factor) product; the factor scales each left value once, and
+    each right list is sorted, so a row stops at the first key that takes
+    the pair past the order.  With a nonzero shift K the numerators are
+    packed by ``_pack`` and each sum is read back from its balanced
+    base-2**K digits."""
     order, top = like.order, like.layout.top
     result: dict[int, object] = {}
     get = result.get
-    for left, right in products:
-        for k1, v1 in left:
-            limit = order + 1 - (k1 >> top) << top
-            for k2, v2 in right:
-                if k2 >= limit:
-                    break
-                key = k1 + k2
-                piece = v1 * v2
-                known = get(key)
-                result[key] = piece if known is None else known + piece
+    for lefts, rights, factor in products:
+        for left, right in zip(lefts, rights):
+            for k1, v1 in left:
+                v1 *= factor
+                limit = order + 1 - (k1 >> top) << top
+                for k2, v2 in right:
+                    if k2 >= limit:
+                        break
+                    key = k1 + k2
+                    piece = v1 * v2
+                    known = get(key)
+                    result[key] = piece if known is None else known + piece
     if shift:
         # adding half to every digit makes the digits of R + half plain
         # ones; the real part R0 - R2 loses both halves
@@ -562,17 +675,8 @@ def _fill(
     series.layout = layout
     series.den = den
     series.nums = nums
-    series._terms = None
+    series._terms = series._left = series._right = None
     return series
-
-
-def sum_nonzero(pieces: Iterable[PolySeries], zero: PolySeries) -> PolySeries:
-    """The sum of the pieces, adding from the first nonzero one; zero if none."""
-    total = zero
-    for piece in pieces:
-        if not piece.is_zero:
-            total = piece if total.is_zero else total + piece
-    return total
 
 
 def from_json_terms(

@@ -26,6 +26,8 @@ form L_c, so both sums fold into two tables over leaf count r:
 
 U1 seeded with g at r = 1 and U2 with R L_c at r = c.  Filled in ascending
 s, each entry is final when first computed and each B L_c is computed once.
+Each entry is one ``bracket_sum`` and L_s one ``combination``, as in the
+degree-by-degree pipeline, with no table or step shared between the two.
 
 The plain variant has a closed form: a sum over full binary trees,
 
@@ -64,7 +66,7 @@ from .operators import (
     validate_hamiltonian,
 )
 from .scalars import format_rational
-from .series import PolySeries, compositions, sum_nonzero
+from .series import PolySeries, bracket_sum, combination, compositions
 from .trees import (
     MAX_LEAVES,
     Tree,
@@ -162,7 +164,7 @@ def form_by_trees(args: Sequence[PolySeries], freq: FreqVector) -> PolySeries:
         raise UsageError("the form needs at least one argument")
     zero = PolySeries.zero(args[0].n, args[0].order, args[0].ring)
     trees = all_trees(len(args))
-    return sum_nonzero((tree_bracket(t, args, freq).scale(tree_weight(t)) for t in trees), zero)
+    return combination([(tree_weight(t), tree_bracket(t, args, freq)) for t in trees], zero)
 
 
 def form_by_recursion(
@@ -188,10 +190,8 @@ def form_by_recursion(
 
     def entry(table: dict, k: int, r: int) -> PolySeries:
         """U[k][r] = sum_{c=1}^{r-k} {B L_c, U[k-1][r-c]}; every r - c is below r."""
-        pairs = [(blocks[c], table.get((k - 1, r - c), zero)) for c in range(1, r - k + 1)]
-        return sum_nonzero(
-            (b.poisson(inner) for b, inner in pairs if not b.is_zero and not inner.is_zero),
-            zero,
+        return bracket_sum(
+            [(blocks[c], table.get((k - 1, r - c), zero)) for c in range(1, r - k + 1)], zero
         )
 
     for s in range(2, smax + 1):
@@ -200,9 +200,9 @@ def form_by_recursion(
         u2[0, s - 1] = last - resonant_projection(last, freq) if kernel_corrected else last
         for k in range(1, s):
             u1[k, s], u2[k, s] = entry(u1, k, s), entry(u2, k, s)
-        weighted = [u1[k, s].scale(Fraction(1, math.factorial(k))) for k in range(1, s)]
-        weighted += [u2[k, s].scale(Fraction(-1, math.factorial(k + 1))) for k in range(1, s)]
-        forms.append(sum_nonzero(weighted, zero))
+        weighted = [(Fraction(1, math.factorial(k)), u1[k, s]) for k in range(1, s)]
+        weighted += [(Fraction(-1, math.factorial(k + 1)), u2[k, s]) for k in range(1, s)]
+        forms.append(combination(weighted, zero))
     return forms[1:]
 
 
@@ -239,7 +239,7 @@ def nf_via_trees(
     # an order-2 input has an empty tail; L_1 of it is zero
     forms = form_by_recursion(tail, max(order - 2, 1), freq, kernel_corrected)
     zero = PolySeries.zero(hamiltonian.n, order, hamiltonian.ring)
-    recursion = resonant_projection(sum_nonzero(forms, zero), freq)
+    recursion = resonant_projection(combination([(1, form) for form in forms], zero), freq)
     rows: list[dict] | None = [] if audit else None
     if audit:
         hparts = {m: tail.grade(m) for m in range(3, order + 1)}

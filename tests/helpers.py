@@ -203,6 +203,17 @@ def scale_oracle(f: PolySeries, q: int | Fraction) -> PolySeries:
     return series_like(f, {key: v.scaled(q) for key, v in series_terms(f).items()})
 
 
+def combination_oracle(items, like: PolySeries) -> PolySeries:
+    """The sum of q S over the (q, S) items, value by value in one term
+    dict; a series of like's shape, any ring."""
+    acc: dict = {}
+    for q, series in items:
+        for key, value in series_terms(series).items():
+            value = value.scaled(q)
+            acc[key] = acc[key] + value if key in acc else value
+    return series_like(like, acc)
+
+
 def eigenvalue_oracle(alpha, beta, freq: FreqVector) -> GaussianRational:
     """<alpha - beta, lambda> summed in GaussianRational arithmetic, one
     frequency at a time."""

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from birkhoff import series
 from birkhoff import (
     FreqVector,
     PolySeries,
@@ -16,6 +17,8 @@ from birkhoff import (
     resonant_projection,
     validate_hamiltonian,
 )
+
+from birkhoff.series import monomials
 
 from helpers import build_series, direct_normalize, gr, random_hamiltonian, random_series
 
@@ -232,6 +235,31 @@ class TestClosedForms:
         g = random_series(lam.n, 7, seed + 9500, min_degree=1)
         bracket = partial_inverse(f, lam).poisson(resonant_projection(g, lam))
         assert resonant_projection(bracket, lam).is_zero
+
+
+class TestBracketTables:
+    @pytest.mark.parametrize("corrected", [True, False])
+    def test_derivative_lists_built_once_per_operand_side(self, monkeypatch, corrected):
+        # all nine cubic and quartic monomials at order M = 8.  The tables
+        # bracket F_j on the left for j = 3..M-1 (5 series) and, on the
+        # right, every entry T[k][d] with d <= M-1 and k <= d-3: d - 2
+        # entries per degree, 15 per table; the seeds T1[0][5..7] = H_5..H_7
+        # are zero and never bracketed, which leaves 5 + 12 + 15 = 32
+        pairs = [pair for degree in (3, 4) for pair in monomials(1, degree)]
+        lam = freq(1)
+        h = ham(1, 8, lam, {(p.alpha, p.beta): Fraction(k, k + 1) for k, p in enumerate(pairs, 1)})
+        calls = 0
+        derivatives = series._derivatives
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return derivatives(*args)
+
+        monkeypatch.setattr(series, "_derivatives", counted)
+        result = lie_normalize(h, lam, kernel_corrected=corrected)
+        assert calls == 32
+        assert not any(part.is_zero for part in result.generator_parts.values())
 
 
 class TestExpLie:

@@ -38,10 +38,19 @@ from birkhoff import (
     resonant_projection,
 )
 from birkhoff.scalars import GaussianInteger
-from birkhoff.series import MAX_POWER, POWER_BITS, _layout, make_pair, monomials
+from birkhoff.series import (
+    MAX_POWER,
+    POWER_BITS,
+    _layout,
+    bracket_sum,
+    combination,
+    make_pair,
+    monomials,
+)
 
 from helpers import (
     add_oracle,
+    combination_oracle,
     direct_normalize,
     mul_oracle,
     partial_inverse_oracle,
@@ -54,6 +63,7 @@ from helpers import (
     resonant_projection_oracle,
     s_oracle,
     scale_oracle,
+    series_like,
     with_order_oracle,
 )
 
@@ -460,6 +470,157 @@ class TestPackedNumerators:
         for result, oracle in ((product, mul_oracle(f, g)), (bracket, poisson_oracle(f, g))):
             assert_content_form(result)
             assert fields(result) == fields(oracle)
+
+
+@st.composite
+def series_pools(draw):
+    """Four series of one shape (n = 1..2, order 2..6) over one ring: Q, a
+    SymRing, or Q(i) with components up to 2**256 of both signs, where
+    each series is real or complex.  Every coefficient is over a prime and
+    the primes of one series are distinct, so the denominators differ and
+    the factors of a fused sum exceed 1.  A series may be empty."""
+    ring = draw(st.sampled_from(["rational", "huge", "symbolic"]))
+    n = draw(st.integers(1, 2))
+    order = draw(st.integers(2, 6))
+    pairs = [pair for degree in range(order + 1) for pair in monomials(n, degree)]
+    primes = iter(draw(st.permutations(PRIMES)) * 16)
+    exponents = st.tuples(*[st.integers(0, 3)] * SYM_RING.nvars)
+
+    def one_value(imaginary: bool):
+        p = next(primes)
+        if ring == "rational":
+            return GaussianRational.of(Fraction(draw(st.integers(-26, 26)), p))
+        if ring == "huge":
+            im = Fraction(draw(huge), p) if imaginary else 0
+            return GaussianRational.of(Fraction(draw(huge), p), im)
+        chosen = draw(st.lists(exponents, min_size=1, max_size=3, unique=True))
+        return SymScalar(SYM_RING.nvars, {
+            e: Fraction(draw(st.integers(-26, 26).filter(bool)), next(primes)) for e in chosen
+        })
+
+    def one_series():
+        chosen = draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True))
+        imaginary = draw(st.booleans())
+        values = {pair: one_value(imaginary) for pair in chosen}
+        return PolySeries(n, order, SYM_RING if ring == "symbolic" else GAUSSIAN_RING, values)
+
+    return [one_series() for _ in range(4)]
+
+
+def bracket_sum_oracle(pairs, like: PolySeries) -> PolySeries:
+    return combination_oracle([(1, poisson_oracle(f, g)) for f, g in pairs], like)
+
+
+def conjugate(f: PolySeries) -> PolySeries:
+    return PolySeries(f.n, f.order, f.ring, {
+        pair: GaussianRational.of(value.re, -value.im) for pair, value in f.terms.items()
+    })
+
+
+def extreme_items(sign: int) -> list:
+    """Terms of EXTREME components, alone and summed, over several
+    denominators; the lone term of the first item reaches the bound on K."""
+    value = GaussianRational.of(EXTREME, sign * EXTREME)
+    one = make_pair((1, 0), (0, 1))
+    return [
+        (Fraction(1, 3), PolySeries(2, 4, GAUSSIAN_RING, {one: value})),
+        (sign, PolySeries(2, 4, GAUSSIAN_RING, {
+            pair: value.scaled(Fraction(1, 5)) for pair in monomials(2, 2)
+        })),
+        (Fraction(-7, 2), PolySeries(2, 4, GAUSSIAN_RING, {
+            pair: value for pair in monomials(2, 3)
+        })),
+    ]
+
+
+indices = st.integers(0, 3)
+
+
+class TestFusedSums:
+    """bracket_sum and combination add up every product of a sum in one
+    dict over the lcm of the denominators, with the left derivative lists
+    of a bracket kept in the series; they must equal the sums of the
+    per-term oracles."""
+
+    @FAST
+    @given(pool=series_pools(), data=st.data())
+    def test_bracket_sum(self, pool, data):
+        picks = data.draw(st.lists(st.tuples(indices, indices), max_size=5))
+        pairs = [(pool[i], pool[j]) for i, j in picks]
+        result = bracket_sum(pairs, pool[0])
+        assert_content_form(result)
+        assert fields(result) == fields(bracket_sum_oracle(pairs, pool[0]))
+
+    @FAST
+    @given(pool=series_pools(), data=st.data())
+    def test_combination(self, pool, data):
+        picks = data.draw(st.lists(st.tuples(scalings, indices), max_size=5))
+        items = [(q, pool[i]) for q, i in picks]
+        result = combination(items, pool[0])
+        assert_content_form(result)
+        assert fields(result) == fields(combination_oracle(items, pool[0]))
+
+    @FAST
+    @given(pool=series_pools())
+    def test_one_series_on_both_sides_across_calls(self, pool):
+        f, g, h, _ = pool
+        filled = bool(f.nums) and all(type(num) is int for num in f.nums.values())
+        calls = (
+            [(g, f)],  # f's right lists
+            [(f, h), (h, f)],  # f's left lists, and its right ones again
+            [(f, f), (g, f), (f, g)],
+            [(f, g), (f, h)],
+        )
+        for pairs in calls:
+            result = bracket_sum(pairs, f)
+            assert_content_form(result)
+            assert fields(result) == fields(bracket_sum_oracle(pairs, f))
+            assert fields(f.poisson(g)) == fields(poisson_oracle(f, g))
+        assert (f._left is not None and f._right is not None) == filled
+
+    @FAST
+    @given(pool=series_pools(), q=scalings.filter(bool))
+    def test_sums_that_cancel(self, pool, q):
+        f, g, h, _ = pool
+        for result in (
+            bracket_sum([(f, g), (h, f), (g, f), (f, h)], f),  # {f, g} = -{g, f}
+            combination([(q, f), (q, g), (-q, f), (-q, g)], f),
+        ):
+            assert result.is_zero and result.den == 1 and result.nums == {}
+        if f.ring is GAUSSIAN_RING:
+            # z + conj(z) is real: every complex piece cancels to an int
+            f_bar, g_bar = conjugate(f), conjugate(g)
+            for result, oracle in (
+                (bracket_sum([(f, g), (f_bar, g_bar)], f),
+                 bracket_sum_oracle([(f, g), (f_bar, g_bar)], f)),
+                (combination([(q, f), (q, f_bar)], f), combination_oracle([(q, f), (q, f_bar)], f)),
+            ):
+                assert all(type(num) is int for num in result.nums.values())
+                assert_content_form(result)
+                assert fields(result) == fields(oracle)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_combination_at_the_packing_bound(self, sign):
+        items = extreme_items(sign)
+        like = items[0][1]
+        for chosen in (items[:1], items[1:2], items):
+            result = combination(chosen, like)
+            assert_content_form(result)
+            assert fields(result) == fields(combination_oracle(chosen, like))
+
+    @pytest.mark.parametrize("ring", [GAUSSIAN_RING, SYM_RING])
+    def test_empty_and_zero_lists(self, ring):
+        zero = PolySeries(2, 5, ring)
+        f = series_like(zero, {((1, 0), (0, 2)): ring.one, ((0, 1), (1, 1)): ring.one})
+        for result in (
+            bracket_sum([], zero),
+            bracket_sum([(zero, zero)], zero),
+            bracket_sum([(zero, f), (f, zero)], f),
+            combination([], zero),
+            combination([(0, f), (3, zero), (Fraction(1, 2), zero)], f),
+        ):
+            assert fields(result) == fields(zero)
+            assert result.ring is ring
 
 
 LABELS = tuple((pair.alpha, pair.beta) for pair in monomials(1, 3))[:3]

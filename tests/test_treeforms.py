@@ -5,11 +5,10 @@ from math import factorial
 
 import pytest
 
-from birkhoff import treeforms
+from birkhoff import series, treeforms
 from birkhoff import (
     LEAF,
     FreqVector,
-    PolySeries,
     Tree,
     UsageError,
     all_trees,
@@ -271,26 +270,55 @@ class TestNormalFormViaTrees:
     def test_audit_brackets_each_subtree_once(self, monkeypatch):
         # all nine cubic and quartic monomials at order 8: 60 brackets for
         # the recursion, 201 for the audit rows (747 with one bracket per
-        # subtree of every tree and composition)
+        # subtree of every tree and composition); the recursion brackets
+        # whole table entries in one bracket_sum call, and each audit
+        # bracket is one PolySeries.poisson call, a one-pair bracket_sum
         pairs = [pair for degree in (3, 4) for pair in monomials(1, degree)]
         lam = freq(1)
         h = lam.quadratic_part(8) + build_series(
             1, 8, {(pair.alpha, pair.beta): Fraction(k, k + 1) for k, pair in enumerate(pairs, 1)}
         )
         calls = 0
-        bracket = PolySeries.poisson
+        kernel = series.bracket_sum
 
-        def counted(f, g):
+        def counted(pairs, like):
             nonlocal calls
-            calls += 1
-            return bracket(f, g)
+            pairs = list(pairs)
+            calls += sum(not f.is_zero and not g.is_zero for f, g in pairs)
+            return kernel(pairs, like)
 
-        monkeypatch.setattr(PolySeries, "poisson", counted)
+        monkeypatch.setattr(series, "bracket_sum", counted)
+        monkeypatch.setattr(treeforms, "bracket_sum", counted)
         for corrected in (True, False):
             calls = 0
             result = nf_via_trees(h, lam, kernel_corrected=corrected, audit=True)
             assert calls == 261
             assert result.normal_form == nf_via_trees(h, lam, kernel_corrected=corrected).normal_form
+
+    @pytest.mark.parametrize("corrected, expected", [(True, 31), (False, 30)])
+    def test_derivative_lists_built_once_per_operand_side(self, monkeypatch, corrected, expected):
+        # all nine cubic and quartic monomials, smax = 6: the tables bracket
+        # B L_c on the left for c = 1..5 (5 series) and, on the right, every
+        # U1[k][r] and U2[k][r] with r <= 5: g = U1[0][1], U2[0][1..5] and
+        # the 10 entries with 1 <= k < r of each table, 5 + 1 + 5 + 20 = 31.
+        # In the plain variant U2[0][1] is g itself, whose right lists are
+        # built once for both tables: 30
+        pairs = [pair for degree in (3, 4) for pair in monomials(1, degree)]
+        g = build_series(
+            1, 8, {(pair.alpha, pair.beta): Fraction(k, k + 1) for k, pair in enumerate(pairs, 1)}
+        )
+        calls = 0
+        derivatives = series._derivatives
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return derivatives(*args)
+
+        monkeypatch.setattr(series, "_derivatives", counted)
+        forms = form_by_recursion(g, 6, freq(1), kernel_corrected=corrected)
+        assert calls == expected
+        assert not any(form.is_zero for form in forms)
 
     def test_leaf_cap_enforced(self, monkeypatch):
         # order 18 needs forms of 16 arguments and passes the guard; order 19
