@@ -19,7 +19,11 @@ Table T1 is seeded with H_d and T2 with R_d.  Every inner degree is below m,
 so each entry is final when first computed and each bracket is taken once.
 Each entry is one ``bracket_sum`` and Phi_m one ``combination``: every
 sum accumulates in one dict, and an entry builds its derivative lists once
-however often it is bracketed.
+however often it is bracketed.  With ``normal_form_only`` the entries of
+the top degree M are bracketed with the charge map of the frequencies, so
+they keep only resonant terms: N_M = A Phi_M is exact, while F_M and
+Phi_M are not, and the result holds None in their place.  The series the
+result holds keep no derivative lists.
 The seed R_j of T2 depends on the mode:
 
 * ``kernel_corrected=True`` (default): R_j = Phi_j - N_j, the image-part of
@@ -59,18 +63,24 @@ class NormalizationResult:
     """Output of one normalization run, graded pieces included."""
 
     normal_form: PolySeries
-    generator: PolySeries
-    rhs_parts: dict[int, PolySeries]
+    generator: PolySeries | None
+    rhs_parts: dict[int, PolySeries] | None
     resonant_parts: dict[int, PolySeries]
-    generator_parts: dict[int, PolySeries]
+    generator_parts: dict[int, PolySeries] | None
 
 
 def lie_normalize(
     hamiltonian: PolySeries,
     freq: FreqVector,
     kernel_corrected: bool = True,
+    normal_form_only: bool = False,
 ) -> NormalizationResult:
-    """Normalize H by the degree-by-degree recursion up to its truncation order."""
+    """Normalize H by the degree-by-degree recursion up to its truncation order.
+
+    With ``normal_form_only`` the entries of the top degree M keep only
+    their resonant terms, and the result holds None for the generator,
+    its parts and the right-hand sides, whose degree-M parts are cut.
+    """
     validate_hamiltonian(hamiltonian, freq)
     order = hamiltonian.order
     ring = hamiltonian.ring
@@ -84,10 +94,15 @@ def lie_normalize(
     t2: dict[tuple[int, int], PolySeries] = {}
 
     zero = PolySeries.zero(n, order, ring)
+    top = freq.top_charges(zero) if normal_form_only else None
 
     def bracket_entry(table: dict, k: int, m: int) -> PolySeries:
         """T[k][m] = sum_{j>=3} {F_j, T[k-1][m+2-j]}; every inner degree is below m."""
-        return bracket_sum([(gen[j], table[k - 1, m + 2 - j]) for j in range(3, m - k + 1)], zero)
+        return bracket_sum(
+            [(gen[j], table[k - 1, m + 2 - j]) for j in range(3, m - k + 1)],
+            zero,
+            top if m == order else None,
+        )
 
     for m in range(3, order + 1):
         for k in range(1, m - 2):
@@ -101,10 +116,22 @@ def lie_normalize(
         gen[m] = partial_inverse(acc, freq)
         t2[0, m] = acc - res[m] if kernel_corrected else acc
 
+    normal_form = combination(
+        [(1, part) for part in (freq.quadratic_part(order, ring), *res.values())], zero
+    )
+    if normal_form_only:
+        return NormalizationResult(
+            normal_form=normal_form,
+            generator=None,
+            rhs_parts=None,
+            resonant_parts=res,
+            generator_parts=None,
+        )
+    # the returned parts need not keep the lists of the brackets they entered
+    for part in (*rhs.values(), *gen.values()):
+        part._release()
     return NormalizationResult(
-        normal_form=combination(
-            [(1, part) for part in (freq.quadratic_part(order, ring), *res.values())], zero
-        ),
+        normal_form=normal_form,
         generator=combination([(1, part) for part in gen.values()], zero),
         rhs_parts=rhs,
         resonant_parts=res,

@@ -22,6 +22,9 @@ den > 0, so the eigenvalue of x^alpha y^beta is (R + I i)/den for the
 integer charges R = <k, re> and I = <k, im>, k = alpha - beta.  Resonance
 is therefore an exact integer zero test, R = I = 0, never a tolerance, and
 ``resonant_pairs`` matches the alpha and beta of equal charge in a dict.
+The same charges, with the degree, label each key in the
+:class:`TopCharges` map by which ``series.bracket_sum`` keeps only the
+resonant terms of the truncation degree.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .scalars import (
     _reduced,
     gaussian_integer,
 )
-from .series import ExponentPair, PolySeries, _layout, compositions, term_order
+from .series import ExponentPair, Layout, PolySeries, _layout, compositions, term_order
 
 
 class FreqVector:
@@ -51,7 +54,7 @@ class FreqVector:
     hashing look only at the frequencies.
     """
 
-    __slots__ = ("entries", "re", "im", "den", "_keyed")
+    __slots__ = ("entries", "re", "im", "den", "_keyed", "_tops")
 
     def __init__(self, entries: Sequence[GaussianRational]):
         items = tuple(entries)
@@ -73,6 +76,8 @@ class FreqVector:
         # eigenvalue and inverse as (numerator, denominator, numerator,
         # denominator), None if resonant
         self._keyed: dict[tuple[int, int], dict[int, tuple | None]] = {}
+        # (key layout, order) -> its charge map
+        self._tops: dict[tuple, TopCharges] = {}
 
     @staticmethod
     def of(*values) -> "FreqVector":
@@ -105,6 +110,11 @@ class FreqVector:
         """<alpha - beta, lambda> for the monomial x^alpha y^beta."""
         return _reduced(*self._charge(tuple(map(sub, pair.alpha, pair.beta))), self.den)
 
+    def _fields(self, layout: Layout) -> list[tuple[int, int, int, int]]:
+        """(x_j shift, y_j shift, re_j, im_j) of each degree of freedom."""
+        shifts = layout.shifts
+        return list(zip(shifts[:self.n], shifts[self.n:], self.re, self.im))
+
     def _table(self, series: PolySeries) -> dict[int, tuple | None]:
         """The eigenvalue data of every key of the series, by key.
 
@@ -118,17 +128,11 @@ class FreqVector:
         if missing:
             low, mask, den = layout.low, (1 << layout.width) - 1, self.den
             numeric = self._keyed.setdefault((layout.width, 0), {})
-            shifts = _layout(series.n, series.order, 0).shifts
-            # (x_j shift, y_j shift, re_j, im_j) of each degree of freedom
-            fields = list(zip(shifts[:self.n], shifts[self.n:], self.re, self.im))
+            fields = self._fields(_layout(series.n, series.order, 0))
             for key in missing:
                 part = key >> low
                 if part not in numeric:
-                    a = b = 0
-                    for xs, ys, re, im in fields:
-                        k = (part >> xs & mask) - (part >> ys & mask)
-                        a += k * re
-                        b += k * im
+                    a, b = _key_charges(part, fields, mask)
                     if not a and not b:
                         numeric[part] = None
                     else:
@@ -143,6 +147,16 @@ class FreqVector:
                         )
                 table[key] = numeric[part]
         return table
+
+    def top_charges(self, like: PolySeries) -> "TopCharges":
+        """The charge map of like's key layout and truncation order, built
+        once per layout and order."""
+        _check_dimension(like, self)
+        index = (like.layout, like.order)
+        charges = self._tops.get(index)
+        if charges is None:
+            charges = self._tops[index] = TopCharges(self, like.layout, like.order)
+        return charges
 
     def is_resonant(self, pair: ExponentPair) -> bool:
         return self._charge(tuple(map(sub, pair.alpha, pair.beta))) == (0, 0)
@@ -172,6 +186,48 @@ class FreqVector:
 
     def __repr__(self) -> str:
         return f"FreqVector({', '.join(str(v) for v in self.entries)})"
+
+
+class TopCharges(dict):
+    """Packed key -> (degree, <k, re>, <k, im>), k = alpha - beta, for one
+    key layout and truncation order M: the label by which
+    ``series.bracket_sum`` keeps only the resonant terms of degree M.
+
+    The label reads only the series fields of a key, so the low fields of
+    a symbolic key change nothing; it is computed on first lookup and kept.
+    ``resonant_top`` says whether some monomial of degree M is resonant: a
+    split |alpha| + |beta| = M with an alpha and a beta of equal charge.
+    """
+
+    __slots__ = ("layout", "order", "resonant_top", "_high", "_mask", "_fields")
+
+    def __init__(self, freq: FreqVector, layout: Layout, order: int):
+        super().__init__()
+        charges = [
+            {freq._charge(exps) for exps in compositions(size, freq.n, 0)}
+            for size in range(order + 1)
+        ]
+        self.layout = layout
+        self.order = order
+        self.resonant_top = any(charges[size] & charges[order - size] for size in range(order + 1))
+        self._high = layout.top
+        self._mask = (1 << layout.width) - 1
+        self._fields = freq._fields(layout)
+
+    def __missing__(self, key: int) -> tuple[int, int, int]:
+        label = self[key] = (key >> self._high, *_key_charges(key, self._fields, self._mask))
+        return label
+
+
+def _key_charges(key: int, fields: list, mask: int) -> tuple[int, int]:
+    """(<k, re>, <k, im>) of k = alpha - beta read from the series fields of
+    a key, for the (x_j shift, y_j shift, re_j, im_j) fields of a layout."""
+    a = b = 0
+    for xs, ys, re, im in fields:
+        k = (key >> xs & mask) - (key >> ys & mask)
+        a += k * re
+        b += k * im
+    return a, b
 
 
 def validate_hamiltonian(hamiltonian: PolySeries, freq: FreqVector) -> None:

@@ -60,6 +60,22 @@ side once, on first use, and keeps them in a slot (``_left``, ``_right``),
 so the entries of a bracket table, each bracketed against many others,
 build theirs once.
 
+A run that reads nothing but the normal form needs of the truncation
+degree M only the resonant terms, the kernel of D = {., H2}.  Given a
+charge map (``FreqVector.top_charges``), which labels a key with its
+degree and the integer charges (<k, re>, <k, im>) of k = alpha - beta,
+``bracket_sum`` stops each row before degree M and then visits only the
+degree-M partners whose charges cancel the left term's: one dict lookup
+in the right list's partners, keyed by (degree, charges), which kept
+lists keep with the map they were built for (``_partners``).  The charges
+of a product key are the sums of its factors' charges, so the pairs
+skipped are exactly those that land on a non-resonant term of degree M,
+and every other term of the sum is as without the map.  The cut is exact
+where the caller reads a degree-M term only through A: a degree-M term
+feeds no later bracket, since a bracket with a term of degree >= 3 passes
+M.  When no monomial of degree M is resonant, the rows stop before M and
+look nothing up.
+
 When an operand of a sum holds a complex numerator, the numerators
 a + b i of every operand are packed into the single ints a + b 2**K, with
 one K for the whole sum (Kronecker substitution; D. Harvey, "Faster
@@ -78,7 +94,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import groupby
+from itertools import groupby, repeat
 from math import gcd, lcm
 from operator import lshift, or_
 from types import MappingProxyType
@@ -173,7 +189,10 @@ def term_order(pair: ExponentPair) -> tuple:
 class PolySeries:
     """Sparse graded series truncated at a fixed total-degree order."""
 
-    __slots__ = ("n", "order", "ring", "layout", "den", "nums", "_terms", "_left", "_right")
+    __slots__ = (
+        "n", "order", "ring", "layout", "den", "nums", "_terms", "_left", "_right", "_partners",
+        "_big",
+    )
 
     def __init__(
         self,
@@ -265,6 +284,12 @@ class PolySeries:
                 nums = {key: value // g for key, value in nums.items()}
         return _fill(_new(PolySeries), self.n, self.order, self.ring, self.layout, nums, den)
 
+    def _release(self) -> "PolySeries":
+        """Self without its kept derivative lists and partners, for a series
+        that outlives the sums that bracketed it."""
+        self._left = self._right = self._partners = None
+        return self
+
     def _require_compatible(self, other: "PolySeries") -> None:
         if not isinstance(other, PolySeries):
             raise UsageError(f"expected a PolySeries, got {type(other).__name__}")
@@ -310,7 +335,7 @@ class PolySeries:
 
     def __mul__(self, other: "PolySeries") -> "PolySeries":
         self._require_compatible(other)
-        return _products(self, [(self.nums, other.nums, 1)], self.den * other.den)
+        return _products(self, [(self, other, 1)], self.den * other.den)
 
     def scale(self, q: int | Fraction) -> "PolySeries":
         num, den = _ratio_of(q)
@@ -467,13 +492,21 @@ def _layout(n: int, order: int, nvars: int) -> Layout:
     return Layout(width, shifts, top, low, powers, guard)
 
 
-def bracket_sum(pairs: Iterable[tuple[PolySeries, PolySeries]], like: PolySeries) -> PolySeries:
+def bracket_sum(
+    pairs: Iterable[tuple[PolySeries, PolySeries]], like: PolySeries, top: Mapping | None = None
+) -> PolySeries:
     """The sum of {F, G} over the (F, G) pairs, a series of like's shape.
 
     Every product accumulates in one dict over L, the lcm of the D_F D_G:
     each pair's factor L / (D_F D_G) scales its left values as they are
     read, and the sum gets one gcd.
+
+    With a charge map ``top`` of like's layout and order M
+    (``FreqVector.top_charges``), the sum keeps of degree M only its
+    resonant terms; every term of lower degree is as without it.
     """
+    if top is not None and (top.layout != like.layout or top.order != like.order):
+        raise UsageError("the charge map is for another key layout or truncation order")
     kept = []
     for f, g in pairs:
         like._require_compatible(f)
@@ -484,10 +517,14 @@ def bracket_sum(pairs: Iterable[tuple[PolySeries, PolySeries]], like: PolySeries
     sides = [(_side(f, False), _side(g, True)) for f, g, _ in kept]
     shift = 0
     if any(None in side for side in sides):
-        shift = _packed([(f.nums, g.nums, den // d) for f, g, d in kept], 2 * like.n * like.order**2)
+        shift = _packed([(f, g, den // d) for f, g, d in kept], 2 * like.n * like.order**2)
         sides = [(_side(f, False, shift), _side(g, True, shift)) for f, g, _ in kept]
-    products = [(left, right, den // d) for (left, right), (_, _, d) in zip(sides, kept)]
-    return _sum_of_products(like, products, den, shift)
+    cut = top is not None and top.resonant_top
+    products = [
+        (left, right, den // d, _partners(g, right, top) if cut else _NO_PARTNERS)
+        for (left, right), (_, g, d) in zip(sides, kept)
+    ]
+    return _sum_of_products(like, products, den, shift, top)
 
 
 def combination(items: Iterable[tuple[int | Fraction, PolySeries]], like: PolySeries) -> PolySeries:
@@ -501,21 +538,24 @@ def combination(items: Iterable[tuple[int | Fraction, PolySeries]], like: PolySe
         like._require_compatible(series)
         num, den = _ratio_of(q)
         if num and series.nums:
-            terms.append((series.nums, num, den * series.den))
+            terms.append((series, num, den * series.den))
     den = lcm(*[d for _, _, d in terms])
-    return _products(like, [(nums, _ONE, num * (den // d)) for nums, num, d in terms], den)
+    one = like._make(_ONE, 1)
+    return _products(like, [(series, one, num * (den // d)) for series, num, d in terms], den)
 
 
 # the numerators of the constant 1
 _ONE = {0: 1}
+# the partners of the right lists of a sum without a charge map: none
+_NO_PARTNERS = repeat(None)
 
 
 def _products(like: PolySeries, products: list, den: int) -> PolySeries:
-    """The sum of factor F G over the (F numerators, G numerators, factor)
-    products, over den."""
+    """The sum of factor F G over the (F, G, factor) products, over den."""
     shift = _packed(products, 1)
     lists = [
-        ([_pack(f, shift).items()], [sorted(_pack(g, shift).items())], factor)
+        ([_pack(f.nums, shift).items()], [sorted(_pack(g.nums, shift).items())], factor,
+         _NO_PARTNERS)
         for f, g, factor in products
     ]
     return _sum_of_products(like, lists, den, shift)
@@ -547,6 +587,30 @@ def _side(series: PolySeries, right: bool, shift: int = 0) -> list[list] | None:
     return lists
 
 
+def _partners(series: PolySeries, rights: list[list], top: Mapping) -> list[dict]:
+    """For each right list of series, its terms by the label a left term
+    must have to reach a resonant term of degree M = top.order with them.
+
+    A term of degree d and charges (R, I) goes under (M - d, -R, -I): the
+    charges of a product key add, so a left term labelled (d', R', I')
+    meets exactly its partners of degree M - d' and charges (-R', -I').
+    The partners of kept lists are kept with the map they were built for.
+    """
+    cached = series._partners
+    if cached is not None and cached[0] is top:
+        return cached[1]
+    order, buckets = top.order, []
+    for right in rights:
+        bucket: dict[tuple, list] = {}
+        for term in right:
+            degree, re, im = top[term[0]]
+            bucket.setdefault((order - degree, -re, -im), []).append(term)
+        buckets.append(bucket)
+    if rights is series._right:
+        series._partners = (top, buckets)
+    return buckets
+
+
 def _derivatives(layout: Layout, items: Iterable, right: bool) -> list[list]:
     """The term lists of sign * dF/dv over the terms (key, numerator) of F,
     in their order, for the variables v and signs of one bracket side: a
@@ -569,8 +633,8 @@ def _derivatives(layout: Layout, items: Iterable, right: bool) -> list[list]:
 
 
 def _packed(products: list, spread: int) -> int:
-    """K for packing the numerators of the (F numerators, G numerators,
-    factor) products as a + b X, X = 2**K; 0 when every numerator is an int.
+    """K for packing the numerators of the (F, G, factor) products as
+    a + b X, X = 2**K; 0 when every numerator is an int.
 
     A sum on one key is R0 + R1 X + R2 X**2, and K makes every
     |Rj| < 2**(K - 1).  In one product of term lists the keys of a list are
@@ -588,23 +652,27 @@ def _packed(products: list, spread: int) -> int:
     for K = bits(bound) + 2.
     """
     if not any(
-        GaussianInteger in {*map(type, f.values()), *map(type, g.values())}
+        GaussianInteger in {*map(type, f.nums.values()), *map(type, g.nums.values())}
         for f, g, _ in products
     ):
         return 0
     bound = sum(
-        spread * min(len(f), len(g)) * abs(factor) * _largest(f) * _largest(g)
+        spread * min(len(f.nums), len(g.nums)) * abs(factor) * _largest(f) * _largest(g)
         for f, g, factor in products
     )
     return bound.bit_length() + 2
 
 
-def _largest(nums: dict) -> int:
-    """The largest |component| of the numerators."""
-    return max(
-        [abs(v) if type(v) is int else max(abs(v.re), abs(v.im)) for v in nums.values()],
-        default=0,
-    )
+def _largest(series: PolySeries) -> int:
+    """The largest |component| of the numerators, kept in the series."""
+    big = series._big
+    if big is None:
+        big = series._big = max(
+            [abs(v) if type(v) is int else max(abs(v.re), abs(v.im))
+             for v in series.nums.values()],
+            default=0,
+        )
+    return big
 
 
 def _pack(nums: dict, shift: int) -> dict:
@@ -615,22 +683,28 @@ def _pack(nums: dict, shift: int) -> dict:
     return {key: v if type(v) is int else v.re + (v.im << shift) for key, v in nums.items()}
 
 
-def _sum_of_products(like: PolySeries, products: Iterable, den: int, shift: int) -> PolySeries:
+def _sum_of_products(
+    like: PolySeries, products: Iterable, den: int, shift: int, top: Mapping | None = None
+) -> PolySeries:
     """The series like ``like`` over den holding the sum of factor times the
     truncated products of the (left, right) term lists of each (lefts,
-    rights, factor) product; the factor scales each left value once, and
-    each right list is sorted, so a row stops at the first key that takes
-    the pair past the order.  With a nonzero shift K the numerators are
-    packed by ``_pack`` and each sum is read back from its balanced
-    base-2**K digits."""
-    order, top = like.order, like.layout.top
+    rights, factor, partners) product; the factor scales each left value
+    once, and each right list is sorted, so a row stops at the first key
+    that takes the pair past the order.  With a charge map ``top`` a row
+    stops before the order M instead and then takes the partners, of
+    degree M, that the map's label of its left key picks from the right
+    list's partner dict (``_partners``), if there is one.  With a nonzero
+    shift K the numerators are packed by ``_pack`` and each sum is read
+    back from its balanced base-2**K digits."""
+    high = like.layout.top
+    stop = like.order + 1 if top is None else like.order
     result: dict[int, object] = {}
     get = result.get
-    for lefts, rights, factor in products:
-        for left, right in zip(lefts, rights):
+    for lefts, rights, factor, partners in products:
+        for left, right, bucket in zip(lefts, rights, partners):
             for k1, v1 in left:
                 v1 *= factor
-                limit = order + 1 - (k1 >> top) << top
+                limit = stop - (k1 >> high) << high
                 for k2, v2 in right:
                     if k2 >= limit:
                         break
@@ -638,6 +712,12 @@ def _sum_of_products(like: PolySeries, products: Iterable, den: int, shift: int)
                     piece = v1 * v2
                     known = get(key)
                     result[key] = piece if known is None else known + piece
+                if bucket:
+                    for k2, v2 in bucket.get(top[k1], ()):
+                        key = k1 + k2
+                        piece = v1 * v2
+                        known = get(key)
+                        result[key] = piece if known is None else known + piece
     if shift:
         # adding half to every digit makes the digits of R + half plain
         # ones; the real part R0 - R2 loses both halves
@@ -675,7 +755,7 @@ def _fill(
     series.layout = layout
     series.den = den
     series.nums = nums
-    series._terms = series._left = series._right = None
+    series._terms = series._left = series._right = series._partners = series._big = None
     return series
 
 

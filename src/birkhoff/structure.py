@@ -21,6 +21,9 @@ The checker asserts, for every monomial of every resonant coefficient with
 
 Violations are report rows, not exceptions; the report carries a global
 verdict and the first violating row in full.
+
+Only the normal form is read, so the symbolic run asks ``lie_normalize``
+for ``normal_form_only``: the top degree keeps only its resonant terms.
 """
 
 from __future__ import annotations
@@ -95,7 +98,9 @@ def symbolic_normalize(
     hamiltonian = freq.quadratic_part(order, ring) + PolySeries(
         freq.n, order, ring, terms
     )
-    normal_form = lie_normalize(hamiltonian, freq, kernel_corrected).normal_form
+    normal_form = lie_normalize(
+        hamiltonian, freq, kernel_corrected, normal_form_only=True
+    ).normal_form
     resonant = {pair: value for pair, value in normal_form.terms.items() if pair.degree >= 3}
     return SymbolicNormalForm(ring=ring, freq=freq, order=order, resonant=resonant)
 

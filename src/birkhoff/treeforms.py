@@ -41,7 +41,10 @@ decomposition.  Both weight routes are implemented and tested against each
 other, as is the recursion-equals-trees identity on equal arguments.
 
 With H* = H - H2 and M the truncation order, the normal form is one
-recursion, N = H2 + sum_{s=1}^{M-2} A L_s(H*, .., H*).  By multilinearity its
+recursion, N = H2 + sum_{s=1}^{M-2} A L_s(H*, .., H*).  It reads the forms
+only through A, so ``nf_via_trees`` asks ``form_by_recursion`` for
+``top_resonant`` forms, whose table entries keep only the resonant terms
+of degree M (a degree-M term feeds no later bracket).  By multilinearity its
 degree-m part is the sum over tuples of homogeneous parts of H,
 
     N_m = sum_{s=1}^{m-2} sum_{j_1+..+j_s = m-2+2s, j_i >= 3}
@@ -172,16 +175,21 @@ def form_by_recursion(
     smax: int,
     freq: FreqVector,
     kernel_corrected: bool = False,
+    *,
+    top_resonant: bool = False,
 ) -> list[PolySeries]:
     """[L_1(g), L_2(g, g), .., L_smax(g, .., g)] from the leaf-count tables.
 
     With ``kernel_corrected=False`` each form equals ``form_by_trees`` on s
     copies of g.  With ``kernel_corrected=True`` the U2 seeds are stripped of
     their resonant part, matching the exact degree-by-degree pipeline.
+    With ``top_resonant`` every table entry keeps only the resonant terms
+    of the truncation degree M, so the forms are exact below M and under A.
     """
     if smax < 1:
         raise UsageError("the form needs at least one argument")
     zero = PolySeries.zero(g.n, g.order, g.ring)
+    top = freq.top_charges(zero) if top_resonant else None
     forms = [zero, g]  # forms[c] = L_c
     blocks = [zero]  # blocks[c] = B L_c
     # u1[k, r], u2[k, r]: the k-fold brackets holding r leaves
@@ -191,7 +199,7 @@ def form_by_recursion(
     def entry(table: dict, k: int, r: int) -> PolySeries:
         """U[k][r] = sum_{c=1}^{r-k} {B L_c, U[k-1][r-c]}; every r - c is below r."""
         return bracket_sum(
-            [(blocks[c], table.get((k - 1, r - c), zero)) for c in range(1, r - k + 1)], zero
+            [(blocks[c], table.get((k - 1, r - c), zero)) for c in range(1, r - k + 1)], zero, top
         )
 
     for s in range(2, smax + 1):
@@ -203,7 +211,8 @@ def form_by_recursion(
         weighted = [(Fraction(1, math.factorial(k)), u1[k, s]) for k in range(1, s)]
         weighted += [(Fraction(-1, math.factorial(k + 1)), u2[k, s]) for k in range(1, s)]
         forms.append(combination(weighted, zero))
-    return forms[1:]
+    # the returned forms need not keep the lists of the brackets they entered
+    return [form._release() for form in forms[1:]]
 
 
 @dataclass(frozen=True)
@@ -237,7 +246,7 @@ def nf_via_trees(
         )
     tail = hamiltonian.filter_terms(lambda pair: pair.degree >= 3)
     # an order-2 input has an empty tail; L_1 of it is zero
-    forms = form_by_recursion(tail, max(order - 2, 1), freq, kernel_corrected)
+    forms = form_by_recursion(tail, max(order - 2, 1), freq, kernel_corrected, top_resonant=True)
     zero = PolySeries.zero(hamiltonian.n, order, hamiltonian.ring)
     recursion = resonant_projection(combination([(1, form) for form in forms], zero), freq)
     rows: list[dict] | None = [] if audit else None

@@ -159,6 +159,31 @@ def poisson_oracle(f: PolySeries, g: PolySeries) -> PolySeries:
     return series_like(f, trimmed)
 
 
+def bracket_pair_count(pairs, freq: FreqVector | None = None) -> int:
+    """The term pairs the product loop of sum {F, G} must multiply, counted
+    on the eight explicit partial derivatives: every pair of derivative
+    terms whose product has degree at most the order M without freq, and
+    with freq those of degree below M or resonant at M."""
+    count = 0
+    for f, g in pairs:
+        for j in range(f.n):
+            for left, right in (
+                (_partial(f, j, "y"), _partial(g, j, "x")),
+                (_partial(f, j, "x"), _partial(g, j, "y")),
+            ):
+                for a1, b1 in left:
+                    for a2, b2 in right:
+                        pair = ExponentPair(
+                            tuple(x + y for x, y in zip(a1, a2)),
+                            tuple(x + y for x, y in zip(b1, b2)),
+                        )
+                        degree = pair.degree
+                        count += degree < f.order or degree == f.order and (
+                            freq is None or freq.is_resonant(pair)
+                        )
+    return count
+
+
 def poisson_pairwise_oracle(f: PolySeries, g: PolySeries) -> PolySeries:
     """{f, g} term pair by term pair; any ring.
 

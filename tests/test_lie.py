@@ -260,6 +260,9 @@ class TestBracketTables:
         result = lie_normalize(h, lam, kernel_corrected=corrected)
         assert calls == 32
         assert not any(part.is_zero for part in result.generator_parts.values())
+        # the returned parts keep none of the lists the tables built
+        for part in (*result.rhs_parts.values(), *result.generator_parts.values()):
+            assert part._left is part._right is part._partners is None
 
 
 class TestExpLie:

@@ -22,7 +22,7 @@ from birkhoff import (
     symbolic_normalize,
 )
 from birkhoff.scalars import gaussian_integer
-from birkhoff.series import _layout, _pair_reader, monomials, term_order
+from birkhoff.series import _layout, _pair_reader, bracket_sum, monomials, term_order
 
 from helpers import (
     build_series,
@@ -328,6 +328,54 @@ class TestIntegerCharges:
         for key in symbolic.nums:
             assert sym_table[key] == table_entry_oracle(*pair_of(key), fv)
             assert sym_table[key] is num_table[key >> low]
+
+    @CHARGES
+    @given(freq_and_pairs())
+    def test_top_charges_label_each_key(self, case):
+        # (degree, <k, re>, <k, im>) with k = alpha - beta; the low fields
+        # of a symbolic key change nothing
+        fv, order, pairs = case
+        label = pairs[0]
+        ring = SymRing(((label.alpha, label.beta),))
+        h = ring.indeterminate((label.alpha, label.beta))
+        for series in (
+            build_series(fv.n, order, {(p.alpha, p.beta): 1 for p in pairs}),
+            PolySeries(fv.n, order, ring, {p: h * h for p in pairs}),
+        ):
+            charges = fv.top_charges(series)
+            assert charges is fv.top_charges(series) and charges.order == order
+            pair_of = _pair_reader(series.layout)
+            for key in series.nums:
+                pair = pair_of(key)
+                degree, re, im = charges[key]
+                assert degree == pair.degree
+                assert GaussianRational(Fraction(re, fv.den), Fraction(im, fv.den)) == (
+                    eigenvalue_oracle(pair.alpha, pair.beta, fv)
+                )
+
+    @pytest.mark.parametrize(
+        "values, order, resonant",
+        [
+            ((1,), 7, False), ((1,), 8, True), ((1, 1, 1), 7, False), ((1, 1, 1), 6, True),
+            ((1, 2), 3, True), ((1, 8), 5, False), ((1, 8), 9, True),
+            ((1, gr(0, 1)), 5, False), ((1, gr(0, 1)), 6, True), ((1, -1), 2, True),
+        ],
+    )
+    def test_top_charges_know_a_top_without_resonance(self, values, order, resonant):
+        fv = freq(*values)
+        charges = fv.top_charges(PolySeries.zero(fv.n, order))
+        assert charges.resonant_top == resonant
+        assert resonant == any(fv.is_resonant(pair) for pair in monomials(fv.n, order))
+        assert charges is not fv.top_charges(PolySeries.zero(fv.n, order + 1))
+
+    def test_bracket_sum_refuses_a_map_of_another_shape(self):
+        fv = freq(1, 2)
+        f = build_series(2, 6, {((1, 0), (0, 2)): 1, ((2, 1), (0, 0)): 2})
+        ring = SymRing((((1, 0), (0, 2)),))
+        for like in (PolySeries.zero(2, 7), PolySeries.zero(2, 5), PolySeries.zero(2, 6, ring)):
+            with pytest.raises(UsageError, match="charge map"):
+                bracket_sum([(f, f)], f, fv.top_charges(like))
+        assert bracket_sum([(f, f)], f, fv.top_charges(f)).is_zero
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 3).flatmap(

@@ -36,6 +36,7 @@ from birkhoff import (
     onedof_normal_form,
     partial_inverse,
     resonant_projection,
+    symbolic_normalize,
 )
 from birkhoff.scalars import GaussianInteger
 from birkhoff.series import (
@@ -50,6 +51,7 @@ from birkhoff.series import (
 
 from helpers import (
     add_oracle,
+    bracket_pair_count,
     combination_oracle,
     direct_normalize,
     mul_oracle,
@@ -60,6 +62,7 @@ from helpers import (
     poly_evaluate,
     poly_mul,
     poly_scale,
+    random_hamiltonian,
     resonant_projection_oracle,
     s_oracle,
     scale_oracle,
@@ -459,6 +462,21 @@ class TestPackedNumerators:
         f, g = extreme_case(shape, sign)
         assert_products_match_oracles(f, g)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_largest_component_kept_per_operand(self, sign):
+        # each operand scans its numerators for K once; a result starts
+        # without the value
+        f, g = extreme_case("dense", sign)
+        for series in (f, g):
+            assert series._big is None
+        results = [bracket_sum([(f, g), (g, f)], f), f * g, combination([(1, f), (2, g)], f)]
+        for series in (f, g):
+            assert series._big == max(
+                max(abs(value.a), abs(value.b)) * (series.den // value.d)
+                for value in series.terms.values()
+            )
+        assert all(result._big is None for result in results)
+
     @FAST
     @given(z=gaussians.filter(lambda v: not v.is_real), w=gaussians.filter(lambda v: not v.is_real))
     def test_cancelled_imaginary_parts_give_ints(self, z, w):
@@ -472,16 +490,19 @@ class TestPackedNumerators:
             assert fields(result) == fields(oracle)
 
 
+RINGS = st.sampled_from(["rational", "huge", "symbolic"])
+
+
 @st.composite
-def series_pools(draw):
-    """Four series of one shape (n = 1..2, order 2..6) over one ring: Q, a
-    SymRing, or Q(i) with components up to 2**256 of both signs, where
-    each series is real or complex.  Every coefficient is over a prime and
-    the primes of one series are distinct, so the denominators differ and
-    the factors of a fused sum exceed 1.  A series may be empty."""
-    ring = draw(st.sampled_from(["rational", "huge", "symbolic"]))
-    n = draw(st.integers(1, 2))
-    order = draw(st.integers(2, 6))
+def series_pools(draw, dims=st.integers(1, 2), orders=st.integers(2, 6), rings=RINGS):
+    """Four series of one shape (n = 1..2, order 2..6 by default) over one
+    ring: Q, a SymRing, or Q(i) with components up to 2**256 of both signs,
+    where each series is real or complex.  Every coefficient is over a
+    prime and the primes of one series are distinct, so the denominators
+    differ and the factors of a fused sum exceed 1.  A series may be empty."""
+    ring = draw(rings)
+    n = draw(dims)
+    order = draw(orders)
     pairs = [pair for degree in range(order + 1) for pair in monomials(n, degree)]
     primes = iter(draw(st.permutations(PRIMES)) * 16)
     exponents = st.tuples(*[st.integers(0, 3)] * SYM_RING.nvars)
@@ -621,6 +642,134 @@ class TestFusedSums:
         ):
             assert fields(result) == fields(zero)
             assert result.ring is ring
+
+
+# one frequency vector of each shape a charge map must handle: n = 1 and
+# 1:1:1 have no resonant monomial of odd degree, (1, 2) has resonant
+# monomials of every degree, (1, i) has complex charges
+CUT_FREQUENCIES = [(1,), (1, 2), (1, 1, 1), (1, GaussianRational.of(0, 1))]
+CUT_IDS = ["1", "1:2", "1:1:1", "1:i"]
+ODD_ORDERS, EVEN_ORDERS = st.sampled_from([3, 5]), st.sampled_from([2, 4, 6])
+
+
+def resonant_below_top(series: PolySeries, freq: FreqVector) -> PolySeries:
+    """The terms of series below its order, and those of the order that
+    are resonant."""
+    return series.filter_terms(lambda pair: pair.degree < series.order or freq.is_resonant(pair))
+
+
+class CountedInt(int):
+    """An int numerator that counts the products of two of its kind: the
+    term pairs a product loop multiplies.  Any other product stays one."""
+
+    pairs = 0
+
+    def __mul__(self, other):
+        if type(other) is CountedInt:
+            CountedInt.pairs += 1
+            return int(self) * int(other)
+        return CountedInt(int(self) * other)
+
+    __rmul__ = __mul__
+
+
+class TestResonantTop:
+    """With the charge map of a frequency vector, bracket_sum keeps of the
+    truncation degree M only the resonant terms and multiplies no other
+    pair that lands there; every lower term is as without the map."""
+
+    @pytest.mark.parametrize("orders", [ODD_ORDERS, EVEN_ORDERS], ids=["odd", "even"])
+    @pytest.mark.parametrize("values", CUT_FREQUENCIES, ids=CUT_IDS)
+    @SLOW
+    @given(data=st.data())
+    def test_bracket_sum_keeps_the_resonant_top(self, values, orders, data):
+        freq = FreqVector.of(*values)
+        pool = data.draw(series_pools(dims=st.just(freq.n), orders=orders))
+        picks = data.draw(st.lists(st.tuples(indices, indices), max_size=5))
+        pairs = [(pool[i], pool[j]) for i, j in picks]
+        like = pool[0]
+        result = bracket_sum(pairs, like, freq.top_charges(like))
+        assert_content_form(result)
+        expected = resonant_below_top(bracket_sum_oracle(pairs, like), freq)
+        assert fields(result) == fields(expected)
+
+    @FAST
+    @given(pool=series_pools(dims=st.just(2), orders=st.integers(3, 6)))
+    def test_one_series_under_two_maps(self, pool):
+        # g's partners are kept with the map they were built for; a map of
+        # other frequencies on the same layout must not reuse them
+        f, g, h, _ = pool
+        pairs = [(f, g), (h, g), (g, g)]
+        for values in ((1, 2), (1, -1), (2, 1), (1, 2)):
+            freq = FreqVector.of(*values)
+            result = bracket_sum(pairs, f, freq.top_charges(f))
+            expected = resonant_below_top(bracket_sum_oracle(pairs, f), freq)
+            assert fields(result) == fields(expected)
+
+    @pytest.mark.parametrize("values", CUT_FREQUENCIES, ids=CUT_IDS)
+    @FAST
+    @given(data=st.data())
+    def test_multiplies_only_the_pairs_that_reach_the_result(self, values, data):
+        freq = FreqVector.of(*values)
+        pool = data.draw(series_pools(
+            dims=st.just(freq.n), orders=st.integers(2, 6), rings=st.just("rational")
+        ))
+        picks = data.draw(st.lists(st.tuples(indices, indices), max_size=4))
+        pairs = [(pool[i], pool[j]) for i, j in picks]
+        cases = [
+            (None, bracket_pair_count(pairs)),
+            (freq.top_charges(pool[0]), bracket_pair_count(pairs, freq)),
+        ]
+        for series in pool:
+            series.nums = {key: CountedInt(num) for key, num in series.nums.items()}
+        for top, expected in cases:
+            CountedInt.pairs = 0
+            bracket_sum(pairs, pool[0], top)
+            assert CountedInt.pairs == expected
+
+    @pytest.mark.parametrize("values", CUT_FREQUENCIES, ids=CUT_IDS)
+    @SLOW
+    @given(order=st.integers(3, 7), seed=st.integers(0, 10**6))
+    def test_nf_via_trees_equals_its_uncut_result(self, values, order, seed):
+        freq = FreqVector.of(*values)
+        order = min(order, 5) if freq.n == 3 else order
+        h = random_hamiltonian(freq, order, seed, max_terms=5)
+        tail = h.filter_terms(lambda pair: pair.degree >= 3)
+        zero = PolySeries.zero(freq.n, order)
+        for corrected in (True, False):
+            uncut = form_by_recursion(tail, max(order - 2, 1), freq, corrected)
+            cut = form_by_recursion(tail, max(order - 2, 1), freq, corrected, top_resonant=True)
+            # L_1 = tail is no sum of brackets
+            assert cut == [tail] + [resonant_below_top(form, freq) for form in uncut[1:]]
+            expected = freq.quadratic_part(order) + resonant_projection(
+                combination([(1, form) for form in uncut], zero), freq
+            )
+            assert nf_via_trees(h, freq, corrected).normal_form == expected
+            full = lie_normalize(h, freq, corrected)
+            only = lie_normalize(h, freq, corrected, normal_form_only=True)
+            assert only.normal_form == full.normal_form
+            assert only.resonant_parts == full.resonant_parts
+            assert only.generator is only.generator_parts is only.rhs_parts is None
+
+    @pytest.mark.parametrize("values", CUT_FREQUENCIES[:3], ids=CUT_IDS[:3])
+    @SLOW
+    @given(data=st.data())
+    def test_symbolic_normalize_equals_its_uncut_result(self, values, data):
+        freq = FreqVector.of(*values)
+        order = data.draw(st.integers(3, 5 if freq.n == 3 else 6))
+        candidates = [pair for degree in (3, 4) for pair in monomials(freq.n, degree)]
+        support = data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4,
+                                     unique=True))
+        support = [pair for pair in support if pair.degree <= order]
+        symbolic = symbolic_normalize(support, freq, order)
+        ring = symbolic.ring
+        h = freq.quadratic_part(order, ring) + PolySeries(
+            freq.n, order, ring, {pair: ring.indeterminate(pair) for pair in ring.labels}
+        )
+        uncut = lie_normalize(h, freq).normal_form
+        assert symbolic.resonant == {
+            pair: value for pair, value in uncut.terms.items() if pair.degree >= 3
+        }
 
 
 LABELS = tuple((pair.alpha, pair.beta) for pair in monomials(1, 3))[:3]

@@ -281,11 +281,11 @@ class TestNormalFormViaTrees:
         calls = 0
         kernel = series.bracket_sum
 
-        def counted(pairs, like):
+        def counted(pairs, like, top=None):
             nonlocal calls
             pairs = list(pairs)
             calls += sum(not f.is_zero and not g.is_zero for f, g in pairs)
-            return kernel(pairs, like)
+            return kernel(pairs, like, top)
 
         monkeypatch.setattr(series, "bracket_sum", counted)
         monkeypatch.setattr(treeforms, "bracket_sum", counted)
@@ -319,6 +319,9 @@ class TestNormalFormViaTrees:
         forms = form_by_recursion(g, 6, freq(1), kernel_corrected=corrected)
         assert calls == expected
         assert not any(form.is_zero for form in forms)
+        # the returned forms keep none of the lists the tables built
+        for form in forms:
+            assert form._left is form._right is form._partners is None
 
     def test_leaf_cap_enforced(self, monkeypatch):
         # order 18 needs forms of 16 arguments and passes the guard; order 19
