@@ -51,6 +51,8 @@ CASES = (
         # all nine cubic and quartic monomials at bench depth: working order
         # 54 for compute_S, where a key field is 6 bits wide
         ("onedof_deep", ["compute", "--method", "onedof", "--order", "20"]),
+        # order 32: a larger partition table and a longer run of cut powers
+        ("onedof_deep", ["compute", "--method", "onedof", "--order", "32"]),
         ("onedof_deep", ["s-series", "--order", "10"]),
     ]
 )
