@@ -61,6 +61,7 @@ from .treeforms import (
     form_by_trees,
     nf_via_trees,
     total_tree_weight,
+    total_tree_weight_by_recursion,
     tree_bracket,
     tree_weight,
     tree_weight_by_factorization,

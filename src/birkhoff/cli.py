@@ -39,7 +39,7 @@ from .structure import (
     check_structure,
     symbolic_normalize,
 )
-from .treeforms import nf_via_trees, total_tree_weight, tree_weight
+from .treeforms import nf_via_trees, total_tree_weight_by_recursion, tree_weight
 from .trees import all_trees, catalan_count, format_code, to_code
 
 DEFAULT_SEED = 2026
@@ -402,8 +402,6 @@ def _s_invariance(ctx: CheckContext) -> CheckOutcome:
 def _structure_constraints(ctx: CheckContext) -> CheckOutcome:
     if not ctx.spec.freq.is_real:
         return "requires real rational frequencies"
-    if ctx.spec.n > 2:
-        return "capped at n<=2"
     if ctx.order > DEFAULT_ORDER_CAP:
         return f"capped at order {DEFAULT_ORDER_CAP}"
     # the terms above the order are truncated away, as in every other row
@@ -502,7 +500,7 @@ def cmd_trees_enumerate(args) -> int:
 
 
 def cmd_trees_mu_sum(args) -> int:
-    total = total_tree_weight(args.leaves)
+    total = total_tree_weight_by_recursion(args.leaves)
     out = {
         "leaves": args.leaves,
         "count": catalan_count(args.leaves),

@@ -15,15 +15,25 @@ without running the degree-by-degree recursion:
    tests exercise by conjugating with random time-1 flows.  Each power
    H_*^m is a content-form ``PolySeries`` (integer numerators on packed
    keys over one denominator) on a key layout wide enough for every degree
-   kept, and keeps only the terms that can still reach S through w^wmax:
-   a degree cut, since every factor of H_* adds at least 3 to the degree,
-   and a charge cut on |a - b| for x^a y^b, since each remaining factor
-   moves the charge by at most the largest charge in H_*.  Both cuts act
-   in the product loop, and each power costs one gcd.  The average and its
-   derivative are read straight off the diagonal terms.
+   kept, and keeps only the terms that can still reach S through w^wmax.
+   One joint cut decides that: a term of degree d and charge c = a - b
+   (for x^a y^b) is kept iff |c| <= r (2(wmax + m - 1) - d), with r the
+   largest |charge| / (degree - 2) over H_*.  Each further factor of
+   degree delta uses delta - 2 of that degree slack and moves the charge
+   by at most r (delta - 2), and a diagonal term has charge 0, so the cut
+   drops nothing S needs; when H_* holds every cubic and quartic, it keeps
+   exactly the terms that reach S.  The terms of H_* are
+   grouped by degree and sorted by charge, so each term of a power
+   multiplies only the charge window the cut keeps, found by bisection.
+   Each power costs one gcd.  The average and its derivative are read
+   straight off the diagonal terms.
 3. ``nf_from_S`` recovers the normal form nu(z) = lambda z + N_2 z^2 + ...
    as nu = lambda (id - c S)^{-1}: it reverts phi(u) = u - c S(u) with the
    Lagrange-Buermann coefficients g_s = (1/s) [u^{s-1}] (u / phi(u))^s.
+   A ``WSeries`` is stored as its diagonal one-DOF ``PolySeries`` (w^k is
+   x^k y^k), so the powers of u / phi(u) are products on the shared
+   kernel: content form, one gcd per product, and packed Gaussian
+   numerators over Q(i).
 
 The constant c fixes the convention:
 
@@ -32,9 +42,12 @@ The constant c fixes the convention:
 
 The default is the one validated by exact agreement with the two other
 pipelines; the alternative is kept for comparison and fails that agreement.
-Every coefficient of phi^{-1} is additionally cross-checked, term by term,
-against an independent partition-sum formula in c S; any mismatch raises
-``InternalCheckError`` with a full diagnostic.
+Every coefficient of phi^{-1} is additionally cross-checked against an
+independent partition-sum formula in c S (``partition_normal_form``); any
+mismatch raises ``InternalCheckError`` with a full diagnostic.  The sum
+is grouped by the number of parts into one table for every degree, so it
+costs a polynomial number of ring operations, and it uses only the
+arithmetic of the ring's values, none of the reversion's.
 
 Steps 2 and 3 run over either coefficient ring: over a ``SymRing`` the
 result writes each N_k as a polynomial in the input coefficients, for a
@@ -44,9 +57,10 @@ real lambda.  Only 1/lambda stays numeric.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InternalCheckError, UsageError
 from .operators import FreqVector, validate_hamiltonian
@@ -63,9 +77,14 @@ CONVENTIONS = ("proof", "stated")
 
 
 class WSeries:
-    """Truncated power series in the scalar variable w."""
+    """Truncated power series in the scalar variable w = x y.
 
-    __slots__ = ("order", "ring", "coeffs")
+    A w-series of order o is stored as its diagonal: the one-DOF
+    ``PolySeries`` of order 2 o that holds w^k as the term x^k y^k.  Sums,
+    scalings and products are those of the shared kernel, in content form.
+    """
+
+    __slots__ = ("order", "diagonal")
 
     def __init__(
         self,
@@ -75,21 +94,21 @@ class WSeries:
     ):
         if order < 0:
             raise UsageError(f"truncation order must be non-negative, got {order}")
+        terms = {}
+        for k, value in (coeffs or {}).items():
+            if k < 0:
+                raise UsageError(f"negative w-power {k}")
+            terms[ExponentPair((k,), (k,))] = value
         self.order = order
-        self.ring = ring
-        cleaned: dict[int, object] = {}
-        if coeffs:
-            for k, value in coeffs.items():
-                if k < 0:
-                    raise UsageError(f"negative w-power {k}")
-                if k > order or value.is_zero:
-                    continue
-                cleaned[k] = value
-        self.coeffs = cleaned
+        self.diagonal = PolySeries(1, 2 * order, ring, terms)
 
     @staticmethod
     def zero(order: int, ring: CoefficientRing = GAUSSIAN_RING) -> "WSeries":
         return WSeries(order, ring)
+
+    @property
+    def ring(self) -> CoefficientRing:
+        return self.diagonal.ring
 
     def _require_compatible(self, other: "WSeries") -> None:
         if not isinstance(other, WSeries):
@@ -99,84 +118,62 @@ class WSeries:
                 f"truncation order mismatch: {self.order} vs {other.order}; "
                 "re-truncate explicitly with with_order()"
             )
-        if other.ring is not self.ring and other.ring != self.ring:
-            raise UsageError("coefficient ring mismatch")
 
     def __add__(self, other: "WSeries") -> "WSeries":
         self._require_compatible(other)
-        merged = dict(self.coeffs)
-        for k, value in other.coeffs.items():
-            merged[k] = merged[k] + value if k in merged else value
-        return WSeries(self.order, self.ring, merged)
+        return _view(self.diagonal + other.diagonal)
 
     def __neg__(self) -> "WSeries":
-        return WSeries(
-            self.order, self.ring, {k: -v for k, v in self.coeffs.items()}
-        )
+        return _view(-self.diagonal)
 
     def __sub__(self, other: "WSeries") -> "WSeries":
-        return self + (-other)
+        self._require_compatible(other)
+        return _view(self.diagonal - other.diagonal)
 
     def __mul__(self, other: "WSeries") -> "WSeries":
         self._require_compatible(other)
-        out: dict[int, object] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                if k > self.order:
-                    continue
-                piece = v1 * v2
-                out[k] = out[k] + piece if k in out else piece
-        return WSeries(self.order, self.ring, out)
+        return _view(self.diagonal * other.diagonal)
 
     def scale(self, q: Fraction) -> "WSeries":
-        return WSeries(
-            self.order, self.ring,
-            {k: v.scaled(q) for k, v in self.coeffs.items()},
-        )
+        return _view(self.diagonal.scale(q))
 
     def scale_by_gaussian(self, g: GaussianRational) -> "WSeries":
-        return WSeries(
-            self.order, self.ring,
-            {k: v * g for k, v in self.coeffs.items()},
-        )
+        if g.is_real:
+            return self.scale(g.re)
+        # ring.one * g refuses a complex g over a SymRing
+        return self * WSeries(self.order, self.ring, {0: self.ring.one * g})
 
     def derivative(self) -> "WSeries":
-        if self.order == 0:
-            return WSeries(0, self.ring)
         return WSeries(
-            self.order - 1,
+            max(0, self.order - 1),
             self.ring,
-            {k - 1: v.scaled(k) for k, v in self.coeffs.items() if k >= 1},
+            {k - 1: v.scaled(k) for k, v in self.sorted_items() if k >= 1},
         )
 
     def with_order(self, order: int) -> "WSeries":
-        return WSeries(order, self.ring, dict(self.coeffs))
+        return WSeries(order, self.ring, dict(self.sorted_items()))
 
     def coefficient(self, k: int):
-        return self.coeffs.get(k, self.ring.zero)
+        return self.diagonal.coefficient(ExponentPair((k,), (k,)))
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.diagonal.is_zero
 
     def min_degree(self) -> int | None:
-        return min(self.coeffs) if self.coeffs else None
+        degree = self.diagonal.min_degree()
+        return None if degree is None else degree // 2
 
     def sorted_items(self) -> list[tuple[int, object]]:
-        return sorted(self.coeffs.items())
+        return [(pair.alpha[0], value) for pair, value in self.diagonal.terms.items()]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WSeries):
             return NotImplemented
-        return (
-            other.order == self.order
-            and (other.ring is self.ring or other.ring == self.ring)
-            and other.coeffs == self.coeffs
-        )
+        return other.diagonal == self.diagonal
 
     def __hash__(self) -> int:
-        return hash((self.order, tuple(sorted(self.coeffs))))
+        return hash(self.diagonal)
 
     def render(self) -> str:
         return join_terms(
@@ -192,10 +189,15 @@ class WSeries:
 
     def diagonal_series(self, order: int) -> PolySeries:
         """This series at w = x y, in one degree of freedom, truncated at order."""
-        return PolySeries(
-            1, order, self.ring,
-            {ExponentPair((k,), (k,)): v for k, v in self.coeffs.items()},
-        )
+        return self.diagonal.with_order(order)
+
+
+def _view(diagonal: PolySeries) -> WSeries:
+    """The w-series whose diagonal is the given kernel result."""
+    series = object.__new__(WSeries)
+    series.order = diagonal.order // 2
+    series.diagonal = diagonal
+    return series
 
 
 def average(series: PolySeries) -> WSeries:
@@ -221,22 +223,29 @@ def compute_S(
     it was carried at.  Power m of H_* enters S through the diagonal terms
     (x y)^k of <H_*^m> with k <= wmax + m - 1, and each diagonal term gives
     one coefficient: d_w^{m-1} w^k = k!/(k-m+1)! w^{k-m+1}.  Power m keeps
-    only the terms that can still reach such a diagonal term, by two cuts
-    that drop nothing S needs:
+    only the terms that can still reach such a diagonal term, by one cut
+    that drops nothing S needs.  A term of degree d and charge c = a - b
+    (for x^a y^b) has the degree slack 2(wmax + m - 1) - d: a further
+    factor of degree delta adds delta to the degree and 2 to the bound of
+    the later power, so it uses delta - 2 >= 1 of the slack, and it moves
+    the charge by at most r (delta - 2), with r the largest
+    |charge| / (degree - 2) over the terms of H_*.  A diagonal term has
+    charge 0, so a term that reaches one has slack >= 0 and
+    |c| <= r * slack.  The cut keeps the terms that pass both tests,
+    compared in integers with r = p/q.  When H_* holds every cubic and
+    quartic (r = 3), these are exactly the terms that reach S: the cubics
+    alone move the charge by any amount of the right parity up to 3 per
+    unit of slack.  The cut also ends the powers: power m has degree at
+    least 3m, so past mmax = 2 wmax - 2 no term has slack.
 
-    * degree at most 2(wmax + m - 1): every further factor of H_* adds at
-      least 3 to the degree, while the bound of a later power grows by 2
-      per factor;
-    * charge |a - b| at most c_max (mmax - m), with c_max the largest
-      |a - b| in H_*: each of the at most mmax - m remaining factors shifts
-      the charge by at most c_max, and a diagonal term has charge 0.
-
-    Each power is a content-form series on the key layout of the working
-    order 2(wmax + mmax - 1), whose fields hold every degree kept.  The
-    product loop multiplies numerators and applies both cuts pair by pair;
-    the tail is sorted by key, so the degree cut ends a row.  Each power
-    is closed with one gcd; the same loop serves both coefficient rings,
-    and S comes out over the input's ring, ready for ``nf_from_S``.
+    The terms of H_* are grouped by degree, and each group is sorted by
+    charge, so each term of a power multiplies, in each group whose degree
+    it can afford, only the window of charges the cut keeps: one bisect at
+    each end, no test per pair.  Each power is a content-form series on
+    the key layout of the working order 2(wmax + mmax - 1), whose fields
+    hold every degree kept, and is closed with one gcd; the same loop
+    serves both coefficient rings, and S comes out over the input's ring,
+    ready for ``nf_from_S``.
     """
     if hamiltonian.n != 1:
         raise UsageError(
@@ -254,37 +263,55 @@ def compute_S(
         return (key >> x_shift & mask) - (key >> y_shift & mask)
 
     tail = h._select(lambda key: key >> top >= 3)
-    rows = [(key, charge(key), value) for key, value in sorted(tail.nums.items())]
-    cmax = max((abs(c) for _, c, _ in rows), default=0)
+    by_degree: dict[int, list] = {}
+    for key, value in tail.nums.items():
+        by_degree.setdefault(key >> top, []).append((charge(key), key, value))
+    # (degree, charges ascending, the (key, numerator) terms in that order)
+    groups = []
+    for degree, rows in sorted(by_degree.items()):
+        rows.sort()
+        groups.append((degree, [c for c, _, _ in rows], [(k, v) for _, k, v in rows]))
+    # r = p/q, the largest |charge| / (degree - 2) over the groups' ends
+    p, q = 0, 1
+    for degree, charges, _ in groups:
+        largest = max(-charges[0], charges[-1])
+        if largest * q > p * (degree - 2):
+            p, q = largest, degree - 2
     lam_inv = lam.inverse()
     lam_power = GaussianRational.of(1)
     coeffs: dict[int, object] = {}
     power = h._make({0: 1}, 1)
     for m in range(1, mmax + 1):
-        reach, bound = cmax * (mmax - m), 2 * (wmax + m - 1) + 1
+        bound = 2 * (wmax + m - 1)
         out: dict[int, object] = {}
         get = out.get
         for k1, v1 in power.nums.items():
-            # a pair keeps degree < bound and charge c1 + c2 within reach
-            limit = bound - (k1 >> top) << top
-            c1 = charge(k1)
-            low, high = -reach - c1, reach - c1
-            for k2, c2, v2 in rows:
-                if k2 >= limit:
+            room = bound - (k1 >> top)
+            c1 = (k1 >> x_shift & mask) - (k1 >> y_shift & mask)
+            for degree, charges, terms in groups:
+                slack = room - degree
+                if slack < 0:
                     break
-                if not low <= c2 <= high:
-                    continue
-                key = k1 + k2
-                piece = v1 * v2
-                known = get(key)
-                out[key] = piece if known is None else known + piece
+                reach = p * slack // q
+                window = terms[
+                    bisect_left(charges, -reach - c1):bisect_right(charges, reach - c1)
+                ]
+                for k2, v2 in window:
+                    key = k1 + k2
+                    piece = v1 * v2
+                    known = get(key)
+                    out[key] = piece if known is None else known + piece
         power = power._make(out, power.den * tail.den)
         if power.is_zero:
             break
         weight = Fraction((-1) ** (m - 1), math.factorial(m))
         # a diagonal term of power m has 2a >= 3m, so a >= 2 and a >= m - 1;
-        # the degree cut gives j <= wmax
-        for pair, value in power._select(lambda key: not charge(key)).terms.items():
+        # the cut gives j <= wmax
+        diagonal = {
+            key: num for key, num in power.nums.items()
+            if not (key >> x_shift ^ key >> y_shift) & mask
+        }
+        for pair, value in power._make(diagonal, power.den).terms.items():
             a = pair.alpha[0]
             piece = value.scaled(weight * math.perm(a, m - 1)) * lam_power
             j = a - m + 1
@@ -329,55 +356,61 @@ def revert_wseries(series: WSeries) -> WSeries:
         raise UsageError("cannot revert a series with zero linear coefficient")
     order, ring = series.order, series.ring
     line = [series.coefficient(k + 1) for k in range(order)]
-    base = WSeries(order - 1, ring, dict(enumerate(invert_unit_series(line, order - 1))))
-    power = WSeries(order - 1, ring, {0: ring.one})
-    coeffs = {}
-    for s in range(1, order + 1):
+    lead = invert_unit_series(line, order - 1)
+    base = power = WSeries(order - 1, ring, dict(enumerate(lead)))
+    coeffs = {1: lead[0]}
+    for s in range(2, order + 1):
         power = power * base
         coeffs[s] = power.coefficient(s - 1).scaled(Fraction(1, s))
     return WSeries(order, ring, coeffs)
 
 
-def _partitions(total: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of total into non-increasing parts >= 1."""
-    if largest is None:
-        largest = total
-    if total == 0:
-        yield ()
-        return
-    for head in range(min(total, largest), 0, -1):
-        for rest in _partitions(total - head, head):
-            yield (head,) + rest
+def partition_normal_form(s_series: WSeries) -> WSeries:
+    """The inverse of u - T(u) through T's order, by an independent partition sum.
 
+    With T = s_series = sum_{k>=2} T_k u^k, Lagrange inversion gives [u^m]
+    of the inverse as the sum over multisets {alpha_k} with
+    sum (k-1) alpha_k = m - 1 of
 
-def partition_normal_form(s_series: WSeries, m: int) -> object:
-    """Independent partition-sum value for [u^m] of the inverse of u - T(u).
+        (m - 1 + |alpha|)! / (alpha! m!) * prod T_k^{alpha_k}.
 
-    With T = s_series = sum_k T_k u^k (k >= 2), that coefficient is the sum
-    over multisets {alpha_k} with sum (k-1) alpha_k = m - 1 of
-    (m - 1 + |alpha|)! / (alpha! m!) * prod T_k^{alpha_k}.
+    The weight depends on alpha only through p = |alpha|, so the sum is
+    grouped by p: [u^m] = sum_p (m - 1 + p)!/m! E[m - 1][p], where E[j][p]
+    sums prod T_k^{alpha_k}/alpha_k! over the alpha with
+    sum (k-1) alpha_k = j and |alpha| = p.  The table is filled one k at a
+    time, E[j][p] += E[j - (k-1) a][p - a] T_k^a/a! for a >= 1, with j
+    descending so that each read is of the table before k; it serves every
+    m at once.  The terms are those of the partition sum, only regrouped,
+    and the arithmetic is that of the ring's values, so the check shares
+    nothing with the reversion it guards.
     """
-    if m < 2:
-        raise UsageError(f"the partition formula starts at m=2, got m={m}")
-    ring = s_series.ring
-    total = ring.zero
-    for parts in _partitions(m - 1):
-        multiplicity: dict[int, int] = {}
-        for p in parts:
-            k = p + 1
-            multiplicity[k] = multiplicity.get(k, 0) + 1
-        size = len(parts)
-        weight = Fraction(math.factorial(m - 1 + size), math.factorial(m))
-        product = ring.one
-        for k, count in multiplicity.items():
-            weight /= math.factorial(count)
-            coeff = s_series.coefficient(k)
-            for _ in range(count):
-                product = product * coeff
-        if product.is_zero:
-            continue
-        total = total + product.scaled(weight)
-    return total
+    order, ring = s_series.order, s_series.ring
+    if not (s_series.coefficient(0).is_zero and s_series.coefficient(1).is_zero):
+        raise UsageError("the partition formula needs a series that starts at u^2")
+    table: list[dict[int, object]] = [{} for _ in range(order)]
+    if order:
+        table[0][0] = ring.one
+    for k, value in s_series.sorted_items():
+        step = k - 1
+        # powers[a] = T_k^a / a!
+        powers = [ring.one]
+        for a in range(1, (order - 1) // step + 1):
+            powers.append((powers[-1] * value).scaled(Fraction(1, a)))
+        for j in range(order - 1, step - 1, -1):
+            row = table[j]
+            for a in range(1, j // step + 1):
+                factor = powers[a]
+                for p, entry in table[j - a * step].items():
+                    piece = entry * factor
+                    row[p + a] = row[p + a] + piece if p + a in row else piece
+    coeffs = {}
+    for m in range(1, order + 1):
+        total = ring.zero
+        # (m - 1 + p)!/m! is an integer: p >= 1, or p = 0 and m = 1
+        for p, entry in table[m - 1].items():
+            total = total + entry.scaled(math.factorial(m - 1 + p) // math.factorial(m))
+        coeffs[m] = total
+    return WSeries(order, ring, coeffs)
 
 
 def nf_from_S(
@@ -410,16 +443,17 @@ def nf_from_S(
             f"reversion produced linear coefficient {ring.render_plain(nu.coefficient(1))}, "
             f"expected {lam}"
         )
-    for m in range(2, order + 1):
-        expected = partition_normal_form(cs, m)
-        actual = inverse.coefficient(m)
-        if expected != actual:
-            raise InternalCheckError(
-                "partition cross-check failed at degree "
-                f"{m}: reversion gives {ring.render_plain(actual)}, "
-                f"partition sum gives {ring.render_plain(expected)}; "
-                f"S = {s_series.render()}, nu = {nu.render()}"
-            )
+    expected = partition_normal_form(cs)
+    if expected != inverse:
+        m = next(
+            m for m in range(order + 1) if expected.coefficient(m) != inverse.coefficient(m)
+        )
+        raise InternalCheckError(
+            "partition cross-check failed at degree "
+            f"{m}: reversion gives {ring.render_plain(inverse.coefficient(m))}, "
+            f"partition sum gives {ring.render_plain(expected.coefficient(m))}; "
+            f"S = {s_series.render()}, nu = {nu.render()}"
+        )
     return nu
 
 

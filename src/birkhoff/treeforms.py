@@ -127,6 +127,41 @@ def total_tree_weight(s: int) -> Fraction:
     return sum((tree_weight(t) for t in all_trees(s)), Fraction(0))
 
 
+# The most leaves ``total_tree_weight_by_recursion`` sums over: at this
+# size its O(s^3) rational operations take 0.75 s in process, and the
+# whole ``trees mu-sum`` command about 0.9 s, on a 2-vCPU host.
+MU_SUM_MAX_LEAVES = 100
+
+
+def total_tree_weight_by_recursion(s: int) -> Fraction:
+    """Sum of mu over all s-leaf trees, without enumerating them.
+
+    mu(t) = J_m prod_i mu(t_i) over the right factors t_1..t_{m-1}, leaf
+    of t, whose leaf counts add up to s - 1.  So the sum W(s) is
+    sum_k J_{k+1} P[k][s-1], where P[k][r] sums prod W(c_i) over the
+    compositions of r into k leaf counts: P[0][0] = 1 and
+    P[k][r] = sum_c W(c) P[k-1][r-c].  This is the leaf-count table of
+    ``form_by_recursion`` with numbers in place of series, O(s^3) rational
+    operations.
+    """
+    if s < 1:
+        raise UsageError(f"leaf count must be positive, got {s}")
+    if s > MU_SUM_MAX_LEAVES:
+        raise UsageError(f"leaf count {s} exceeds the limit of {MU_SUM_MAX_LEAVES} leaves")
+    weights = chain_weights(s)
+    sums = [Fraction(0)] * (s + 1)
+    table = [[Fraction(0)] * s for _ in range(s)]
+    table[0][0] = Fraction(1)
+    for leaves in range(1, s + 1):
+        r = leaves - 1
+        for k in range(1, r + 1):
+            table[k][r] = sum(
+                (sums[c] * table[k - 1][r - c] for c in range(1, r - k + 2)), Fraction(0)
+            )
+        sums[leaves] = sum((weights[k + 1] * table[k][r] for k in range(r + 1)), Fraction(0))
+    return sums[s]
+
+
 def tree_bracket(
     t: Tree,
     args: Sequence[PolySeries],

@@ -5,12 +5,13 @@ library code under test: dense dict arithmetic on the values (over Q(i)
 or, with ``SymScalar`` arithmetic, over a ``SymRing``) instead of the series
 class, Poisson brackets from partial derivatives and from the formula for
 one term pair, normalization driven purely by flow conjugation, series
-composition instead of reversion, the invariant series S from unpruned
-powers, dicts of Fractions for symbolic scalars, and the Akiyama-Tanigawa
-tableau for Bernoulli numbers.  Tests
-compare library output against these, so a shared bug would have to be
-implemented twice in two different shapes to slip through.  It also
-holds the environment for tests that start a child interpreter.
+composition instead of reversion, the partition sum of Lagrange
+inversion by enumeration, the invariant series S from unpruned powers,
+dicts of Fractions for symbolic scalars, and the Akiyama-Tanigawa
+tableau for Bernoulli numbers.  Tests compare library output against
+these, so a shared bug would have to be implemented twice in two
+different shapes to slip through.  It also holds the environment for
+tests that start a child interpreter.
 """
 
 from __future__ import annotations
@@ -324,6 +325,41 @@ def compose_wseries(outer: WSeries, inner: WSeries) -> WSeries:
         if not c.is_zero:
             result = result + power * WSeries(order, ring, {0: c})
     return result
+
+
+def partitions(total: int, largest: int | None = None):
+    """Partitions of total into non-increasing parts >= 1."""
+    if largest is None:
+        largest = total
+    if total == 0:
+        yield ()
+        return
+    for head in range(min(total, largest), 0, -1):
+        for rest in partitions(total - head, head):
+            yield (head,) + rest
+
+
+def partition_oracle(s_series: WSeries, m: int):
+    """[u^m] of the inverse of u - T(u), T = s_series, m >= 1, by enumeration.
+
+    The sum over multisets {alpha_k} with sum (k-1) alpha_k = m - 1 of
+    (m - 1 + |alpha|)! / (alpha! m!) * prod T_k^{alpha_k}, one partition
+    of m - 1 at a time, each product formed afresh.
+    """
+    ring = s_series.ring
+    total = ring.zero
+    for parts in partitions(m - 1):
+        multiplicity: dict[int, int] = {}
+        for p in parts:
+            multiplicity[p + 1] = multiplicity.get(p + 1, 0) + 1
+        weight = Fraction(math.factorial(m - 1 + len(parts)), math.factorial(m))
+        product = ring.one
+        for k, count in multiplicity.items():
+            weight /= math.factorial(count)
+            for _ in range(count):
+                product = product * s_series.coefficient(k)
+        total = total + product.scaled(weight)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from birkhoff import (
     tree_bracket,
     validate_code,
 )
+from birkhoff.treeforms import MU_SUM_MAX_LEAVES
 
 ONEDOF_ORDER = 8
 MULTI_ORDER = 6
@@ -169,7 +170,8 @@ def test_criterion_3_worked_values():
 
 def test_criterion_4_pinned_constants():
     def body():
-        weights = chain_weights(13)
+        # J_1..J_s are what trees mu-sum needs at its leaf limit s
+        weights = chain_weights(MU_SUM_MAX_LEAVES)
         assert weights[1:6] == (
             Fraction(1),
             Fraction(1, 2),
@@ -178,8 +180,8 @@ def test_criterion_4_pinned_constants():
             Fraction(-1, 720),
         )
 
-        bernoulli = bernoulli_plus(12)
-        for k in range(13):
+        bernoulli = bernoulli_plus(MU_SUM_MAX_LEAVES - 1)
+        for k in range(MU_SUM_MAX_LEAVES):
             assert weights[k + 1] == bernoulli[k] / math.factorial(k)
 
         freq = FreqVector.of(1, 8)
@@ -218,7 +220,8 @@ def test_criterion_4_pinned_constants():
         return (
             "J sequence, two and three argument form coefficients, the "
             "\\1,1,3,2\\ code, the 5 four-leaf trees, weight sums 1/s for "
-            "s <= 10, and the Bernoulli relation through k = 12 all match"
+            f"s <= 10, and the Bernoulli relation through k = {MU_SUM_MAX_LEAVES - 1} "
+            "all match"
         )
 
     report(4, body)

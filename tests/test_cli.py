@@ -18,6 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from birkhoff import GaussianRational, ParseError, PolySeries, cli, make_pair
 from birkhoff.cli import ProblemSpec, build_parser, main, parse_problem
+from birkhoff.treeforms import MU_SUM_MAX_LEAVES
+from birkhoff.trees import catalan_count
 from helpers import REPO_ROOT, child_env
 
 WORKED = {
@@ -513,6 +515,22 @@ class TestCheckCommand:
         assert rows["s_invariance"]["pass"] is True
         assert report["agreement"] is True
 
+    @pytest.mark.parametrize(
+        "name, monomials", [("threedof_111", 97), ("threedof_123", 11)]
+    )
+    def test_structure_row_runs_at_three_dof(self, capsys, name, monomials):
+        # lambda = (1, 1, 1) and (1, 2, 3), twelve support pairs at most
+        path = REPO_ROOT / "tests" / "golden" / f"{name}.json"
+        code, out, _ = run_cli(["check", "--input", str(path)], capsys)
+        assert code == 0
+        rows = {row["name"]: row for row in json.loads(out)["checks"]}
+        assert rows["structure_constraints"] == {
+            "name": "structure_constraints",
+            "pass": True,
+            "detail": f"{monomials} monomials satisfy all constraints",
+        }
+        assert all(row["pass"] for row in rows.values())
+
     def test_seed_flag_changes_detail(self, tmp_path, capsys):
         path = spec_file(tmp_path, WORKED)
         code, out, _ = run_cli(["check", "--input", path, "--seed", "7"], capsys)
@@ -817,6 +835,21 @@ class TestTreesCommands:
         code, out, _ = run_cli(["trees", "mu-sum", "--leaves", "2"], capsys)
         assert code == 0
         assert json.loads(out) == {"leaves": 2, "count": 1, "mu_sum": "1/2"}
+
+    def test_mu_sum_past_the_enumeration_limit(self, capsys):
+        code, out, _ = run_cli(["trees", "mu-sum", "--leaves", "40"], capsys)
+        assert code == 0
+        assert json.loads(out) == {
+            "leaves": 40, "count": catalan_count(40), "mu_sum": "1/40"
+        }
+
+    def test_mu_sum_respects_its_leaf_limit(self, capsys):
+        leaves = MU_SUM_MAX_LEAVES + 1
+        code, _, err = run_cli(["trees", "mu-sum", "--leaves", str(leaves)], capsys)
+        assert code == 2
+        assert err == (
+            f"error: leaf count {leaves} exceeds the limit of {MU_SUM_MAX_LEAVES} leaves\n"
+        )
 
     def test_mu_sum_output_file(self, tmp_path, capsys):
         dest = tmp_path / "mu.json"

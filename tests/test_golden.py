@@ -1,4 +1,4 @@
-"""Byte-exact golden CLI outputs for four small fixed problems.
+"""Byte-exact golden CLI outputs for small fixed problems.
 
 Each case runs one command on one input under ``tests/golden/`` and
 compares the report's bytes with the stored file.  Any rewrite that keeps
@@ -54,6 +54,8 @@ CASES = (
         # order 32: a larger partition table and a longer run of cut powers
         ("onedof_deep", ["compute", "--method", "onedof", "--order", "32"]),
         ("onedof_deep", ["s-series", "--order", "10"]),
+        # n = 3 at lambda = (1, 2, 3), twelve support pairs
+        ("threedof_123", ["structure"]),
     ]
 )
 

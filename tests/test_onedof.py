@@ -154,8 +154,9 @@ class TestComputeS:
     def test_work_count_at_order_20(self, monkeypatch):
         # all nine cubic and quartic monomials with coefficients (1 + i) k/(k+1),
         # so no coefficient cancels and every numerator product in the kernel
-        # has a GaussianInteger operand; the count is that of the cuts in
-        # compute_S (the unpruned powers at working order 54 take 37 544)
+        # has a GaussianInteger operand; the count is that of the reach cut in
+        # compute_S, exactly the pairs that can still reach S on this support
+        # (the unpruned powers at working order 54 take 37 544)
         pairs = [pair for degree in (3, 4) for pair in monomials(1, degree)]
         entries = {
             (pair.alpha, pair.beta): gr(Fraction(k, k + 1), Fraction(k, k + 1))
@@ -173,7 +174,7 @@ class TestComputeS:
         monkeypatch.setattr(GaussianInteger, "__mul__", counted)
         monkeypatch.setattr(GaussianInteger, "__rmul__", counted)
         compute_S(h, gr(1), 10)
-        assert calls == 15943
+        assert calls == 9027
 
 
 def make_key(label):
@@ -286,14 +287,19 @@ class TestPartitionFormula:
         # N2 = S2; N3 = S3 + 2 S2^2; N4 = S4 + 5 S2 S3 + 5 S2^3
         s = wser(4, {2: 3, 3: -2, 4: 7})
         s2, s3, s4 = gr(3), gr(-2), gr(7)
-        assert partition_normal_form(s, 2) == s2
-        assert partition_normal_form(s, 3) == s3 + s2 * s2.scaled(Fraction(2))
+        inverse = partition_normal_form(s)
+        assert inverse.coefficient(1) == gr(1)
+        assert inverse.coefficient(2) == s2
+        assert inverse.coefficient(3) == s3 + s2 * s2.scaled(Fraction(2))
         expected4 = s4 + (s2 * s3).scaled(Fraction(5)) + (s2 * s2 * s2).scaled(Fraction(5))
-        assert partition_normal_form(s, 4) == expected4
+        assert inverse.coefficient(4) == expected4
+        assert inverse.order == 4 and inverse.coefficient(0) == gr(0)
 
     def test_degree_validation(self):
-        with pytest.raises(UsageError):
-            partition_normal_form(wser(3, {2: 1}), 1)
+        # the formula inverts u - T(u) for T starting at u^2
+        for low in ({0: 1, 2: 1}, {1: 1, 2: 1}):
+            with pytest.raises(UsageError, match="starts at u\\^2"):
+                partition_normal_form(wser(3, low))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reversion_at_unit_lambda(self, seed):
@@ -306,8 +312,7 @@ class TestPartitionFormula:
         }
         s = WSeries(10, GAUSSIAN_RING, coeffs)
         nu = nf_from_S(s, gr(1))
-        for m in range(2, 11):
-            assert nu.coefficient(m) == partition_normal_form(s, m)
+        assert nu == partition_normal_form(s)
 
 
 class TestNuSeries:

@@ -35,6 +35,7 @@ from birkhoff import (
     nf_via_trees,
     onedof_normal_form,
     partial_inverse,
+    partition_normal_form,
     resonant_projection,
     symbolic_normalize,
 )
@@ -56,6 +57,7 @@ from helpers import (
     direct_normalize,
     mul_oracle,
     partial_inverse_oracle,
+    partition_oracle,
     poisson_oracle,
     poisson_pairwise_oracle,
     poly_add,
@@ -925,12 +927,15 @@ HIGH_CHARGE = (ExponentPair((6,), (0,)), ExponentPair((0,), (5,)))
 def onedof_s_cases(draw):
     """One-DOF H of degree 3..6, a frequency and a w-degree wmax = 1..6.
 
-    Supports may lack cubic terms, and may carry the high-charge monomials
-    x^6 or y^5; coefficients are real or complex, lambda real or imaginary.
+    Supports may lack cubic and quartic terms, and may carry the
+    high-charge monomials x^6 or y^5; coefficients are real or complex,
+    lambda real or imaginary.
     """
     wmax = draw(st.integers(1, 6))
     freq = FreqVector.of(*draw(st.sampled_from(FREQUENCIES[1])))
-    lowest = draw(st.sampled_from((3, 4)))
+    # without a cubic the charge rate of the reach cut comes from a term of
+    # higher degree, such as 2 for x^4 or 5/3 for x^5
+    lowest = draw(st.sampled_from((3, 4, 5)))
     highest = draw(st.integers(lowest, 6))
     pairs = [pair for degree in range(lowest, highest + 1) for pair in monomials(1, degree)]
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True))
@@ -942,11 +947,29 @@ def onedof_s_cases(draw):
     return freq.quadratic_part(6, GAUSSIAN_RING) + tail, freq.entries[0], wmax
 
 
-def symmetric_case(wmax: int):
-    """x^3 + y^3 + x^2 y^2 at lambda = 1: both cuts are tight on this support.
+def rate_case(exponents, wmax: int):
+    """H_2 + the given monomials x^a y^b at lambda = 1, coefficients 1 + k i.
 
-    The charge cut keeps x^{3k} at power k = mmax/2 only just, and the
-    degree cut keeps (x y)^{wmax + m - 1} in every power m only just.
+    For supports without a cubic, where the charge rate r of the reach cut
+    comes from a term of higher degree: r = 5/3 for x^5 + y^5 + x^2 y^3
+    and r = 2 for x^4 + x^2 y^2 + x y^3.
+    """
+    terms = {
+        ExponentPair((a,), (b,)): GaussianRational.of(1, k)
+        for k, (a, b) in enumerate(exponents, start=1)
+    }
+    h = FreqVector.of(1).quadratic_part(6, GAUSSIAN_RING) + PolySeries(
+        1, 6, GAUSSIAN_RING, terms
+    )
+    return h, GaussianRational.of(1), wmax
+
+
+def symmetric_case(wmax: int):
+    """x^3 + y^3 + x^2 y^2 at lambda = 1: the reach cut is tight on this support.
+
+    With r = 3 it keeps x^{3k} at power k = mmax/2 only just (|charge| =
+    r * slack), and (x y)^{wmax + m - 1} in every power m only just
+    (slack 0).
     """
     one = GaussianRational.of(1)
     terms = {ExponentPair((3,), (0,)): one, ExponentPair((0,), (3,)): one,
@@ -1136,11 +1159,52 @@ class TestPipelinesAgainstFlowOracle:
         assert form_by_recursion(g, s, freq) == expected
 
 
+def symbolic_values(nvars: int):
+    """Polynomials of up to two terms of degree <= 2 in nvars indeterminates."""
+    exponents = st.tuples(*[st.integers(0, 2)] * nvars).filter(lambda e: sum(e) <= 2)
+    return st.dictionaries(exponents, nonzero_fractions, max_size=2).map(
+        lambda terms: SymScalar(nvars, terms)
+    )
+
+
+PARTITION_RING = SymRing((((3,), (0,)), ((0,), (3,))))
+
+
+@st.composite
+def partition_inputs(draw):
+    """T = sum_{k=2}^{o} T_k u^k at a w-order o = 2..12, some T_k zero, over
+    Q(i) (complex values included) or a SymRing."""
+    order = draw(st.integers(2, 12))
+    symbolic = draw(st.booleans())
+    ring = PARTITION_RING if symbolic else GAUSSIAN_RING
+    values = symbolic_values(ring.nvars) if symbolic else values_in_q_i
+    coeffs = {
+        k: draw(values) for k in range(2, order + 1) if draw(st.integers(0, 3))
+    }
+    return WSeries(order, ring, coeffs)
+
+
+class TestPartitionTableAgainstEnumeration:
+    """The grouped table of partition_normal_form regroups the terms of the
+    partition sum; it must equal the sum formed one partition at a time."""
+
+    @SLOW
+    @given(s_series=partition_inputs())
+    def test_every_coefficient(self, s_series):
+        order, ring = s_series.order, s_series.ring
+        expected = WSeries(
+            order, ring, {m: partition_oracle(s_series, m) for m in range(1, order + 1)}
+        )
+        assert partition_normal_form(s_series) == expected
+
+
 class TestComputeSAgainstUnprunedPowers:
     @settings(max_examples=100, deadline=None)
     @given(case=onedof_s_cases())
     @example(case=symmetric_case(2))
     @example(case=symmetric_case(6))
+    @example(case=rate_case([(5, 0), (0, 5), (2, 3)], 6))
+    @example(case=rate_case([(4, 0), (2, 2), (1, 3)], 6))
     def test_cuts_drop_nothing(self, case):
         h, lam, wmax = case
         assert compute_S(h, lam, wmax) == s_oracle(h, lam, wmax)

@@ -24,12 +24,14 @@ from birkhoff import (
     resonant_projection,
     to_code,
     total_tree_weight,
+    total_tree_weight_by_recursion,
     tree_bracket,
     tree_weight,
     tree_weight_by_factorization,
 )
 
 from birkhoff.series import monomials
+from birkhoff.treeforms import MU_SUM_MAX_LEAVES
 
 from helpers import bernoulli_plus, build_series, random_hamiltonian, random_series
 
@@ -104,6 +106,19 @@ class TestTreeWeights:
     @pytest.mark.parametrize("s", range(1, 11))
     def test_total_weight_is_reciprocal(self, s):
         assert total_tree_weight(s) == Fraction(1, s)
+
+    @pytest.mark.parametrize("s", range(1, 11))
+    def test_recursion_equals_enumeration(self, s):
+        assert total_tree_weight_by_recursion(s) == total_tree_weight(s)
+
+    @pytest.mark.parametrize("s", [11, 16, 17, 33, 64, MU_SUM_MAX_LEAVES])
+    def test_recursion_is_reciprocal_up_to_its_limit(self, s):
+        assert total_tree_weight_by_recursion(s) == Fraction(1, s)
+
+    @pytest.mark.parametrize("s", [0, MU_SUM_MAX_LEAVES + 1])
+    def test_recursion_refuses_a_leaf_count_out_of_range(self, s):
+        with pytest.raises(UsageError, match="leaf count"):
+            total_tree_weight_by_recursion(s)
 
 
 class TestTreeBracket:
