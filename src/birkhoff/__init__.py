@@ -28,6 +28,7 @@ from .onedof import (
 from .operators import (
     FreqVector,
     homological_operator,
+    image_projection,
     partial_inverse,
     resonant_pairs,
     resonant_projection,

@@ -26,10 +26,11 @@ Phi_M are not, and the result holds None in their place.  The series the
 result holds keep no derivative lists.
 The seed R_j of T2 depends on the mode:
 
-* ``kernel_corrected=True`` (default): R_j = Phi_j - N_j, the image-part of
-  the right-hand side.  This is the exact bookkeeping: the generator part
-  F_j solves {F_j, H2} = -(Phi_j - N_j), not -Phi_j, whenever Phi_j has a
-  resonant component.  With this mode the single combined generator
+* ``kernel_corrected=True`` (default): R_j = (I - A) Phi_j = Phi_j - N_j,
+  the image part of the right-hand side, taken by ``image_projection``.
+  This is the exact bookkeeping: the generator part F_j solves
+  {F_j, H2} = -(Phi_j - N_j), not -Phi_j, whenever Phi_j has a resonant
+  component.  With this mode the single combined generator
   F = sum_m F_m reproduces the normal form through ``exp_lie`` exactly.
 * ``kernel_corrected=False``: R_j = Phi_j.  This drops the resonant
   correction; it agrees with the default whenever every intermediate Phi_j
@@ -50,6 +51,7 @@ from fractions import Fraction
 from .errors import InternalCheckError, UsageError
 from .operators import (
     FreqVector,
+    image_projection,
     partial_inverse,
     resonant_projection,
     validate_hamiltonian,
@@ -114,7 +116,7 @@ def lie_normalize(
         rhs[m] = acc
         res[m] = resonant_projection(acc, freq)
         gen[m] = partial_inverse(acc, freq)
-        t2[0, m] = acc - res[m] if kernel_corrected else acc
+        t2[0, m] = image_projection(acc, freq) if kernel_corrected else acc
 
     normal_form = combination(
         [(1, part) for part in (freq.quadratic_part(order, ring), *res.values())], zero
@@ -142,30 +144,28 @@ def lie_normalize(
 def exp_lie(generator: PolySeries, target: PolySeries) -> PolySeries:
     """Time-1 Lie transform: exp(L_F) G = G + {F,G} + (1/2!){F,{F,G}} + ...
 
+    Each k-fold bracket L_F^k G = {F, L_F^(k-1) G} is formed from the last,
+    and the sum is one ``combination`` of them weighted 1/k!.
     The generator must contain only terms of degree >= 3, so each nested
     bracket strictly raises the minimum degree and the truncated sum is
     finite.
     """
-    if generator.is_zero:
-        return target
     min_deg = generator.min_degree()
     if min_deg is not None and min_deg < 3:
         raise UsageError(
             f"generator has a term of degree {min_deg}; "
             "only degrees 3 and higher are allowed"
         )
-    result = target
-    term = target
-    k = 1
-    while not term.is_zero:
-        if k > target.order + 2:
+    brackets = [target]  # brackets[k] = L_F^k G
+    while not brackets[-1].is_zero:
+        if len(brackets) > target.order + 2:
             raise InternalCheckError(
                 "exp_lie failed to terminate within the truncation bound"
             )
-        term = generator.poisson(term).scale(Fraction(1, k))
-        result = result + term
-        k += 1
-    return result
+        brackets.append(generator.poisson(brackets[-1]))
+    return combination(
+        [(Fraction(1, math.factorial(k)), term) for k, term in enumerate(brackets)], target
+    )
 
 
 def random_generator(

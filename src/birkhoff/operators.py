@@ -5,11 +5,12 @@ monomials:
 
     D(x^alpha y^beta) = <alpha - beta, lambda> x^alpha y^beta.
 
-Three companions are defined termwise from that diagonal action:
+Four operators are defined termwise from that diagonal action:
 
 * ``homological_operator``  -- D itself;
 * ``resonant_projection``   -- A, keeping exactly the kernel terms
   (<lambda, beta - alpha> = 0);
+* ``image_projection``      -- I - A, keeping exactly the other terms;
 * ``partial_inverse``       -- B, dividing non-kernel terms by the eigenvalue
   and killing kernel terms.
 
@@ -267,6 +268,13 @@ def resonant_projection(series: PolySeries, freq: FreqVector) -> PolySeries:
     _check_dimension(series, freq)
     table = freq._table(series)
     return series._select(lambda key: table[key] is None)
+
+
+def image_projection(series: PolySeries, freq: FreqVector) -> PolySeries:
+    """I - A: keep exactly the terms with nonzero eigenvalue."""
+    _check_dimension(series, freq)
+    table = freq._table(series)
+    return series._select(lambda key: table[key] is not None)
 
 
 def partial_inverse(series: PolySeries, freq: FreqVector) -> PolySeries:

@@ -16,10 +16,14 @@ b = 0, and a product of two reals multiplies only the a's and the d's.
 
 A series does not hold these values: it keeps integer numerators over one
 denominator, and a complex numerator is a ``GaussianInteger`` and a real
-one a plain ``int``.  A series over a ``SymRing`` holds only ``int``
-numerators, with each indeterminate monomial packed into its key, so the
-series kernel does no ``SymScalar`` arithmetic; ``SymScalar`` values are
-what a series is built from and what its ``terms`` view reads back.
+one a plain ``int``.  Series sums and products pack a complex numerator
+into one ``int`` and read the result back, so ``GaussianInteger``
+arithmetic is left to the eigenvalue factors of the termwise operators
+and to the product loop of ``onedof.compute_S``.  A series over a
+``SymRing`` holds only ``int`` numerators, with each indeterminate
+monomial packed into its key, so the series kernel does no ``SymScalar``
+arithmetic; ``SymScalar`` values are what a series is built from and what
+its ``terms`` view reads back.
 
 Values answer for their own arithmetic: ``+ - *``, ``is_zero`` and
 ``scaled(q)`` by an int or ``Fraction``.  A ``SymScalar`` may also be
@@ -274,9 +278,6 @@ class GaussianInteger:
         return gaussian_integer(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
-
-    def __neg__(self) -> "GaussianInteger":
-        return _gaussian(-self.re, -self.im)
 
     def __mul__(self, other: "int | GaussianInteger") -> "int | GaussianInteger":
         if type(other) is int:

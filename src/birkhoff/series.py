@@ -45,15 +45,16 @@ The bracket is
 numerator and the minus sign into the left list.  Every sum of products
 runs through one loop over sorted right lists, so each row stops at the
 first key whose degree passes the truncation order: ``F * G`` is one
-product, ``bracket_sum`` is sum {F, G} over a list of pairs (``poisson`` is
-the one-pair call), and ``combination`` is sum q S over a list of
-scalings, each S a product with the constant 1.  As Monagan and Pearce
-form a sum of products in one pass, the products of one sum accumulate in
-one dict over L, the lcm of their denominators: the integer factor of a
-product, such as L / (D_F D_G) for a bracket, scales each of its left values
-once, and the sum is brought to content form with one gcd.  Every arithmetic
-result goes through :meth:`PolySeries._make`, which skips the per-term
-checks of the validating public constructor.
+product and ``bracket_sum`` is sum {F, G} over a list of pairs (``poisson``
+is the one-pair call).  Every linear sum is one ``combination``, sum q S
+over a list of scalings; ``+``, ``-``, unary ``-`` and ``scale`` call it.
+As Monagan and Pearce form a sum of products in one pass, each sum
+accumulates in one dict over L, the lcm of its denominators: the integer
+factor of a term, such as L / (D_F D_G) for a bracket, scales each of its
+left values, or each numerator of a scaled S, once, and the sum is brought
+to content form with one gcd.  Every arithmetic result goes through
+:meth:`PolySeries._make`, which skips the per-term checks of the
+validating public constructor.
 
 A series with int numerators builds the derivative lists of each bracket
 side once, on first use, and keeps them in a slot (``_left``, ``_right``),
@@ -85,9 +86,10 @@ ring.  A sum of products of packed numerators is R0 + R1 2**K + R2 2**(2K)
 with (R0 - R2) + R1 i the sum of the complex products, since 2**(2K)
 stands for i**2 = -1; K is chosen before the loop so that every
 |Rj| < 2**(K - 1), and the balanced base-2**K digits of each sum are R0,
-R1 and R2 (the bound is proved at ``_packed``).  A real numerator a packs
-to itself, so a real operand's kept lists serve as they are, and the lists
-of a complex operand are built from its packed numerators for each call.
+R1 and R2 (the bound is proved at ``_packed``, for a linear sum at
+``combination``).  A real numerator a packs to itself, so a real operand's
+kept lists serve as they are, and the lists of a complex operand are built
+from its packed numerators for each call.
 """
 
 from __future__ import annotations
@@ -191,7 +193,7 @@ class PolySeries:
 
     __slots__ = (
         "n", "order", "ring", "layout", "den", "nums", "_terms", "_left", "_right", "_partners",
-        "_big",
+        "_big", "_complex",
     )
 
     def __init__(
@@ -208,13 +210,9 @@ class PolySeries:
         symbolic = isinstance(ring, SymRing)
         value_type = SymScalar if symbolic else GaussianRational
         layout = _layout(n, order, ring.nvars)
-        shifts, top = layout.shifts, layout.top
         kept = {}
         for pair, value in (terms or {}).items():
-            if len(pair.alpha) != n or len(pair.beta) != n:
-                raise UsageError(f"exponent pair {pair} does not match dimension {n}")
-            if min(pair.alpha + pair.beta) < 0:
-                raise UsageError(f"negative exponent in pair {pair}")
+            key = _key(pair, layout, order)
             if not isinstance(value, value_type):
                 raise UsageError(
                     f"expected a {value_type.__name__} coefficient, got {type(value).__name__}"
@@ -224,9 +222,8 @@ class PolySeries:
                     f"a symbolic value in {value.nvars} indeterminates does not match "
                     f"a ring of {ring.nvars}"
                 )
-            degree = pair.degree
-            if degree <= order and not value.is_zero:
-                kept[sum(map(lshift, pair.alpha + pair.beta, shifts)) | degree << top] = value
+            if key is not None and not value.is_zero:
+                kept[key] = value
         if symbolic:
             # each value's monomials go into the low fields of its pair's key
             den = lcm(*[value.den for value in kept.values()])
@@ -303,49 +300,24 @@ class PolySeries:
         if other.ring is not self.ring and other.ring != self.ring:
             raise UsageError("coefficient ring mismatch")
 
-    def _combined(self, other: "PolySeries", sign: int) -> "PolySeries":
-        """self + sign * other, over the lcm of the two denominators."""
-        self._require_compatible(other)
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            merged = dict(self.nums)
-            factor = sign
-        else:
-            g = gcd(d1, d2)
-            scale = d2 // g
-            merged = {key: scale * value for key, value in self.nums.items()}
-            factor = sign * (d1 // g)
-            d1 *= scale
-        get = merged.get
-        for key, value in other.nums.items():
-            if factor != 1:
-                value = factor * value
-            known = get(key)
-            merged[key] = value if known is None else known + value
-        return self._make(merged, d1)
-
     def __add__(self, other: "PolySeries") -> "PolySeries":
-        return self._combined(other, 1)
+        return combination([(1, self), (1, other)], self)
 
     def __sub__(self, other: "PolySeries") -> "PolySeries":
-        return self._combined(other, -1)
+        return combination([(1, self), (-1, other)], self)
 
     def __neg__(self) -> "PolySeries":
-        return self._make({key: -value for key, value in self.nums.items()}, self.den)
+        return combination([(-1, self)], self)
 
     def __mul__(self, other: "PolySeries") -> "PolySeries":
         self._require_compatible(other)
-        return _products(self, [(self, other, 1)], self.den * other.den)
+        shift = _packed([(self, other, 1)], 1, 1)
+        lists = [([_pack(self, shift).items()], [sorted(_pack(other, shift).items())], 1,
+                  _NO_PARTNERS)]
+        return _sum_of_products(self, lists, self.den * other.den, shift)
 
     def scale(self, q: int | Fraction) -> "PolySeries":
-        num, den = _ratio_of(q)
-        if not num:
-            return self._make({}, 1)
-        if num == 1:
-            return self._make(self.nums, self.den * den)
-        return self._make(
-            {key: num * value for key, value in self.nums.items()}, self.den * den
-        )
+        return combination([(q, self)], self)
 
     def _select(self, keep: Callable[[int], bool]) -> "PolySeries":
         """The terms whose keys pass keep."""
@@ -388,7 +360,19 @@ class PolySeries:
         return view
 
     def coefficient(self, pair: ExponentPair):
-        return self.terms.get(pair, self.ring.zero)
+        """The value of one exponent pair, read from that pair's keys alone."""
+        key, den = _key(pair, self.layout, self.order), self.den
+        if key is None:
+            return self.ring.zero
+        if isinstance(self.ring, SymRing):
+            # the view of a series of the pair's keys
+            low = self.layout.low
+            part = {k: v for k, v in self.nums.items() if k >> low == key >> low}
+            return self._make(part, den).terms.get(pair, self.ring.zero)
+        num = self.nums.get(key)
+        if num is None:
+            return self.ring.zero
+        return _reduced(num, 0, den) if type(num) is int else _reduced(num.re, num.im, den)
 
     def grade(self, s: int) -> "PolySeries":
         """The homogeneous degree-s part, as a series of the same order."""
@@ -492,6 +476,20 @@ def _layout(n: int, order: int, nvars: int) -> Layout:
     return Layout(width, shifts, top, low, powers, guard)
 
 
+def _key(pair: ExponentPair, layout: Layout, order: int) -> int | None:
+    """The key of a pair, its indeterminate fields zero; None above the
+    order.  A pair of another dimension or with a negative exponent is refused."""
+    exponents, n = pair.alpha + pair.beta, len(layout.shifts) // 2
+    if len(pair.alpha) != n or len(pair.beta) != n:
+        raise UsageError(f"exponent pair {pair} does not match dimension {n}")
+    if min(exponents) < 0:
+        raise UsageError(f"negative exponent in pair {pair}")
+    degree = sum(exponents)
+    if degree > order:
+        return None
+    return sum(map(lshift, exponents, layout.shifts)) | degree << layout.top
+
+
 def bracket_sum(
     pairs: Iterable[tuple[PolySeries, PolySeries]], like: PolySeries, top: Mapping | None = None
 ) -> PolySeries:
@@ -514,15 +512,12 @@ def bracket_sum(
         if f.nums and g.nums:
             kept.append((f, g, f.den * g.den))
     den = lcm(*[d for _, _, d in kept])
-    sides = [(_side(f, False), _side(g, True)) for f, g, _ in kept]
-    shift = 0
-    if any(None in side for side in sides):
-        shift = _packed([(f, g, den // d) for f, g, d in kept], 2 * like.n * like.order**2)
-        sides = [(_side(f, False, shift), _side(g, True, shift)) for f, g, _ in kept]
+    shift = _packed(kept, den, 2 * like.n * like.order**2)
     cut = top is not None and top.resonant_top
     products = [
-        (left, right, den // d, _partners(g, right, top) if cut else _NO_PARTNERS)
-        for (left, right), (_, g, d) in zip(sides, kept)
+        (_side(f, False, shift), right := _side(g, True, shift), den // d,
+         _partners(g, right, top) if cut else _NO_PARTNERS)
+        for f, g, d in kept
     ]
     return _sum_of_products(like, products, den, shift, top)
 
@@ -530,60 +525,59 @@ def bracket_sum(
 def combination(items: Iterable[tuple[int | Fraction, PolySeries]], like: PolySeries) -> PolySeries:
     """The sum of q S over the (q, S) items, a series of like's shape.
 
-    Each S is a product with the constant 1, so the sum is one accumulation
-    over the lcm of the q.den D_S, as in ``bracket_sum``.
+    One dict over L, the lcm of the q.den D_S, starts as the first S and
+    adds each other S; every S is scaled by c = q.num L / (q.den D_S).
+    A packed sum is R0 + R1 2**K: with A the largest |component| of S,
+    every |Rj| <= bound = sum |c| A over the items < 2**(K - 1) for
+    K = bits(bound) + 2.
     """
-    terms = []
+    scaled, den, packed = [], 1, False
     for q, series in items:
         like._require_compatible(series)
-        num, den = _ratio_of(q)
+        num, d = _ratio_of(q)
         if num and series.nums:
-            terms.append((series, num, den * series.den))
-    den = lcm(*[d for _, _, d in terms])
-    one = like._make(_ONE, 1)
-    return _products(like, [(series, one, num * (den // d)) for series, num, d in terms], den)
+            d *= series.den
+            den = lcm(den, d)
+            scaled.append((series, num, d))
+            packed = packed or _complex(series)
+    shift = 0
+    if packed:
+        bound = sum(abs(num * (den // d)) * _largest(f) for f, num, d in scaled)
+        shift = bound.bit_length() + 2
+    result: dict = {}
+    for series, num, d in scaled:
+        c, nums = num * (den // d), _pack(series, shift)
+        if not result:
+            # the first item's numerators, copied
+            result = dict(nums) if c == 1 else {key: c * value for key, value in nums.items()}
+            continue
+        get = result.get
+        for key, value in nums.items():
+            value *= c
+            known = get(key)
+            result[key] = value if known is None else known + value
+    return like._make(_unpacked(result, shift), den)
 
 
-# the numerators of the constant 1
-_ONE = {0: 1}
 # the partners of the right lists of a sum without a charge map: none
 _NO_PARTNERS = repeat(None)
 
 
-def _products(like: PolySeries, products: list, den: int) -> PolySeries:
-    """The sum of factor F G over the (F, G, factor) products, over den."""
-    shift = _packed(products, 1)
-    lists = [
-        ([_pack(f.nums, shift).items()], [sorted(_pack(g.nums, shift).items())], factor,
-         _NO_PARTNERS)
-        for f, g, factor in products
-    ]
-    return _sum_of_products(like, lists, den, shift)
-
-
-def _side(series: PolySeries, right: bool, shift: int = 0) -> list[list] | None:
+def _side(series: PolySeries, right: bool, shift: int) -> list[list]:
     """The 2n derivative term lists of series as one operand of a bracket.
 
     Left: -dF/dx_1..-dF/dx_n, dF/dy_1..dF/dy_n; right: dG/dy_1..dG/dy_n,
     dG/dx_1..dG/dx_n, sorted; zip pairs them into the 2n products of {F, G}.
     Over int numerators the lists are built once and kept in the series'
     slot for that side.  With a complex numerator they are built for each
-    call from the numerators packed with shift, or None while shift is 0.
+    call from the numerators packed with shift.
     """
     lists = series._right if right else series._left
     if lists is None:
-        nums = series.nums
-        packed = GaussianInteger in {*map(type, nums.values())}
-        if packed and not shift:
-            return None
-        items = _pack(nums, shift).items() if packed else nums.items()
+        items = _pack(series, shift).items()
         lists = _derivatives(series.layout, sorted(items) if right else items, right)
-        if packed:
-            return lists
-        if right:
-            series._right = lists
-        else:
-            series._left = lists
+        if not _complex(series):
+            setattr(series, "_right" if right else "_left", lists)
     return lists
 
 
@@ -632,35 +626,41 @@ def _derivatives(layout: Layout, items: Iterable, right: bool) -> list[list]:
     return lists
 
 
-def _packed(products: list, spread: int) -> int:
-    """K for packing the numerators of the (F, G, factor) products as
-    a + b X, X = 2**K; 0 when every numerator is an int.
+def _packed(products: list, den: int, spread: int) -> int:
+    """K for packing the numerators of the (F, G, d) products, each with
+    the factor c = den / d, as a + b X, X = 2**K; 0 when every numerator
+    is an int.
 
     A sum on one key is R0 + R1 X + R2 X**2, and K makes every
     |Rj| < 2**(K - 1).  In one product of term lists the keys of a list are
     distinct, so a key gets at most one piece per left term and per right
     term: at most 2n min(|F|, |G|) pieces from the 2n products of a bracket
     and min(|F|, |G|) from F G.  An exponent is at most the order M, so a
-    derivative scales a numerator by at most M, and the factor c of a
-    product scales its left values.  With A and B the largest |component|
-    of F and of G, a piece c (a + b X)(e + f X) =
-    c (ae + (af + be) X + bf X**2) has every coefficient at most 2 |c| M**2 A B
+    derivative scales a numerator by at most M, and c scales the left
+    values.  With A and B the largest |component| of F and of G, a piece
+    c (a + b X)(e + f X) = c (ae + (af + be) X + bf X**2) has every
+    coefficient at most 2 |c| M**2 A B
     in a bracket and 2 |c| A B in a product.  With spread = 2n M**2 for
     brackets and 1 for products, and bound the sum of
     spread min(|F|, |G|) |c| A B over the products, every
     |Rj| <= 2 bound < 2**(bits(bound) + 1) = 2**(K - 1)
     for K = bits(bound) + 2.
     """
-    if not any(
-        GaussianInteger in {*map(type, f.nums.values()), *map(type, g.nums.values())}
-        for f, g, _ in products
-    ):
+    if not any([_complex(f) or _complex(g) for f, g, _ in products]):
         return 0
     bound = sum(
-        spread * min(len(f.nums), len(g.nums)) * abs(factor) * _largest(f) * _largest(g)
-        for f, g, factor in products
+        spread * min(len(f.nums), len(g.nums)) * (den // d) * _largest(f) * _largest(g)
+        for f, g, d in products
     )
     return bound.bit_length() + 2
+
+
+def _complex(series: PolySeries) -> bool:
+    """Whether a numerator is a Gaussian integer, kept in the series."""
+    found = series._complex
+    if found is None:
+        found = series._complex = GaussianInteger in {*map(type, series.nums.values())}
+    return found
 
 
 def _largest(series: PolySeries) -> int:
@@ -675,12 +675,32 @@ def _largest(series: PolySeries) -> int:
     return big
 
 
-def _pack(nums: dict, shift: int) -> dict:
-    """The numerators with a + b i packed as a + b 2**shift; nums itself
+def _pack(series: PolySeries, shift: int) -> dict:
+    """The numerators with a + b i packed as a + b 2**shift; the series'
+    own dict when it holds no complex numerator."""
+    if not shift or not _complex(series):
+        return series.nums
+    return {
+        key: v if type(v) is int else v.re + (v.im << shift) for key, v in series.nums.items()
+    }
+
+
+def _unpacked(result: dict, shift: int) -> dict:
+    """Each packed sum R0 + R1 X + R2 X**2, X = 2**shift, as the numerator
+    (R0 - R2) + R1 i, read from its balanced base-X digits; result itself
     for shift 0."""
     if not shift:
-        return nums
-    return {key: v if type(v) is int else v.re + (v.im << shift) for key, v in nums.items()}
+        return result
+    # adding half to every digit makes the digits of R + half plain ones;
+    # the real part R0 - R2 loses both halves
+    half, mask = 1 << shift - 1, (1 << shift) - 1
+    offset = half | half << shift | half << 2 * shift
+    return {
+        key: gaussian_integer(
+            ((t := total + offset) & mask) - (t >> 2 * shift), (t >> shift & mask) - half
+        )
+        for key, total in result.items()
+    }
 
 
 def _sum_of_products(
@@ -718,18 +738,7 @@ def _sum_of_products(
                         piece = v1 * v2
                         known = get(key)
                         result[key] = piece if known is None else known + piece
-    if shift:
-        # adding half to every digit makes the digits of R + half plain
-        # ones; the real part R0 - R2 loses both halves
-        half, mask = 1 << shift - 1, (1 << shift) - 1
-        offset = half | half << shift | half << 2 * shift
-        result = {
-            key: gaussian_integer(
-                ((t := total + offset) & mask) - (t >> 2 * shift), (t >> shift & mask) - half
-            )
-            for key, total in result.items()
-        }
-    return like._make(result, den)
+    return like._make(_unpacked(result, shift), den)
 
 
 def _pair_reader(layout: Layout) -> Callable[[int], ExponentPair]:
@@ -755,7 +764,8 @@ def _fill(
     series.layout = layout
     series.den = den
     series.nums = nums
-    series._terms = series._left = series._right = series._partners = series._big = None
+    series._terms = series._left = series._right = series._partners = None
+    series._big = series._complex = None
     return series
 
 

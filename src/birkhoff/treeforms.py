@@ -14,8 +14,8 @@ Hamiltonian abstracted away into the partial inverse B:
 where comps(v,k) are ordered compositions of v into k parts >= 1 and each
 composition slices the arguments into consecutive blocks, left to right.  The
 innermost slot of the first group is g_s alone.  As in the degree-by-degree
-pipeline, R is identity in the plain ("printed") variant and I - A in the
-kernel-corrected variant.
+pipeline, R is identity in the plain ("printed") variant and I - A
+(``image_projection``) in the kernel-corrected variant.
 
 ``form_by_recursion`` evaluates the forms on equal arguments, L_s(g, .., g),
 which is all the normal form needs.  Every block of c arguments then has the
@@ -64,6 +64,7 @@ from typing import Sequence
 from .errors import UsageError
 from .operators import (
     FreqVector,
+    image_projection,
     partial_inverse,
     resonant_projection,
     validate_hamiltonian,
@@ -216,8 +217,9 @@ def form_by_recursion(
     """[L_1(g), L_2(g, g), .., L_smax(g, .., g)] from the leaf-count tables.
 
     With ``kernel_corrected=False`` each form equals ``form_by_trees`` on s
-    copies of g.  With ``kernel_corrected=True`` the U2 seeds are stripped of
-    their resonant part, matching the exact degree-by-degree pipeline.
+    copies of g.  With ``kernel_corrected=True`` the U2 seeds are
+    (I - A) L_c, stripped of their resonant part by ``image_projection``,
+    matching the exact degree-by-degree pipeline.
     With ``top_resonant`` every table entry keeps only the resonant terms
     of the truncation degree M, so the forms are exact below M and under A.
     """
@@ -240,7 +242,7 @@ def form_by_recursion(
     for s in range(2, smax + 1):
         last = forms[-1]
         blocks.append(partial_inverse(last, freq))
-        u2[0, s - 1] = last - resonant_projection(last, freq) if kernel_corrected else last
+        u2[0, s - 1] = image_projection(last, freq) if kernel_corrected else last
         for k in range(1, s):
             u1[k, s], u2[k, s] = entry(u1, k, s), entry(u2, k, s)
         weighted = [(Fraction(1, math.factorial(k)), u1[k, s]) for k in range(1, s)]
@@ -299,8 +301,8 @@ def nf_via_trees(
                         continue
                     for t in all_trees(s):
                         piece = resonant_projection(
-                            tree_bracket(t, args, freq, memo).scale(tree_weight(t)), freq
-                        )
+                            tree_bracket(t, args, freq, memo), freq
+                        ).scale(tree_weight(t))
                         if piece.is_zero:
                             continue
                         if kernel_corrected:

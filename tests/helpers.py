@@ -240,6 +240,18 @@ def combination_oracle(items, like: PolySeries) -> PolySeries:
     return series_like(like, acc)
 
 
+def exp_lie_oracle(generator: PolySeries, target: PolySeries) -> PolySeries:
+    """exp(L_F) G step by step: each term {F, last term} / k is formed and
+    added to the running sum on the termwise oracles, until a term is zero."""
+    result = term = target
+    k = 1
+    while not term.is_zero:
+        term = scale_oracle(poisson_oracle(generator, term), Fraction(1, k))
+        result = add_oracle(result, term)
+        k += 1
+    return result
+
+
 def eigenvalue_oracle(alpha, beta, freq: FreqVector) -> GaussianRational:
     """<alpha - beta, lambda> summed in GaussianRational arithmetic, one
     frequency at a time."""

@@ -538,6 +538,15 @@ class TestCheckCommand:
         rows = {row["name"]: row for row in json.loads(out)["checks"]}
         assert rows["s_invariance"]["detail"] == "S preserved under conjugation, seeds 7 and 8"
 
+    @pytest.mark.parametrize("seed, named", [(0, "1 and 2"), (-1, "-1 and 1")])
+    def test_seed_zero_is_skipped(self, tmp_path, capsys, seed, named):
+        # seed 0 draws the zero generator, whose conjugate is the input itself
+        path = spec_file(tmp_path, WORKED)
+        code, out, _ = run_cli(["check", "--input", path, "--seed", str(seed)], capsys)
+        assert code == 0
+        rows = {row["name"]: row for row in json.loads(out)["checks"]}
+        assert rows["s_invariance"]["detail"] == f"S preserved under conjugation, seeds {named}"
+
     def test_order_below_term_degree_truncates(self, capsys):
         # the input has a quartic term; every row, structure included, drops it
         path = REPO_ROOT / "tests" / "golden" / "onedof_real.json"

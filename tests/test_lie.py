@@ -20,7 +20,14 @@ from birkhoff import (
 
 from birkhoff.series import monomials
 
-from helpers import build_series, direct_normalize, gr, random_hamiltonian, random_series
+from helpers import (
+    build_series,
+    direct_normalize,
+    exp_lie_oracle,
+    gr,
+    random_hamiltonian,
+    random_series,
+)
 
 
 def freq(*values) -> FreqVector:
@@ -290,6 +297,14 @@ class TestExpLie:
         h = ham(1, 8, freq(1), {((2,), (2,)): 1})
         assert exp_lie(f + g, h) == exp_lie(f, exp_lie(g, h))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_against_the_step_by_step_oracle(self, seed):
+        n = 1 + seed % 3
+        generator = random_series(n, 6, 4000 + seed, 3, imaginary=True)
+        target = random_series(n, 6, 4100 + seed, 1, imaginary=True)
+        assert not generator.is_zero
+        assert exp_lie(generator, target) == exp_lie_oracle(generator, target)
+
 
 class TestAgainstFlowOracle:
     @pytest.mark.parametrize(
@@ -325,6 +340,12 @@ class TestRandomGenerators:
         assert random_generator(1, 6, 0).is_zero
         h = ham(1, 6, freq(1), {((3,), (0,)): 1})
         assert random_symplectic_conjugate(h, 0) == h
+
+    @pytest.mark.parametrize("seed", [-1, 1, 2])
+    def test_seeds_named_by_check_move_the_input(self, seed):
+        # check --seed 0 conjugates with seeds 1 and 2, --seed -1 with -1 and 1
+        h = ham(1, 4, freq(1), {((2,), (1,)): 1, ((1,), (2,)): 1})
+        assert random_symplectic_conjugate(h, seed) != h
 
     def test_determinism(self):
         a = random_generator(2, 6, 5)

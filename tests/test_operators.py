@@ -14,6 +14,7 @@ from birkhoff import (
     SymScalar,
     UsageError,
     homological_operator,
+    image_projection,
     lie_normalize,
     make_pair,
     partial_inverse,
@@ -173,6 +174,42 @@ class TestIdentities:
         rest = f - resonant
         assert resonant_projection(rest, lam).is_zero
         assert homological_operator(partial_inverse(rest, lam), lam) == rest
+
+
+# a ring of two indeterminates for symbolic operands
+SYMBOLS = SymRing((((3,), (0,)), ((2,), (1,))))
+
+
+def over_ring(f: PolySeries, ring: str) -> PolySeries:
+    """f over Q (its real parts), over Q(i) as it is, or over SYMBOLS, each
+    real part v as v h1 + h2**2."""
+    if ring == "Q(i)":
+        return f
+    if ring == "Q":
+        return PolySeries(f.n, f.order, f.ring, {pair: gr(v.re) for pair, v in f.terms.items()})
+    return PolySeries(f.n, f.order, SYMBOLS, {
+        pair: SymScalar(2, {(1, 0): v.re, (0, 2): 1}) for pair, v in f.terms.items()
+    })
+
+
+class TestImageProjection:
+    """I - A against A, D and B, on each coefficient ring; a symbolic
+    series needs real frequencies."""
+
+    @pytest.mark.parametrize("ring, case", [
+        (ring, case) for ring in ("Q", "Q(i)", "SymRing") for case in range(len(IDENTITY_FREQS))
+        if ring != "SymRing" or IDENTITY_FREQS[case].is_real
+    ])
+    def test_identities(self, ring, case):
+        lam = IDENTITY_FREQS[case]
+        # the quadratic part is resonant, so neither projection is zero
+        f = random_series(lam.n, 8, 3100 + case, 1, imaginary=True) + lam.quadratic_part(8)
+        f = over_ring(f, ring)
+        image, kernel = image_projection(f, lam), resonant_projection(f, lam)
+        assert not image.is_zero and not kernel.is_zero
+        assert image + kernel == f
+        assert image == homological_operator(partial_inverse(f, lam), lam)
+        assert resonant_projection(image, lam).is_zero
 
 
 class TestResonantPairs:

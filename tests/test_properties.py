@@ -401,6 +401,22 @@ def assert_products_match_oracles(f: PolySeries, g: PolySeries) -> None:
         assert bracket == poisson_pairwise_oracle(left, right)
 
 
+def assert_sums_match_oracles(f: PolySeries, g: PolySeries, q: int | Fraction) -> None:
+    """Every linear sum of f and g, both ways round, against the termwise
+    oracles, in content form."""
+    for left, right in ((f, g), (g, f)):
+        items = [(q, left), (1, right), (-q, right)]
+        for result, oracle in (
+            (left + right, add_oracle(left, right)),
+            (left - right, add_oracle(left, scale_oracle(right, -1))),
+            (-left, scale_oracle(left, -1)),
+            (left.scale(q), scale_oracle(left, q)),
+            (combination(items, left), combination_oracle(items, left)),
+        ):
+            assert_content_form(result)
+            assert fields(result) == fields(oracle)
+
+
 EXTREME = (1 << 256) - 1
 
 
@@ -458,11 +474,17 @@ class TestPackedNumerators:
     def test_one_real_operand(self, fg):
         assert_products_match_oracles(*fg)
 
+    @FAST
+    @given(fg=st.one_of(huge_series_pairs(), huge_series_pairs(huge_reals)), q=scalings)
+    def test_huge_linear_sums(self, fg, q):
+        assert_sums_match_oracles(*fg, q)
+
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("shape", ["dense times one", "chain", "dense"])
     def test_sums_at_the_packing_bound(self, shape, sign):
         f, g = extreme_case(shape, sign)
         assert_products_match_oracles(f, g)
+        assert_sums_match_oracles(f, g, Fraction(-7, 3))
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_largest_component_kept_per_operand(self, sign):
@@ -557,6 +579,38 @@ def extreme_items(sign: int) -> list:
 
 
 indices = st.integers(0, 3)
+
+
+class TestLinearSumsThatCancel:
+    @FAST
+    @given(fg=huge_series_pairs(), q=scalings.filter(bool))
+    def test_cancelled_imaginary_parts_give_ints(self, fg, q):
+        # z + conj(z) is real: every packed sum cancels to an int numerator
+        f, _ = fg
+        f_bar = conjugate(f)
+        items = [(q, f), (q, f_bar)]
+        for result, oracle in (
+            (f + f_bar, add_oracle(f, f_bar)),
+            (f - (-f_bar), add_oracle(f, f_bar)),
+            (combination(items, f), combination_oracle(items, f)),
+        ):
+            assert all(type(num) is int for num in result.nums.values())
+            assert_content_form(result)
+            assert fields(result) == fields(oracle)
+
+
+class TestCoefficient:
+    @FAST
+    @given(pool=series_pools())
+    def test_one_pair_read_without_the_terms_view(self, pool):
+        # every pair up to one degree above the order: present, absent and
+        # past the truncation
+        f = pool[0]
+        pairs = [pair for degree in range(f.order + 2) for pair in monomials(f.n, degree)]
+        fresh = PolySeries(f.n, f.order, f.ring, f.terms)
+        values = [fresh.coefficient(pair) for pair in pairs]
+        assert fresh._terms is None
+        assert values == [fresh.terms.get(pair, fresh.ring.zero) for pair in pairs]
 
 
 class TestFusedSums:

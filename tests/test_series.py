@@ -16,17 +16,22 @@ from birkhoff import (
     from_json_terms,
     make_pair,
 )
+from birkhoff.lie import exp_lie
 from birkhoff.scalars import GaussianInteger
-from birkhoff.series import MAX_POWER, monomials
+from birkhoff.series import MAX_POWER, combination, monomials
 
 from helpers import (
     _exponents,
+    add_oracle,
     build_series,
+    combination_oracle,
+    exp_lie_oracle,
     gr,
     mul_oracle,
     poisson_oracle,
     poisson_pairwise_oracle,
     random_series,
+    scale_oracle,
 )
 
 POWER_RING = SymRing((((3,), (0,)), ((2,), (1,))))
@@ -142,13 +147,22 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_complex_products_multiply_no_gaussian_integers(self, n, monkeypatch):
-        # complex numerators are packed into ints before the product loop, so
-        # neither * nor the bracket falls back to GaussianInteger arithmetic
+        # complex numerators are packed into ints before the product loop
+        # and before a sum, so neither *, the bracket nor any linear sum falls
+        # back to GaussianInteger arithmetic
         f = random_series(n, 7, n + 1300, 1, 3, max_terms=8, imaginary=True)
         g = random_series(n, 7, n + 1400, 1, 3, max_terms=8, imaginary=True)
-        expected = [mul_oracle(f, g), poisson_oracle(f, g), mul_oracle(g, f)]
+        generator = random_series(n, 7, n + 1500, 3, 4, max_terms=4, imaginary=True)
+        items = [(Fraction(2, 3), f), (-5, g), (Fraction(-1, 7), f)]
+        expected = [
+            mul_oracle(f, g), poisson_oracle(f, g), mul_oracle(g, f),
+            add_oracle(f, g), add_oracle(f, scale_oracle(g, -1)), scale_oracle(f, -1),
+            scale_oracle(g, Fraction(-3, 4)), combination_oracle(items, f),
+            exp_lie_oracle(generator, f),
+        ]
         assert all(
-            GaussianInteger in set(map(type, series.nums.values())) for series in [f, g] + expected
+            GaussianInteger in set(map(type, series.nums.values()))
+            for series in [f, g, generator] + expected
         )
 
         def refuse(self, other):
@@ -156,7 +170,10 @@ class TestArithmetic:
 
         for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
             monkeypatch.setattr(GaussianInteger, name, refuse)
-        assert [f * g, f.poisson(g), g * f] == expected
+        assert [
+            f * g, f.poisson(g), g * f, f + g, f - g, -f, g.scale(Fraction(-3, 4)),
+            combination(items, f), exp_lie(generator, f),
+        ] == expected
 
     def test_scale(self):
         f = build_series(1, 4, {((2,), (1,)): gr(3, 1)})
