@@ -20,10 +20,10 @@ so each entry is final when first computed and each bracket is taken once.
 Each entry is one ``bracket_sum`` and Phi_m one ``combination``: every
 sum accumulates in one dict, and an entry builds its derivative lists once
 however often it is bracketed.  With ``normal_form_only`` the entries of
-the top degree M are bracketed with the charge map of the frequencies, so
-they keep only resonant terms: N_M = A Phi_M is exact, while F_M and
-Phi_M are not, and the result holds None in their place.  The series the
-result holds keep no derivative lists.
+the top degree M are bracketed given the frequencies, whose label table
+``bracket_sum`` reads, so they keep only resonant terms: N_M = A Phi_M
+is exact, while F_M and Phi_M are not, and the result holds None in their
+place.  The series the result holds keep no derivative lists.
 The seed R_j of T2 depends on the mode:
 
 * ``kernel_corrected=True`` (default): R_j = (I - A) Phi_j = Phi_j - N_j,
@@ -96,14 +96,13 @@ def lie_normalize(
     t2: dict[tuple[int, int], PolySeries] = {}
 
     zero = PolySeries.zero(n, order, ring)
-    top = freq.top_charges(zero) if normal_form_only else None
 
     def bracket_entry(table: dict, k: int, m: int) -> PolySeries:
         """T[k][m] = sum_{j>=3} {F_j, T[k-1][m+2-j]}; every inner degree is below m."""
         return bracket_sum(
             [(gen[j], table[k - 1, m + 2 - j]) for j in range(3, m - k + 1)],
             zero,
-            top if m == order else None,
+            freq if normal_form_only and m == order else None,
         )
 
     for m in range(3, order + 1):

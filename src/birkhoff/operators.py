@@ -23,9 +23,11 @@ den > 0, so the eigenvalue of x^alpha y^beta is (R + I i)/den for the
 integer charges R = <k, re> and I = <k, im>, k = alpha - beta.  Resonance
 is therefore an exact integer zero test, R = I = 0, never a tolerance, and
 ``resonant_pairs`` matches the alpha and beta of equal charge in a dict.
-The same charges, with the degree, label each key in the
-:class:`TopCharges` map by which ``series.bracket_sum`` keeps only the
-resonant terms of the truncation degree.
+For each key layout a FreqVector keeps one table from the series part of a
+key, ``key >> layout.low``, to its label (degree, R, I), so the monomials
+in the indeterminates of one exponent pair share one label.  D, A and B
+read it, and so does ``series.bracket_sum``, which given the frequencies
+keeps only the resonant terms of the truncation degree.
 """
 
 from __future__ import annotations
@@ -43,19 +45,19 @@ from .scalars import (
     _reduced,
     gaussian_integer,
 )
-from .series import ExponentPair, Layout, PolySeries, _layout, compositions, term_order
+from .series import ExponentPair, Layout, PolySeries, compositions, term_order
 
 
 class FreqVector:
     """Nonzero frequencies lambda_1..lambda_n in Q(i).
 
     ``re``, ``im`` and ``den`` write lambda_j = (re_j + im_j i)/den over the
-    lcm of the frequencies' denominators.  Each instance remembers the
-    eigenvalues it has computed, by key layout and packed key; equality and
+    lcm of the frequencies' denominators.  Each instance keeps the labels,
+    eigenvalues and resonant top degrees it has computed; equality and
     hashing look only at the frequencies.
     """
 
-    __slots__ = ("entries", "re", "im", "den", "_keyed", "_tops")
+    __slots__ = ("entries", "re", "im", "den", "_labels", "_eigen", "_resonant_tops")
 
     def __init__(self, entries: Sequence[GaussianRational]):
         items = tuple(entries)
@@ -73,12 +75,13 @@ class FreqVector:
         self.re = tuple([value.a * (den // value.d) for value in items])
         self.im = tuple([value.b * (den // value.d) for value in items])
         self.den = den
-        # (field width, bits below the series fields) -> packed key ->
-        # eigenvalue and inverse as (numerator, denominator, numerator,
-        # denominator), None if resonant
-        self._keyed: dict[tuple[int, int], dict[int, tuple | None]] = {}
-        # (key layout, order) -> its charge map
-        self._tops: dict[tuple, TopCharges] = {}
+        # key layout -> its label table
+        self._labels: dict[Layout, _Labels] = {}
+        # nonzero charges (R, I) -> the eigenvalue and its inverse as
+        # (numerator, denominator, numerator, denominator)
+        self._eigen: dict[tuple[int, int], tuple] = {}
+        # order -> whether some monomial of that degree is resonant
+        self._resonant_tops: dict[int, bool] = {}
 
     @staticmethod
     def of(*values) -> "FreqVector":
@@ -111,53 +114,39 @@ class FreqVector:
         """<alpha - beta, lambda> for the monomial x^alpha y^beta."""
         return _reduced(*self._charge(tuple(map(sub, pair.alpha, pair.beta))), self.den)
 
-    def _fields(self, layout: Layout) -> list[tuple[int, int, int, int]]:
-        """(x_j shift, y_j shift, re_j, im_j) of each degree of freedom."""
-        shifts = layout.shifts
-        return list(zip(shifts[:self.n], shifts[self.n:], self.re, self.im))
-
-    def _table(self, series: PolySeries) -> dict[int, tuple | None]:
-        """The eigenvalue data of every key of the series, by key.
-
-        A symbolic key shares the data of its series part, which is the key
-        of its exponent pair over Q(i); k = alpha - beta is read from the
-        fields of that part.
-        """
-        layout = series.layout
-        table = self._keyed.setdefault((layout.width, layout.low), {})
-        missing = series.nums.keys() - table.keys()
-        if missing:
-            low, mask, den = layout.low, (1 << layout.width) - 1, self.den
-            numeric = self._keyed.setdefault((layout.width, 0), {})
-            fields = self._fields(_layout(series.n, series.order, 0))
-            for key in missing:
-                part = key >> low
-                if part not in numeric:
-                    a, b = _key_charges(part, fields, mask)
-                    if not a and not b:
-                        numeric[part] = None
-                    else:
-                        g = gcd(a, b, den)
-                        a, b, d = a // g, b // g, den // g
-                        # 1/((a + b i)/d) = d (a - b i)/(a**2 + b**2)
-                        norm = a * a + b * b
-                        h = gcd(d * a, d * b, norm)
-                        numeric[part] = (
-                            gaussian_integer(a, b), d,
-                            gaussian_integer(d * a // h, -d * b // h), norm // h,
-                        )
-                table[key] = numeric[part]
+    def _label_table(self, layout: Layout) -> "_Labels":
+        """The label table of a key layout, made on first use and kept."""
+        table = self._labels.get(layout)
+        if table is None:
+            table = self._labels[layout] = _Labels(self, layout)
         return table
 
-    def top_charges(self, like: PolySeries) -> "TopCharges":
-        """The charge map of like's key layout and truncation order, built
-        once per layout and order."""
-        _check_dimension(like, self)
-        index = (like.layout, like.order)
-        charges = self._tops.get(index)
-        if charges is None:
-            charges = self._tops[index] = TopCharges(self, like.layout, like.order)
-        return charges
+    def _factors(self, re: int, im: int) -> tuple:
+        """The eigenvalue (re + im i)/den and its inverse as (numerator,
+        denominator, numerator, denominator), computed once per nonzero
+        charge."""
+        entry = self._eigen.get((re, im))
+        if entry is None:
+            g = gcd(re, im, self.den)
+            a, b, d = re // g, im // g, self.den // g
+            # 1/((a + b i)/d) = d (a - b i)/(a**2 + b**2)
+            norm = a * a + b * b
+            h = gcd(d * a, d * b, norm)
+            entry = self._eigen[re, im] = (
+                gaussian_integer(a, b), d, gaussian_integer(d * a // h, -d * b // h), norm // h,
+            )
+        return entry
+
+    def _resonant_top(self, order: int) -> bool:
+        """Whether some monomial of degree order is resonant: a split
+        |alpha| + |beta| = order with an alpha and a beta of equal charge."""
+        found = self._resonant_tops.get(order)
+        if found is None:
+            buckets = _charge_buckets(self, order)
+            found = self._resonant_tops[order] = any(
+                buckets[size].keys() & buckets[order - size].keys() for size in range(order + 1)
+            )
+        return found
 
     def is_resonant(self, pair: ExponentPair) -> bool:
         return self._charge(tuple(map(sub, pair.alpha, pair.beta))) == (0, 0)
@@ -189,46 +178,29 @@ class FreqVector:
         return f"FreqVector({', '.join(str(v) for v in self.entries)})"
 
 
-class TopCharges(dict):
-    """Packed key -> (degree, <k, re>, <k, im>), k = alpha - beta, for one
-    key layout and truncation order M: the label by which
-    ``series.bracket_sum`` keeps only the resonant terms of degree M.
+class _Labels(dict):
+    """Series part of a key -> (degree, <k, re>, <k, im>), k = alpha - beta,
+    for one key layout; a label is computed on first lookup and kept."""
 
-    The label reads only the series fields of a key, so the low fields of
-    a symbolic key change nothing; it is computed on first lookup and kept.
-    ``resonant_top`` says whether some monomial of degree M is resonant: a
-    split |alpha| + |beta| = M with an alpha and a beta of equal charge.
-    """
+    __slots__ = ("_high", "_mask", "_fields")
 
-    __slots__ = ("layout", "order", "resonant_top", "_high", "_mask", "_fields")
-
-    def __init__(self, freq: FreqVector, layout: Layout, order: int):
+    def __init__(self, freq: FreqVector, layout: Layout):
         super().__init__()
-        charges = [
-            {freq._charge(exps) for exps in compositions(size, freq.n, 0)}
-            for size in range(order + 1)
-        ]
-        self.layout = layout
-        self.order = order
-        self.resonant_top = any(charges[size] & charges[order - size] for size in range(order + 1))
-        self._high = layout.top
+        n, low = freq.n, layout.low
+        shifts = [shift - low for shift in layout.shifts]
+        self._high = layout.top - low
         self._mask = (1 << layout.width) - 1
-        self._fields = freq._fields(layout)
+        self._fields = list(zip(shifts[:n], shifts[n:], freq.re, freq.im))
 
-    def __missing__(self, key: int) -> tuple[int, int, int]:
-        label = self[key] = (key >> self._high, *_key_charges(key, self._fields, self._mask))
+    def __missing__(self, part: int) -> tuple[int, int, int]:
+        re = im = 0
+        mask = self._mask
+        for xs, ys, re_j, im_j in self._fields:
+            k = (part >> xs & mask) - (part >> ys & mask)
+            re += k * re_j
+            im += k * im_j
+        label = self[part] = (part >> self._high, re, im)
         return label
-
-
-def _key_charges(key: int, fields: list, mask: int) -> tuple[int, int]:
-    """(<k, re>, <k, im>) of k = alpha - beta read from the series fields of
-    a key, for the (x_j shift, y_j shift, re_j, im_j) fields of a layout."""
-    a = b = 0
-    for xs, ys, re, im in fields:
-        k = (key >> xs & mask) - (key >> ys & mask)
-        a += k * re
-        b += k * im
-    return a, b
 
 
 def validate_hamiltonian(hamiltonian: PolySeries, freq: FreqVector) -> None:
@@ -266,15 +238,15 @@ def homological_operator(series: PolySeries, freq: FreqVector) -> PolySeries:
 def resonant_projection(series: PolySeries, freq: FreqVector) -> PolySeries:
     """A: keep exactly the terms with eigenvalue zero."""
     _check_dimension(series, freq)
-    table = freq._table(series)
-    return series._select(lambda key: table[key] is None)
+    labels, low = freq._label_table(series.layout), series.layout.low
+    return series._select(lambda key: labels[key >> low][1:] == (0, 0))
 
 
 def image_projection(series: PolySeries, freq: FreqVector) -> PolySeries:
     """I - A: keep exactly the terms with nonzero eigenvalue."""
     _check_dimension(series, freq)
-    table = freq._table(series)
-    return series._select(lambda key: table[key] is not None)
+    labels, low = freq._label_table(series.layout), series.layout.low
+    return series._select(lambda key: labels[key >> low][1:] != (0, 0))
 
 
 def partial_inverse(series: PolySeries, freq: FreqVector) -> PolySeries:
@@ -292,13 +264,14 @@ def _times_eigen(series: PolySeries, freq: FreqVector, inverse: bool) -> PolySer
     so the result is one pass over numerators over series.den * L.  A
     symbolic series has integer numerators, so its factors must be real.
     """
-    table = freq._table(series)
+    labels, low = freq._label_table(series.layout), series.layout.low
     at = 2 if inverse else 0
-    picked = [
-        (key, value, entry[at], entry[at + 1])
-        for key, value in series.nums.items()
-        if (entry := table[key]) is not None
-    ]
+    picked = []
+    for key, value in series.nums.items():
+        _, re, im = labels[key >> low]
+        if re or im:
+            entry = freq._factors(re, im)
+            picked.append((key, value, entry[at], entry[at + 1]))
     if isinstance(series.ring, SymRing):
         for _, _, num, _ in picked:
             if type(num) is not int:
@@ -312,30 +285,34 @@ def _times_eigen(series: PolySeries, freq: FreqVector, inverse: bool) -> PolySer
     )
 
 
+def _charge_buckets(freq: FreqVector, order: int) -> list[dict]:
+    """For each size 0..order, the exponent tuples of that size in n
+    variables by their charge (<., re>, <., im>)."""
+    buckets = []
+    for size in range(order + 1):
+        bucket: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for exps in compositions(size, freq.n, 0):
+            bucket.setdefault(freq._charge(exps), []).append(exps)
+        buckets.append(bucket)
+    return buckets
+
+
 def resonant_pairs(freq: FreqVector, order: int) -> list[ExponentPair]:
     """All non-trivial resonant exponent pairs of total degree <= order.
 
     Trivial means diagonal (alpha == beta): those are resonant for every
     frequency vector and are omitted.  A pair is resonant when alpha and
     beta have the same charge (<., re>, <., im>), so for each split of a
-    degree into |alpha| + |beta| the betas are bucketed by charge and each
-    alpha picks its bucket.  Results are in canonical term order.
+    degree into |alpha| + |beta| each bucket of alphas meets the bucket of
+    betas of its charge.  Results are in canonical term order.
     """
-    by_size = [
-        [(exps, freq._charge(exps)) for exps in compositions(size, freq.n, 0)]
-        for size in range(order + 1)
-    ]
-    buckets = []
-    for rows in by_size:
-        bucket: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        for exps, charge in rows:
-            bucket.setdefault(charge, []).append(exps)
-        buckets.append(bucket)
+    buckets = _charge_buckets(freq, order)
     found = [
         ExponentPair(alpha, beta)
         for degree in range(1, order + 1)
         for size in range(degree + 1)
-        for alpha, charge in by_size[size]
+        for charge, alphas in buckets[size].items()
+        for alpha in alphas
         for beta in buckets[degree - size].get(charge, ())
         if alpha != beta
     ]

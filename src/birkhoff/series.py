@@ -62,20 +62,20 @@ so the entries of a bracket table, each bracketed against many others,
 build theirs once.
 
 A run that reads nothing but the normal form needs of the truncation
-degree M only the resonant terms, the kernel of D = {., H2}.  Given a
-charge map (``FreqVector.top_charges``), which labels a key with its
-degree and the integer charges (<k, re>, <k, im>) of k = alpha - beta,
-``bracket_sum`` stops each row before degree M and then visits only the
-degree-M partners whose charges cancel the left term's: one dict lookup
-in the right list's partners, keyed by (degree, charges), which kept
-lists keep with the map they were built for (``_partners``).  The charges
-of a product key are the sums of its factors' charges, so the pairs
-skipped are exactly those that land on a non-resonant term of degree M,
-and every other term of the sum is as without the map.  The cut is exact
-where the caller reads a degree-M term only through A: a degree-M term
-feeds no later bracket, since a bracket with a term of degree >= 3 passes
-M.  When no monomial of degree M is resonant, the rows stop before M and
-look nothing up.
+degree M only the resonant terms, the kernel of D = {., H2}.  Given the
+frequencies (a ``FreqVector``), whose label table for a key layout maps
+the series part of a key to its degree and the integer charges
+(<k, re>, <k, im>) of k = alpha - beta, ``bracket_sum`` stops each row
+before degree M and then visits only the degree-M partners whose charges
+cancel the left term's: one dict lookup in the right list's partners,
+keyed by (degree, charges), which kept lists keep with the table they
+were built for (``_partners``).  The charges of a product key are the
+sums of its factors' charges, so the pairs skipped are exactly those that
+land on a non-resonant term of degree M, and every other term of the sum
+is as without the cut.  The cut is exact where the caller reads a
+degree-M term only through A: a degree-M term feeds no later bracket,
+since a bracket with a term of degree >= 3 passes M.  When no monomial of
+degree M is resonant, the rows stop before M and look nothing up.
 
 When an operand of a sum holds a complex numerator, the numerators
 a + b i of every operand are packed into the single ints a + b 2**K, with
@@ -491,7 +491,7 @@ def _key(pair: ExponentPair, layout: Layout, order: int) -> int | None:
 
 
 def bracket_sum(
-    pairs: Iterable[tuple[PolySeries, PolySeries]], like: PolySeries, top: Mapping | None = None
+    pairs: Iterable[tuple[PolySeries, PolySeries]], like: PolySeries, top=None
 ) -> PolySeries:
     """The sum of {F, G} over the (F, G) pairs, a series of like's shape.
 
@@ -499,12 +499,11 @@ def bracket_sum(
     each pair's factor L / (D_F D_G) scales its left values as they are
     read, and the sum gets one gcd.
 
-    With a charge map ``top`` of like's layout and order M
-    (``FreqVector.top_charges``), the sum keeps of degree M only its
-    resonant terms; every term of lower degree is as without it.
+    Given the frequencies ``top`` (a ``FreqVector``), the sum keeps of
+    like's truncation degree M only its resonant terms, found through the
+    frequencies' label table for like's key layout; every term of lower
+    degree is as without them.
     """
-    if top is not None and (top.layout != like.layout or top.order != like.order):
-        raise UsageError("the charge map is for another key layout or truncation order")
     kept = []
     for f, g in pairs:
         like._require_compatible(f)
@@ -513,13 +512,14 @@ def bracket_sum(
             kept.append((f, g, f.den * g.den))
     den = lcm(*[d for _, _, d in kept])
     shift = _packed(kept, den, 2 * like.n * like.order**2)
-    cut = top is not None and top.resonant_top
+    labels = None if top is None else top._label_table(like.layout)
+    cut = top is not None and top._resonant_top(like.order)
     products = [
         (_side(f, False, shift), right := _side(g, True, shift), den // d,
-         _partners(g, right, top) if cut else _NO_PARTNERS)
+         _partners(g, right, labels) if cut else _NO_PARTNERS)
         for f, g, d in kept
     ]
-    return _sum_of_products(like, products, den, shift, top)
+    return _sum_of_products(like, products, den, shift, labels)
 
 
 def combination(items: Iterable[tuple[int | Fraction, PolySeries]], like: PolySeries) -> PolySeries:
@@ -559,7 +559,7 @@ def combination(items: Iterable[tuple[int | Fraction, PolySeries]], like: PolySe
     return like._make(_unpacked(result, shift), den)
 
 
-# the partners of the right lists of a sum without a charge map: none
+# the partners of the right lists of a sum without a resonant top: none
 _NO_PARTNERS = repeat(None)
 
 
@@ -581,27 +581,28 @@ def _side(series: PolySeries, right: bool, shift: int) -> list[list]:
     return lists
 
 
-def _partners(series: PolySeries, rights: list[list], top: Mapping) -> list[dict]:
+def _partners(series: PolySeries, rights: list[list], labels: Mapping) -> list[dict]:
     """For each right list of series, its terms by the label a left term
-    must have to reach a resonant term of degree M = top.order with them.
+    must have to reach a resonant term of degree M = series.order with them.
 
     A term of degree d and charges (R, I) goes under (M - d, -R, -I): the
     charges of a product key add, so a left term labelled (d', R', I')
     meets exactly its partners of degree M - d' and charges (-R', -I').
-    The partners of kept lists are kept with the map they were built for.
+    The partners of kept lists are kept with the label table they were
+    built for; the order is the series' own.
     """
     cached = series._partners
-    if cached is not None and cached[0] is top:
+    if cached is not None and cached[0] is labels:
         return cached[1]
-    order, buckets = top.order, []
+    order, low, buckets = series.order, series.layout.low, []
     for right in rights:
         bucket: dict[tuple, list] = {}
         for term in right:
-            degree, re, im = top[term[0]]
+            degree, re, im = labels[term[0] >> low]
             bucket.setdefault((order - degree, -re, -im), []).append(term)
         buckets.append(bucket)
     if rights is series._right:
-        series._partners = (top, buckets)
+        series._partners = (labels, buckets)
     return buckets
 
 
@@ -704,20 +705,20 @@ def _unpacked(result: dict, shift: int) -> dict:
 
 
 def _sum_of_products(
-    like: PolySeries, products: Iterable, den: int, shift: int, top: Mapping | None = None
+    like: PolySeries, products: Iterable, den: int, shift: int, labels: Mapping | None = None
 ) -> PolySeries:
     """The series like ``like`` over den holding the sum of factor times the
     truncated products of the (left, right) term lists of each (lefts,
     rights, factor, partners) product; the factor scales each left value
     once, and each right list is sorted, so a row stops at the first key
-    that takes the pair past the order.  With a charge map ``top`` a row
-    stops before the order M instead and then takes the partners, of
-    degree M, that the map's label of its left key picks from the right
-    list's partner dict (``_partners``), if there is one.  With a nonzero
+    that takes the pair past the order.  With a label table a row stops
+    before the order M instead and then takes the partners, of degree M,
+    that the label of its left key's series part picks from the right
+    list's partner dict (``_partners``), if it has partners.  With a nonzero
     shift K the numerators are packed by ``_pack`` and each sum is read
     back from its balanced base-2**K digits."""
-    high = like.layout.top
-    stop = like.order + 1 if top is None else like.order
+    high, low = like.layout.top, like.layout.low
+    stop = like.order + 1 if labels is None else like.order
     result: dict[int, object] = {}
     get = result.get
     for lefts, rights, factor, partners in products:
@@ -733,7 +734,7 @@ def _sum_of_products(
                     known = get(key)
                     result[key] = piece if known is None else known + piece
                 if bucket:
-                    for k2, v2 in bucket.get(top[k1], ()):
+                    for k2, v2 in bucket.get(labels[k1 >> low], ()):
                         key = k1 + k2
                         piece = v1 * v2
                         known = get(key)

@@ -61,9 +61,9 @@ def symbolic_normalize(
     support: Sequence[ExponentPair],
     freq: FreqVector,
     order: int,
-    kernel_corrected: bool = True,
 ) -> SymbolicNormalForm:
-    """Run the degree-by-degree pipeline over symbolic coefficients.
+    """Run the kernel-corrected degree-by-degree pipeline over symbolic
+    coefficients.
 
     Specializing the indeterminates to numbers commutes with normalization;
     that homomorphism property is exercised by the tests.
@@ -98,9 +98,7 @@ def symbolic_normalize(
     hamiltonian = freq.quadratic_part(order, ring) + PolySeries(
         freq.n, order, ring, terms
     )
-    normal_form = lie_normalize(
-        hamiltonian, freq, kernel_corrected, normal_form_only=True
-    ).normal_form
+    normal_form = lie_normalize(hamiltonian, freq, normal_form_only=True).normal_form
     resonant = {pair: value for pair, value in normal_form.terms.items() if pair.degree >= 3}
     return SymbolicNormalForm(ring=ring, freq=freq, order=order, resonant=resonant)
 

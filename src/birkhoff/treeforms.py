@@ -43,9 +43,11 @@ other, as is the recursion-equals-trees identity on equal arguments.
 With H* = H - H2 and M the truncation order, the normal form is one
 recursion, N = H2 + sum_{s=1}^{M-2} A L_s(H*, .., H*).  It reads the forms
 only through A, so ``nf_via_trees`` asks ``form_by_recursion`` for
-``top_resonant`` forms, whose table entries keep only the resonant terms
-of degree M (a degree-M term feeds no later bracket).  By multilinearity its
-degree-m part is the sum over tuples of homogeneous parts of H,
+``top_resonant`` forms: each table entry is bracketed given the
+frequencies, whose label table ``bracket_sum`` reads, and keeps only the
+resonant terms of degree M (a degree-M term feeds no later bracket).  By
+multilinearity its degree-m part is the sum over tuples of homogeneous
+parts of H,
 
     N_m = sum_{s=1}^{m-2} sum_{j_1+..+j_s = m-2+2s, j_i >= 3}
               A L_s(H_{j_1}, .., H_{j_s}),
@@ -220,13 +222,14 @@ def form_by_recursion(
     copies of g.  With ``kernel_corrected=True`` the U2 seeds are
     (I - A) L_c, stripped of their resonant part by ``image_projection``,
     matching the exact degree-by-degree pipeline.
-    With ``top_resonant`` every table entry keeps only the resonant terms
-    of the truncation degree M, so the forms are exact below M and under A.
+    With ``top_resonant`` every table entry is bracketed given freq and
+    keeps only the resonant terms of the truncation degree M, so the forms
+    are exact below M and under A.
     """
     if smax < 1:
         raise UsageError("the form needs at least one argument")
     zero = PolySeries.zero(g.n, g.order, g.ring)
-    top = freq.top_charges(zero) if top_resonant else None
+    top = freq if top_resonant else None
     forms = [zero, g]  # forms[c] = L_c
     blocks = [zero]  # blocks[c] = B L_c
     # u1[k, r], u2[k, r]: the k-fold brackets holding r leaves

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import runpy
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,6 +58,13 @@ def child_env(hash_seed: int | None = None) -> dict:
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = str(hash_seed)
     return env
+
+
+def bench_input(workload: str, seed: int) -> dict:
+    """The problem document of a workload's first input, as the benchmark's
+    seeded generator ``bench/inputs.py`` writes it for the seed."""
+    generate = runpy.run_path(str(REPO_ROOT / "bench" / "inputs.py"))["generate"]
+    return generate(workload, seed)[0].document
 
 
 def gr(re: int | Fraction, im: int | Fraction = 0) -> GaussianRational:

@@ -3,8 +3,9 @@
 ``check`` is worth something only because ``lie``, ``trees`` (the modules
 ``trees`` and ``treeforms``) and ``onedof`` reach the normal form by
 different routes.  They may share the series, operator, scalar and error
-layers, but none may import another pipeline.  This test reads the import
-statements of every package module with ``ast``, without importing them.
+layers, but none may import another pipeline, and no shared layer may
+import a layer above it.  This test reads the import statements of every
+package module with ``ast``, without importing them.
 """
 
 import ast
@@ -20,6 +21,17 @@ FORBIDDEN = {
     "lie": {"trees", "treeforms", "onedof"},
     "treeforms": {"lie", "onedof"},
     "onedof": {"lie", "treeforms"},
+}
+
+# The shared layers stack scalars < series < operators < pipelines: a
+# layer imports nothing from a layer above it.  ``series.bracket_sum``
+# reads a FreqVector's label table by duck typing, so nothing but this
+# guard keeps series below operators.
+PIPELINES = {"lie", "trees", "treeforms", "onedof", "structure", "cli"}
+LAYERS = {
+    "scalars": {"series", "operators"} | PIPELINES,
+    "series": {"operators"} | PIPELINES,
+    "operators": PIPELINES,
 }
 
 
@@ -49,12 +61,17 @@ def imported_modules(path: Path) -> set[str]:
 
 def test_every_guarded_module_exists():
     modules = {path.stem for path in PACKAGE.glob("*.py")}
-    assert set(FORBIDDEN) <= modules
+    assert set(FORBIDDEN) | set(LAYERS) | PIPELINES <= modules
 
 
 @pytest.mark.parametrize("module", sorted(FORBIDDEN))
 def test_pipeline_imports_no_other_pipeline(module):
     assert imported_modules(PACKAGE / f"{module}.py") & FORBIDDEN[module] == set()
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_layer_imports_nothing_above_it(module):
+    assert imported_modules(PACKAGE / f"{module}.py") & LAYERS[module] == set()
 
 
 def test_reader_sees_relative_and_absolute_imports(tmp_path):

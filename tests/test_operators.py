@@ -1,5 +1,8 @@
 """Splitting-operator tests: D, A, B and their algebraic identities."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -22,10 +25,13 @@ from birkhoff import (
     resonant_projection,
     symbolic_normalize,
 )
+from birkhoff import operators
+from birkhoff.cli import main
 from birkhoff.scalars import gaussian_integer
-from birkhoff.series import _layout, _pair_reader, bracket_sum, monomials, term_order
+from birkhoff.series import _layout, _pair_reader, monomials, term_order
 
 from helpers import (
+    bench_input,
     build_series,
     eigenvalue_oracle,
     gr,
@@ -234,8 +240,9 @@ class TestResonantPairs:
 
 
 class TestEigenvalueCache:
-    """A FreqVector remembers eigenvalues by the series part of a key, so
-    numeric and symbolic series of one order can share it."""
+    """A FreqVector keeps one label table per key layout and the eigenvalue
+    data once per charge, so numeric and symbolic runs on one instance give
+    what fresh instances give."""
 
     def test_numeric_then_symbolic_then_numeric(self):
         order = 5
@@ -249,6 +256,12 @@ class TestEigenvalueCache:
         shared = freq(1, 2)
         for run in runs:
             assert run(shared) == run(freq(1, 2))
+        symbolic = symbolic_normalize(support, shared, order).ring
+        layouts = {_layout(2, order, 0), _layout(2, order, symbolic.nvars)}
+        assert shared._labels.keys() == layouts
+        # one entry per nonzero charge, whatever the layout of its keys
+        charges = {label[1:] for table in shared._labels.values() for label in table.values()}
+        assert shared._eigen.keys() == charges - {(0, 0)}
 
     def test_a_symbolic_key_equal_to_a_numeric_key(self):
         # the constant h^k, with k the key of x over Q(i), has the key k too
@@ -300,12 +313,24 @@ def freq_and_pairs(draw):
 
 
 def table_entry_oracle(alpha, beta, fv: FreqVector):
-    """The eigenvalue and its inverse as ``_table`` stores them."""
+    """The eigenvalue and its inverse as ``FreqVector._factors`` gives them,
+    None if resonant."""
     eig = eigenvalue_oracle(alpha, beta, fv)
     if eig.is_zero:
         return None
     inv = eig.inverse()
     return gaussian_integer(eig.a, eig.b), eig.d, gaussian_integer(inv.a, inv.b), inv.d
+
+
+@pytest.fixture
+def misses(monkeypatch) -> list:
+    """The series parts whose labels are computed, one per computation."""
+    found = []
+    compute = operators._Labels.__missing__
+    monkeypatch.setattr(
+        operators._Labels, "__missing__", lambda table, part: found.append(part) or compute(table, part)
+    )
+    return found
 
 
 def resonant_pairs_oracle(fv: FreqVector, order: int) -> list:
@@ -342,53 +367,91 @@ class TestIntegerCharges:
     def test_every_table_entry(self, case):
         fv, order, pairs = case
         series = build_series(fv.n, order, {(p.alpha, p.beta): 1 for p in pairs})
-        table = fv._table(series)
+        labels = fv._label_table(series.layout)
         pair_of = _pair_reader(series.layout)
-        assert table.keys() >= series.nums.keys()
         for key in series.nums:
-            assert table[key] == table_entry_oracle(*pair_of(key), fv)
+            _, re, im = labels[key]
+            entry = fv._factors(re, im) if re or im else None
+            assert entry == table_entry_oracle(*pair_of(key), fv)
+        assert labels.keys() == series.nums.keys()
 
     @CHARGES
     @given(freq_and_pairs())
     def test_symbolic_key_shares_its_numeric_entry(self, case):
+        # a symbolic key is labelled by its series part, the key of its
+        # exponent pair over Q(i), and shares that key's eigenvalue entry
         fv, order, pairs = case
         label = pairs[0]
         ring = SymRing(((label.alpha, label.beta),))
         h = ring.indeterminate((label.alpha, label.beta))
         symbolic = PolySeries(fv.n, order, ring, {p: h for p in pairs})
         numeric = build_series(fv.n, order, {(p.alpha, p.beta): 1 for p in pairs})
-        sym_table = fv._table(symbolic)
-        num_table = fv._table(numeric)
+        sym_labels = fv._label_table(symbolic.layout)
+        num_labels = fv._label_table(numeric.layout)
+        assert sym_labels is not num_labels
         pair_of = _pair_reader(symbolic.layout)
         low = symbolic.layout.low
         assert low
         for key in symbolic.nums:
-            assert sym_table[key] == table_entry_oracle(*pair_of(key), fv)
-            assert sym_table[key] is num_table[key >> low]
+            _, re, im = sym_labels[key >> low]
+            assert sym_labels[key >> low] == num_labels[key >> low]
+            if re or im:
+                assert fv._factors(re, im) == table_entry_oracle(*pair_of(key), fv)
+                assert fv._factors(re, im) is fv._factors(*num_labels[key >> low][1:])
 
     @CHARGES
     @given(freq_and_pairs())
     def test_top_charges_label_each_key(self, case):
-        # (degree, <k, re>, <k, im>) with k = alpha - beta; the low fields
-        # of a symbolic key change nothing
+        # the labels the top cut reads, (degree, <k, re>, <k, im>) with
+        # k = alpha - beta, by series part: the low fields of a symbolic key
+        # change nothing
         fv, order, pairs = case
         label = pairs[0]
         ring = SymRing(((label.alpha, label.beta),))
         h = ring.indeterminate((label.alpha, label.beta))
         for series in (
             build_series(fv.n, order, {(p.alpha, p.beta): 1 for p in pairs}),
-            PolySeries(fv.n, order, ring, {p: h * h for p in pairs}),
+            PolySeries(fv.n, order, ring, {p: h * h + h for p in pairs}),
         ):
-            charges = fv.top_charges(series)
-            assert charges is fv.top_charges(series) and charges.order == order
-            pair_of = _pair_reader(series.layout)
+            labels = fv._label_table(series.layout)
+            assert labels is fv._label_table(series.layout)
+            pair_of, low = _pair_reader(series.layout), series.layout.low
             for key in series.nums:
                 pair = pair_of(key)
-                degree, re, im = charges[key]
+                degree, re, im = labels[key >> low]
                 assert degree == pair.degree
                 assert GaussianRational(Fraction(re, fv.den), Fraction(im, fv.den)) == (
                     eigenvalue_oracle(pair.alpha, pair.beta, fv)
                 )
+            assert len(labels) == len({key >> low for key in series.nums})
+
+    def test_each_exponent_pair_is_labelled_once(self, misses):
+        # over a SymRing the keys of one exponent pair differ only in their
+        # indeterminate fields: D, A, I - A and B label each pair once
+        fv = freq(1, 2)
+        support = [pair for degree in (3, 4) for pair in monomials(2, degree)][:6]
+        ring = SymRing(tuple((pair.alpha, pair.beta) for pair in support))
+        h = [ring.indeterminate((pair.alpha, pair.beta)) for pair in support]
+        values = [h[0], h[1] * h[2], h[3] + h[4] * h[5], h[0] * h[0] - h[5]]
+        series = PolySeries(2, 6, ring, {
+            pair: values[j % 4] for j, pair in enumerate([*monomials(2, 3), *monomials(2, 4)])
+        })
+        for operator in (homological_operator, resonant_projection, image_projection,
+                         partial_inverse):
+            operator(series, fv)
+        low = series.layout.low
+        assert len(misses) == len(set(misses)) == len({key >> low for key in series.nums})
+        assert len(misses) < len(series.nums)
+
+    def test_structure_labels_each_exponent_pair_once(self, misses, tmp_path):
+        # the seed-7 resonant-2dof benchmark input: the top cut and the
+        # operators of one structure run label 127 exponent pairs, the 65 of
+        # the cut among them, once each
+        path = tmp_path / "resonant-2dof.json"
+        path.write_text(json.dumps(bench_input("resonant-2dof", 7)), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["structure", "--input", str(path)]) == 0
+        assert len(misses) == len(set(misses)) == 127
 
     @pytest.mark.parametrize(
         "values, order, resonant",
@@ -400,19 +463,9 @@ class TestIntegerCharges:
     )
     def test_top_charges_know_a_top_without_resonance(self, values, order, resonant):
         fv = freq(*values)
-        charges = fv.top_charges(PolySeries.zero(fv.n, order))
-        assert charges.resonant_top == resonant
+        assert fv._resonant_top(order) == resonant
         assert resonant == any(fv.is_resonant(pair) for pair in monomials(fv.n, order))
-        assert charges is not fv.top_charges(PolySeries.zero(fv.n, order + 1))
-
-    def test_bracket_sum_refuses_a_map_of_another_shape(self):
-        fv = freq(1, 2)
-        f = build_series(2, 6, {((1, 0), (0, 2)): 1, ((2, 1), (0, 0)): 2})
-        ring = SymRing((((1, 0), (0, 2)),))
-        for like in (PolySeries.zero(2, 7), PolySeries.zero(2, 5), PolySeries.zero(2, 6, ring)):
-            with pytest.raises(UsageError, match="charge map"):
-                bracket_sum([(f, f)], f, fv.top_charges(like))
-        assert bracket_sum([(f, f)], f, fv.top_charges(f)).is_zero
+        assert fv._resonant_tops == {order: resonant}
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 3).flatmap(

@@ -26,6 +26,7 @@ from birkhoff import (
     SymScalar,
     UsageError,
     WSeries,
+    check_structure,
     compute_S,
     form_by_recursion,
     form_by_trees,
@@ -37,6 +38,7 @@ from birkhoff import (
     partial_inverse,
     partition_normal_form,
     resonant_projection,
+    specialize,
     symbolic_normalize,
 )
 from birkhoff.scalars import GaussianInteger
@@ -700,7 +702,7 @@ class TestFusedSums:
             assert result.ring is ring
 
 
-# one frequency vector of each shape a charge map must handle: n = 1 and
+# one frequency vector of each shape the resonant top must handle: n = 1 and
 # 1:1:1 have no resonant monomial of odd degree, (1, 2) has resonant
 # monomials of every degree, (1, i) has complex charges
 CUT_FREQUENCIES = [(1,), (1, 2), (1, 1, 1), (1, GaussianRational.of(0, 1))]
@@ -730,9 +732,9 @@ class CountedInt(int):
 
 
 class TestResonantTop:
-    """With the charge map of a frequency vector, bracket_sum keeps of the
-    truncation degree M only the resonant terms and multiplies no other
-    pair that lands there; every lower term is as without the map."""
+    """Given a frequency vector, bracket_sum keeps of the truncation degree
+    M only the resonant terms and multiplies no other pair that lands
+    there; every lower term is as without the frequencies."""
 
     @pytest.mark.parametrize("orders", [ODD_ORDERS, EVEN_ORDERS], ids=["odd", "even"])
     @pytest.mark.parametrize("values", CUT_FREQUENCIES, ids=CUT_IDS)
@@ -744,7 +746,7 @@ class TestResonantTop:
         picks = data.draw(st.lists(st.tuples(indices, indices), max_size=5))
         pairs = [(pool[i], pool[j]) for i, j in picks]
         like = pool[0]
-        result = bracket_sum(pairs, like, freq.top_charges(like))
+        result = bracket_sum(pairs, like, freq)
         assert_content_form(result)
         expected = resonant_below_top(bracket_sum_oracle(pairs, like), freq)
         assert fields(result) == fields(expected)
@@ -752,13 +754,14 @@ class TestResonantTop:
     @FAST
     @given(pool=series_pools(dims=st.just(2), orders=st.integers(3, 6)))
     def test_one_series_under_two_maps(self, pool):
-        # g's partners are kept with the map they were built for; a map of
-        # other frequencies on the same layout must not reuse them
+        # g's partners are kept with the label table they were built for;
+        # the table of other frequencies on the same layout must not reuse
+        # them
         f, g, h, _ = pool
         pairs = [(f, g), (h, g), (g, g)]
         for values in ((1, 2), (1, -1), (2, 1), (1, 2)):
             freq = FreqVector.of(*values)
-            result = bracket_sum(pairs, f, freq.top_charges(f))
+            result = bracket_sum(pairs, f, freq)
             expected = resonant_below_top(bracket_sum_oracle(pairs, f), freq)
             assert fields(result) == fields(expected)
 
@@ -774,7 +777,7 @@ class TestResonantTop:
         pairs = [(pool[i], pool[j]) for i, j in picks]
         cases = [
             (None, bracket_pair_count(pairs)),
-            (freq.top_charges(pool[0]), bracket_pair_count(pairs, freq)),
+            (freq, bracket_pair_count(pairs, freq)),
         ]
         for series in pool:
             series.nums = {key: CountedInt(num) for key, num in series.nums.items()}
@@ -955,6 +958,41 @@ class TestSymbolicCommutesWithEvaluation:
         assert evaluated(partial_inverse(f, freq), values) == partial_inverse(
             evaluated(f, values), freq
         )
+
+
+# Real frequencies from a small pool, so that drawn vectors are often
+# resonant (1:1, 1:2, 1:-1, 1:1:2, ...) and sometimes not.
+STRUCTURE_FREQUENCIES = st.sampled_from([1, 2, 3, -1, Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def structure_cases(draw):
+    """A real frequency vector at n = 2 or 3, an order, a support of one to
+    four pairs of degree 3 to the order, and one nonzero rational value
+    per support pair."""
+    n = draw(st.sampled_from([2, 3]))
+    freq = FreqVector.of(*draw(st.lists(STRUCTURE_FREQUENCIES, min_size=n, max_size=n)))
+    order = draw(st.integers(3, 6 if n == 2 else 5))
+    candidates = [pair for degree in range(3, min(order, 4) + 1) for pair in monomials(n, degree)]
+    support = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True))
+    values = {pair: GaussianRational.of(draw(nonzero_fractions)) for pair in support}
+    return freq, order, values
+
+
+class TestStructureOnDrawnSupports:
+    """The symbolic normal form on drawn supports in two and three degrees
+    of freedom: specializing it gives the numeric ``lie`` normal form, and
+    every monomial of it meets the four constraints of ``check_structure``."""
+
+    @SLOW
+    @given(case=structure_cases())
+    def test_specializes_and_meets_the_constraints(self, case):
+        freq, order, values = case
+        symbolic = symbolic_normalize(list(values), freq, order)
+        h = freq.quadratic_part(order) + PolySeries(freq.n, order, GAUSSIAN_RING, values)
+        assert specialize(symbolic, values) == lie_normalize(h, freq).normal_form
+        report = check_structure(symbolic)
+        assert report.verdict, report.first_violation
 
 
 @st.composite
