@@ -18,12 +18,10 @@ from .onedof import (
     WSeries,
     average,
     compute_S,
-    invert_unit_series,
     is_linearizable,
     nf_from_S,
     onedof_normal_form,
     partition_normal_form,
-    revert_wseries,
 )
 from .operators import (
     FreqVector,

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ParseError, UsageError
 from .lie import NormalizationResult, exp_lie, lie_normalize, random_symplectic_conjugate
-from .onedof import CONVENTIONS, compute_S, onedof_normal_form
+from .onedof import CONVENTIONS, OneDofResult, compute_S, onedof_normal_form
 from .operators import (
     FreqVector,
     homological_operator,
@@ -313,13 +313,15 @@ def cmd_compute(args) -> int:
 
 @dataclass(frozen=True)
 class CheckContext:
-    """What every row of ``check`` reads: the input, and the ``lie`` result."""
+    """What every row of ``check`` reads: the input, the ``lie`` result,
+    and for n = 1 the ``onedof`` result, whose S the invariance row reuses."""
 
     spec: ProblemSpec
     order: int
     seed: int
     hamiltonian: PolySeries
     lie: NormalizationResult
+    onedof: OneDofResult | None
 
 
 # (passed, detail), or the reason the check is skipped
@@ -340,10 +342,11 @@ def _lie_trees_agreement(ctx: CheckContext) -> CheckOutcome:
 
 
 def _onedof_agreement(ctx: CheckContext) -> CheckOutcome:
-    if ctx.spec.n != 1:
+    if ctx.onedof is None:
         return "requires n=1"
-    onedof = onedof_normal_form(ctx.hamiltonian, ctx.spec.freq.entries[0])
-    return _agreement(ctx.order, "onedof", onedof.normal_form, "lie", ctx.lie.normal_form)
+    return _agreement(
+        ctx.order, "onedof", ctx.onedof.normal_form, "lie", ctx.lie.normal_form
+    )
 
 
 def _exp_lie_closure(ctx: CheckContext) -> CheckOutcome:
@@ -387,11 +390,11 @@ def _operator_identities(ctx: CheckContext) -> CheckOutcome:
 
 
 def _s_invariance(ctx: CheckContext) -> CheckOutcome:
-    if ctx.spec.n != 1:
+    if ctx.onedof is None:
         return "requires n=1"
     lam = ctx.spec.freq.entries[0]
-    wmax = max(1, ctx.order // 2)
-    base = compute_S(ctx.hamiltonian, lam, wmax)
+    base = ctx.onedof.s_series
+    wmax = base.order
     # seed 0 draws the zero generator, the identity map, so it is skipped
     seeds = [seed for seed in range(ctx.seed, ctx.seed + 3) if seed][:2]
     for seed in seeds:
@@ -434,7 +437,8 @@ def cmd_check(args) -> int:
     spec, order = _load_spec(args)
     hamiltonian = spec.hamiltonian(order)
     ctx = CheckContext(
-        spec, order, args.seed, hamiltonian, lie_normalize(hamiltonian, spec.freq)
+        spec, order, args.seed, hamiltonian, lie_normalize(hamiltonian, spec.freq),
+        onedof_normal_form(hamiltonian, spec.freq.entries[0]) if spec.n == 1 else None,
     )
     checks = []
     for name, check in CHECKS:

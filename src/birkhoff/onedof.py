@@ -28,12 +28,15 @@ without running the degree-by-degree recursion:
    Each power costs one gcd.  The average and its derivative are read
    straight off the diagonal terms.
 3. ``nf_from_S`` recovers the normal form nu(z) = lambda z + N_2 z^2 + ...
-   as nu = lambda (id - c S)^{-1}: it reverts phi(u) = u - c S(u) with the
-   Lagrange-Buermann coefficients g_s = (1/s) [u^{s-1}] (u / phi(u))^s.
-   A ``WSeries`` is stored as its diagonal one-DOF ``PolySeries`` (w^k is
-   x^k y^k), so the powers of u / phi(u) are products on the shared
-   kernel: content form, one gcd per product, and packed Gaussian
-   numerators over Q(i).
+   as nu = lambda (id - c S)^{-1}.  The inverse psi of u - c S(u) is the
+   Lagrange-inversion partition sum (``partition_normal_form``), grouped
+   by the number of parts into one table for every degree, so it costs a
+   polynomial number of ring operations.  It is then certified by
+   composition: psi - c S(psi) must be u through the order, read off the
+   powers psi^k, each one kernel product from the last.  u - c S(u) has
+   linear coefficient 1, so its inverse is unique and the check proves
+   psi right rather than comparing two formulas; a mismatch raises
+   ``InternalCheckError`` with a full diagnostic.
 
 The constant c fixes the convention:
 
@@ -42,12 +45,6 @@ The constant c fixes the convention:
 
 The default is the one validated by exact agreement with the two other
 pipelines; the alternative is kept for comparison and fails that agreement.
-Every coefficient of phi^{-1} is additionally cross-checked against an
-independent partition-sum formula in c S (``partition_normal_form``); any
-mismatch raises ``InternalCheckError`` with a full diagnostic.  The sum
-is grouped by the number of parts into one table for every degree, so it
-costs a polynomial number of ring operations, and it uses only the
-arithmetic of the ring's values, none of the reversion's.
 
 Steps 2 and 3 run over either coefficient ring: over a ``SymRing`` the
 result writes each N_k as a polynomial in the input coefficients, for a
@@ -60,7 +57,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import InternalCheckError, UsageError
 from .operators import FreqVector, validate_hamiltonian
@@ -122,9 +118,6 @@ class WSeries:
     def __add__(self, other: "WSeries") -> "WSeries":
         self._require_compatible(other)
         return _view(self.diagonal + other.diagonal)
-
-    def __neg__(self) -> "WSeries":
-        return _view(-self.diagonal)
 
     def __sub__(self, other: "WSeries") -> "WSeries":
         self._require_compatible(other)
@@ -327,46 +320,8 @@ def is_linearizable(
     return compute_S(hamiltonian, lam, wmax).is_zero
 
 
-def invert_unit_series(coeffs: Sequence[object], order: int) -> list[object]:
-    """Coefficients of 1 / (a_0 + a_1 u + ...) through u^order; a_0 != 0."""
-    if not coeffs or coeffs[0].is_zero:
-        raise UsageError("cannot invert a series with zero constant term")
-    zero = coeffs[0].scaled(0)
-    series = list(coeffs) + [zero] * (order + 1 - len(coeffs))
-    lead_inv = series[0].inverse()
-    out = [lead_inv]
-    for k in range(1, order + 1):
-        total = zero
-        for i in range(1, k + 1):
-            total = total + series[i] * out[k - i]
-        out.append(-(lead_inv * total))
-    return out
-
-
-def revert_wseries(series: WSeries) -> WSeries:
-    """Compositional inverse of a series with zero constant and nonzero linear term.
-
-    Lagrange-Buermann: g_s = (1/s) [z^{s-1}] (z / f(z))^s, over the series'
-    own ring.  The linear coefficient must be invertible there: over a
-    SymRing, a nonzero constant.
-    """
-    if not series.coefficient(0).is_zero:
-        raise UsageError("cannot revert a series with a constant term")
-    if series.coefficient(1).is_zero:
-        raise UsageError("cannot revert a series with zero linear coefficient")
-    order, ring = series.order, series.ring
-    line = [series.coefficient(k + 1) for k in range(order)]
-    lead = invert_unit_series(line, order - 1)
-    base = power = WSeries(order - 1, ring, dict(enumerate(lead)))
-    coeffs = {1: lead[0]}
-    for s in range(2, order + 1):
-        power = power * base
-        coeffs[s] = power.coefficient(s - 1).scaled(Fraction(1, s))
-    return WSeries(order, ring, coeffs)
-
-
 def partition_normal_form(s_series: WSeries) -> WSeries:
-    """The inverse of u - T(u) through T's order, by an independent partition sum.
+    """The inverse of u - T(u) through T's order, by the partition sum.
 
     With T = s_series = sum_{k>=2} T_k u^k, Lagrange inversion gives [u^m]
     of the inverse as the sum over multisets {alpha_k} with
@@ -381,8 +336,8 @@ def partition_normal_form(s_series: WSeries) -> WSeries:
     time, E[j][p] += E[j - (k-1) a][p - a] T_k^a/a! for a >= 1, with j
     descending so that each read is of the table before k; it serves every
     m at once.  The terms are those of the partition sum, only regrouped,
-    and the arithmetic is that of the ring's values, so the check shares
-    nothing with the reversion it guards.
+    and the arithmetic is that of the ring's values.  A T with a constant
+    or linear term is a ``UsageError``.
     """
     order, ring = s_series.order, s_series.ring
     if not (s_series.coefficient(0).is_zero and s_series.coefficient(1).is_zero):
@@ -419,11 +374,13 @@ def nf_from_S(
     """Recover nu = lambda (id - c S)^{-1} from S, as a series in w.
 
     c is 1/lambda under the "proof" convention and -1 under "stated".
-    Coefficient 1 of the result is lambda, coefficient k >= 2 is N_k.  Each
-    coefficient of (id - c S)^{-1} is cross-checked against the
-    partition-sum formula for c S; a mismatch raises InternalCheckError.
-    S may be over either coefficient ring; over a SymRing lambda must be
-    real.
+    Coefficient 1 of the result is lambda, coefficient k >= 2 is N_k.  The
+    inverse psi of u - c S(u) is ``partition_normal_form(c S)``, so an S
+    with a w^1 term is a ``UsageError``.  psi is certified by composition:
+    the residue r = psi - c S(psi) is read degree by degree off the powers
+    psi^k, and must be u through the order; otherwise InternalCheckError
+    names the first bad degree.  S may be over either coefficient ring;
+    over a SymRing lambda must be real.
     """
     if convention not in CONVENTIONS:
         raise UsageError(
@@ -436,24 +393,24 @@ def nf_from_S(
     order, ring = s_series.order, s_series.ring
     c = lam.inverse() if convention == "proof" else -GAUSSIAN_ONE
     cs = s_series.scale_by_gaussian(c)
-    inverse = revert_wseries(WSeries(order, ring, {1: ring.one}) - cs)
-    nu = inverse.scale_by_gaussian(lam)
-    if inverse.coefficient(1) != ring.one:
-        raise InternalCheckError(
-            f"reversion produced linear coefficient {ring.render_plain(nu.coefficient(1))}, "
-            f"expected {lam}"
-        )
-    expected = partition_normal_form(cs)
-    if expected != inverse:
-        m = next(
-            m for m in range(order + 1) if expected.coefficient(m) != inverse.coefficient(m)
-        )
-        raise InternalCheckError(
-            "partition cross-check failed at degree "
-            f"{m}: reversion gives {ring.render_plain(inverse.coefficient(m))}, "
-            f"partition sum gives {ring.render_plain(expected.coefficient(m))}; "
-            f"S = {s_series.render()}, nu = {nu.render()}"
-        )
+    psi = partition_normal_form(cs)
+    nu = psi.scale_by_gaussian(lam)
+    residue = dict(psi.sorted_items())
+    power, exponent = psi, 1
+    for k, t in cs.sorted_items():
+        while exponent < k:
+            power, exponent = power * psi, exponent + 1
+        for m, value in power.sorted_items():
+            piece = t * value
+            residue[m] = residue[m] - piece if m in residue else -piece
+    for m in range(order + 1):
+        value = residue.get(m, ring.zero)
+        if value != (ring.one if m == 1 else ring.zero):
+            raise InternalCheckError(
+                f"composition check failed at degree {m}: psi - c S(psi) has "
+                f"coefficient {ring.render_plain(value)}, expected {int(m == 1)}; "
+                f"S = {s_series.render()}, nu = {nu.render()}"
+            )
     return nu
 
 

@@ -32,7 +32,7 @@ keeps only the resonant terms of the truncation degree.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 from operator import mul, sub
 from typing import Iterable, Sequence
 
@@ -127,13 +127,11 @@ class FreqVector:
         charge."""
         entry = self._eigen.get((re, im))
         if entry is None:
-            g = gcd(re, im, self.den)
-            a, b, d = re // g, im // g, self.den // g
-            # 1/((a + b i)/d) = d (a - b i)/(a**2 + b**2)
-            norm = a * a + b * b
-            h = gcd(d * a, d * b, norm)
+            value = _reduced(re, im, self.den)
+            inverse = value.inverse()
             entry = self._eigen[re, im] = (
-                gaussian_integer(a, b), d, gaussian_integer(d * a // h, -d * b // h), norm // h,
+                gaussian_integer(value.a, value.b), value.d,
+                gaussian_integer(inverse.a, inverse.b), inverse.d,
             )
         return entry
 

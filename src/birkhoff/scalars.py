@@ -28,8 +28,8 @@ its ``terms`` view reads back.
 Values answer for their own arithmetic: ``+ - *``, ``is_zero`` and
 ``scaled(q)`` by an int or ``Fraction``.  A ``SymScalar`` may also be
 multiplied by a real ``GaussianRational`` (an eigenvalue or its inverse).
-``inverse()`` serves both classes; a ``SymScalar`` has one only when it
-is a nonzero constant.  The components are read as ``Fraction`` through
+Only a ``GaussianRational`` has ``inverse()``: no code divides by a
+symbolic value.  The components are read as ``Fraction`` through
 ``re``/``im`` and ``terms``; text and JSON are written from the integers.  The public
 ``SymScalar`` constructor checks the arity and sign of every exponent key
 of a nonzero term; arithmetic results skip that check, because their keys
@@ -436,21 +436,6 @@ class SymScalar:
 
     def scaled(self, q: int | Fraction) -> "SymScalar":
         return self._times(*_ratio_of(q))
-
-    def inverse(self) -> "SymScalar":
-        """1 / self, for a nonzero constant only.
-
-        Zero raises ZeroDivisionError, as for ``GaussianRational``; a value
-        that involves an indeterminate has no inverse among polynomials.
-        """
-        if not self.nums:
-            raise ZeroDivisionError("inverse of zero symbolic value")
-        constant = (0,) * self.nvars
-        if len(self.nums) != 1 or constant not in self.nums:
-            raise UsageError(
-                f"a symbolic value has an inverse only when constant, got {self!r}"
-            )
-        return SymScalar.constant(self.nvars, Fraction(self.den, self.nums[constant]))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in graded-lexicographic order on the exponent vectors."""

@@ -30,6 +30,8 @@ from birkhoff import (
     FreqVector,
     GaussianRational,
     PolySeries,
+    SymbolicNormalForm,
+    SymRing,
     WSeries,
     exp_lie,
     make_pair,
@@ -90,6 +92,28 @@ def series_like(f: PolySeries, entries: dict, order: int | None = None) -> PolyS
     order unless another is given; values are of the ring, zeros allowed."""
     terms = {make_pair(alpha, beta): value for (alpha, beta), value in entries.items()}
     return PolySeries(f.n, f.order if order is None else order, f.ring, terms)
+
+
+def hand_built_form(freq: FreqVector, order: int, coefficients: dict) -> SymbolicNormalForm:
+    """A symbolic normal form written out by hand, for the structure checker.
+
+    ``coefficients`` maps each resonant pair to its monomials, each a tuple
+    of factor labels with repeats; the empty tuple is the constant 1.
+    """
+    labels = dict.fromkeys(
+        label for monomials in coefficients.values() for m in monomials for label in m
+    )
+    ring = SymRing(tuple(labels))
+    resonant = {}
+    for pair, monomials in coefficients.items():
+        value = ring.zero
+        for monomial in monomials:
+            term = ring.one
+            for label in monomial:
+                term = term * ring.indeterminate(label)
+            value = value + term
+        resonant[pair] = value
+    return SymbolicNormalForm(ring=ring, freq=freq, order=order, resonant=resonant)
 
 
 # ---------------------------------------------------------------------------

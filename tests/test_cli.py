@@ -6,6 +6,7 @@ interpreter instances.
 """
 
 import argparse
+import dataclasses
 import io
 import json
 import re
@@ -16,11 +17,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from birkhoff import GaussianRational, ParseError, PolySeries, cli, make_pair
+from birkhoff import FreqVector, GaussianRational, ParseError, PolySeries, cli, make_pair
 from birkhoff.cli import ProblemSpec, build_parser, main, parse_problem
 from birkhoff.treeforms import MU_SUM_MAX_LEAVES
 from birkhoff.trees import catalan_count
-from helpers import REPO_ROOT, child_env
+from helpers import REPO_ROOT, child_env, hand_built_form
 
 WORKED = {
     "n": 1,
@@ -558,6 +559,33 @@ class TestCheckCommand:
         rows = {row["name"]: row for row in report["checks"]}
         assert rows["structure_constraints"]["detail"] == "0 monomials satisfy all constraints"
 
+    def test_quadratic_input_skips_operator_identities(self, tmp_path, capsys):
+        path = spec_file(tmp_path, {"n": 1, "lambda": ["2"], "order": 6, "terms": []})
+        code, out, _ = run_cli(["check", "--input", path], capsys)
+        assert code == 0
+        rows = {row["name"]: row for row in json.loads(out)["checks"]}
+        assert rows["operator_identities"] == {
+            "name": "operator_identities", "pass": True, "detail": "skipped: empty perturbation",
+        }
+        assert rows["s_invariance"]["pass"] is True
+        assert all(row["pass"] for row in rows.values())
+
+    def test_structure_row_caps_the_support(self, tmp_path, capsys):
+        # thirteen of the twenty cubics at n = 2, with real lambda
+        cubics = [
+            {"alpha": [a, b], "beta": [c, 3 - a - b - c], "coeff": "1"}
+            for a in range(4) for b in range(4 - a) for c in range(4 - a - b)
+        ][:13]
+        payload = {"n": 2, "lambda": ["1", "3"], "order": 3, "terms": cubics}
+        code, out, _ = run_cli(["check", "--input", spec_file(tmp_path, payload)], capsys)
+        assert code == 0
+        rows = {row["name"]: row for row in json.loads(out)["checks"]}
+        assert rows["structure_constraints"] == {
+            "name": "structure_constraints",
+            "pass": True,
+            "detail": "skipped: capped at 12 support pairs",
+        }
+
 
 class TestCheckFailures:
     """Each row of ``check`` made to fail through a ``birkhoff.cli`` binding it calls.
@@ -592,8 +620,13 @@ class TestCheckFailures:
         )
 
     def test_onedof_agreement(self, tmp_path, capsys, monkeypatch):
+        # the fake keeps the true S, which the s_invariance row reads too
+        real = cli.onedof_normal_form
         monkeypatch.setattr(
-            "birkhoff.cli.onedof_normal_form", lambda h, lam: self.quadratic_only(h)
+            "birkhoff.cli.onedof_normal_form",
+            lambda h, lam: dataclasses.replace(
+                real(h, lam), normal_form=self.quadratic_only(h).normal_form
+            ),
         )
         self.assert_only_failure(
             tmp_path, capsys, "onedof_agreement",
@@ -652,6 +685,40 @@ class TestCheckFailures:
             tmp_path, capsys, "structure_constraints",
             f"violation: {json.dumps(violation)}",
         )
+
+
+class TestStructureViolation:
+    """A symbolic normal form that breaks a constraint fails ``structure``
+    and the ``check`` structure row."""
+
+    @pytest.fixture
+    def violating(self, monkeypatch):
+        pair = make_pair([2], [2])
+        # h[3;1] h[1;3] has s = 2 and T = (2; 2), so |T| = 4 rather than 2s - 2
+        factors = (make_pair([3], [1]), make_pair([1], [3]))
+        form = hand_built_form(FreqVector.of(1), 4, {pair: [(pair,), factors]})
+        monkeypatch.setattr(
+            "birkhoff.cli.symbolic_normalize", lambda support, freq, order: form
+        )
+
+    def test_structure_exits_one(self, tmp_path, capsys, violating):
+        path = spec_file(tmp_path, TestStructureCommand.SUPPORT)
+        code, out, _ = run_cli(["structure", "--input", path], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["verdict"] == "fail"
+        assert report["first_violation"] == report["rows"][1]
+        assert report["first_violation"]["checks"]["T_size"] is False
+
+    def test_check_row_fails(self, tmp_path, capsys, violating):
+        code, out, _ = run_cli(["check", "--input", spec_file(tmp_path, WORKED)], capsys)
+        assert code == 1
+        rows = {row["name"]: row for row in json.loads(out)["checks"]}
+        row = rows["structure_constraints"]
+        assert row["pass"] is False
+        assert row["detail"].startswith("violation: ")
+        assert json.loads(row["detail"][len("violation: "):])["checks"]["T_size"] is False
+        assert [name for name, row in rows.items() if not row["pass"]] == ["structure_constraints"]
 
 
 class TestSSeriesCommand:

@@ -358,6 +358,11 @@ class TestRandomGenerators:
         assert g.min_degree() is None or g.min_degree() >= 3
         assert all(pair.degree <= 4 for pair, _ in g)
 
+    def test_degree_window_above_the_order_is_refused(self):
+        with pytest.raises(UsageError) as caught:
+            random_generator(1, 6, 3, max_degree=7)
+        assert str(caught.value) == "max_degree 7 exceeds the truncation order 6"
+
     def test_conjugate_preserves_normal_form(self):
         lam = freq(1)
         h = ham(1, 6, lam, {((3,), (0,)): 1, ((2,), (1,)): -1})

@@ -1,5 +1,6 @@
-"""Closed-form 1-DOF pipeline tests: averaging, S, reversion, conventions."""
+"""Closed-form 1-DOF pipeline tests: averaging, S, inversion, conventions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,14 +15,12 @@ from birkhoff import (
     WSeries,
     average,
     compute_S,
-    invert_unit_series,
     is_linearizable,
     lie_normalize,
     nf_from_S,
     onedof_normal_form,
     partial_inverse,
     partition_normal_form,
-    revert_wseries,
 )
 from birkhoff import FreqVector, onedof
 from birkhoff.scalars import GaussianInteger
@@ -237,49 +236,27 @@ class TestBracketAverageIdentity:
 
 
 class TestReversion:
-    def test_invert_unit_series(self):
-        # (1 + z)^{-1} = 1 - z + z^2 - z^3 ...
-        one = gr(1)
-        coeffs = invert_unit_series([one, one], 4)
-        assert coeffs == [gr(1), gr(-1), gr(1), gr(-1), gr(1)]
-
-    def test_invert_requires_unit(self):
-        with pytest.raises((UsageError, InternalCheckError, ZeroDivisionError)):
-            invert_unit_series([gr(0), gr(1)], 3)
-
-    def test_revert_linear(self):
-        psi = wser(4, {1: 2})
-        assert revert_wseries(psi) == wser(4, {1: Fraction(1, 2)})
-        psi_i = WSeries(3, GAUSSIAN_RING, {1: gr(0, 1)})
-        assert revert_wseries(psi_i) == WSeries(3, GAUSSIAN_RING, {1: gr(0, -1)})
+    """partition_normal_form(T) is the compositional inverse of u - T(u)."""
 
     def test_revert_quadratic(self):
-        # inverse of z + z^2 is w - w^2 + 2w^3 - 5w^4
-        psi = wser(4, {1: 1, 2: 1})
-        assert revert_wseries(psi) == wser(4, {1: 1, 2: -1, 3: 2, 4: -5})
-
-    def test_revert_validations(self):
-        with pytest.raises(UsageError):
-            revert_wseries(wser(4, {0: 1, 1: 1}))
-        with pytest.raises(UsageError):
-            revert_wseries(wser(4, {2: 1}))
+        # the inverse of u + u^2 is u - u^2 + 2u^3 - 5u^4
+        assert partition_normal_form(wser(4, {2: -1})) == wser(4, {1: 1, 2: -1, 3: 2, 4: -5})
 
     @pytest.mark.parametrize("seed", range(6))
     def test_composition_round_trip(self, seed):
-        import random
-
         rng = random.Random(seed + 600)
-        coeffs = {1: gr(Fraction(rng.randint(1, 5), rng.randint(1, 3)))}
+        coeffs = {}
         for k in range(2, 7):
             coeffs[k] = gr(
                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                 Fraction(rng.randint(-2, 2), 2) if seed % 2 else Fraction(0),
             )
-        psi = WSeries(6, GAUSSIAN_RING, coeffs)
-        inv = revert_wseries(psi)
+        t = WSeries(6, GAUSSIAN_RING, coeffs)
+        inverse = partition_normal_form(t)
         identity = WSeries(6, GAUSSIAN_RING, {1: gr(1)})
-        assert compose_wseries(psi, inv) == identity
-        assert compose_wseries(inv, psi) == identity
+        line = identity - t
+        assert compose_wseries(line, inverse) == identity
+        assert compose_wseries(inverse, line) == identity
 
 
 class TestPartitionFormula:
@@ -303,8 +280,7 @@ class TestPartitionFormula:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reversion_at_unit_lambda(self, seed):
-        import random
-
+        # at lambda = 1, c = 1 and nu is the inverse of u - S(u) itself
         rng = random.Random(seed + 700)
         coeffs = {
             k: gr(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
@@ -312,7 +288,9 @@ class TestPartitionFormula:
         }
         s = WSeries(10, GAUSSIAN_RING, coeffs)
         nu = nf_from_S(s, gr(1))
-        assert nu == partition_normal_form(s)
+        identity = WSeries(10, GAUSSIAN_RING, {1: gr(1)})
+        assert compose_wseries(identity - s, nu) == identity
+        assert compose_wseries(nu, identity - s) == identity
 
 
 class TestNuSeries:
@@ -372,7 +350,9 @@ class TestNfFromS:
             nf_from_S(wser(2, {2: 1}), gr(0))
 
     # S with a w^0 term, a w^1 term, w^1 = lambda, and a complex case at
-    # lambda = 3i, under both conventions: the exact error or the rendered nu
+    # lambda = 3i, under both conventions: the exact error or the rendered nu.
+    # c S with a w^1 term has no partition sum, whatever its value.
+    W1_ERROR = (UsageError, "the partition formula needs a series that starts at u^2")
     EDGE_S = {
         "w0": (wser(4, {0: 1, 2: 3}), gr(2)),
         "w1": (wser(4, {1: Fraction(1, 2), 2: 1}), gr(2)),
@@ -387,14 +367,10 @@ class TestNfFromS:
         [
             ("w0", "proof", (InternalCheckError, "inverse series acquired a constant term")),
             ("w0", "stated", (InternalCheckError, "inverse series acquired a constant term")),
-            ("w1", "proof",
-             (InternalCheckError, "reversion produced linear coefficient 8/3, expected 2")),
-            ("w1", "stated",
-             (InternalCheckError, "reversion produced linear coefficient 4/3, expected 2")),
-            ("w1-is-lambda", "proof",
-             (UsageError, "cannot revert a series with zero linear coefficient")),
-            ("w1-is-lambda", "stated",
-             (InternalCheckError, "reversion produced linear coefficient 2/3, expected 2")),
+            ("w1", "proof", W1_ERROR),
+            ("w1", "stated", W1_ERROR),
+            ("w1-is-lambda", "proof", W1_ERROR),
+            ("w1-is-lambda", "stated", W1_ERROR),
             ("complex", "proof",
              "3i w + (1+2i) w^2 + (7/3+3i) w^3 + (20/3+5i) w^4 + (169/9+307/27i) w^5"),
             ("complex", "stated",
@@ -412,61 +388,58 @@ class TestNfFromS:
         assert type(caught.value) is error and str(caught.value) == message
 
     @pytest.mark.parametrize("symbolic", [False, True])
-    def test_partition_cross_check_catches_a_wrong_reversion(self, monkeypatch, symbolic):
+    def test_composition_check_catches_a_wrong_inverse(self, monkeypatch, symbolic):
         if symbolic:
             label = ((2,), (2,))
             ring = SymRing((label,))
-            s = WSeries(4, ring, {2: ring.indeterminate(label), 4: ring.one})
+            h = ring.indeterminate(label)
+            s = WSeries(4, ring, {2: h, 4: ring.one})
+            expected = (
+                "composition check failed at degree 3: psi - c S(psi) has coefficient "
+                "1*h[2;2], expected 0; S = 1*h[2;2] w^2 + 1 w^4, nu = 2 w + 1*h[2;2] w^2 "
+                "+ (2*h[2;2] + 1*h[2;2]^2) w^3 + (1 + 5/4*h[2;2]^3) w^4"
+            )
         else:
             ring = GAUSSIAN_RING
+            h = ring.one
             s = wser(4, {2: 1, 4: 1})
-        revert = onedof.revert_wseries
+            expected = (
+                "composition check failed at degree 3: psi - c S(psi) has coefficient "
+                "1, expected 0; S = 1 w^2 + 1 w^4, nu = 2 w + 1 w^2 + 3 w^3 + 9/4 w^4"
+            )
+        # a w^3 error in the inverse, which composition must expose
+        invert = onedof.partition_normal_form
         monkeypatch.setattr(
-            onedof, "revert_wseries",
-            lambda series: revert(series) + WSeries(4, ring, {3: ring.one}),
+            onedof, "partition_normal_form",
+            lambda series: invert(series) + WSeries(4, ring, {3: h}),
         )
-        with pytest.raises(
-            InternalCheckError, match="partition cross-check failed at degree 3"
-        ) as caught:
+        with pytest.raises(InternalCheckError) as caught:
             nf_from_S(s, gr(2))
-        if symbolic:
-            # values render through the ring, a sum in parentheses before w^k
-            message = str(caught.value)
-            assert "reversion gives 1 + 1/2*h[2;2]^2, partition sum gives 1/2*h[2;2]^2;" in message
-            assert "+ (2 + 1*h[2;2]^2) w^3 +" in message
+        assert str(caught.value) == expected
 
 
 class TestSymbolicReversion:
-    """The back half over a SymRing: leads must be nonzero constants."""
+    """The inversion over a SymRing: u - T(u) has the constant lead 1."""
 
     LABEL = ((3,), (0,))
     RING = SymRing((LABEL,))
 
-    def test_lead_check_renders_through_the_ring(self):
-        ring = self.RING
-        s = WSeries(4, ring, {1: ring.one.scaled(Fraction(1, 2)), 2: ring.one})
-        with pytest.raises(InternalCheckError) as caught:
-            nf_from_S(s, gr(2))
-        assert str(caught.value) == "reversion produced linear coefficient 8/3, expected 2"
-
     def test_revert_with_constant_lead(self):
         ring, x = self.RING, self.RING.indeterminate(self.LABEL)
-        two = ring.one.scaled(2)
-        psi = WSeries(4, ring, {1: two, 2: x})
-        inverse = revert_wseries(psi)
-        assert inverse.coefficient(1) == ring.one.scaled(Fraction(1, 2))
-        assert inverse.coefficient(2) == x.scaled(Fraction(-1, 8))
+        t = WSeries(4, ring, {2: x})
+        inverse = partition_normal_form(t)
+        # the inverse of u - x u^2 is u + x u^2 + 2 x^2 u^3 + 5 x^3 u^4
+        assert inverse == WSeries(
+            4, ring, {1: ring.one, 2: x, 3: (x * x).scaled(2), 4: (x * x * x).scaled(5)}
+        )
         identity = WSeries(4, ring, {1: ring.one})
-        assert compose_wseries(psi, inverse) == identity
-
-    def test_invert_unit_series_takes_zero_from_its_input(self):
-        ring, x = self.RING, self.RING.indeterminate(self.LABEL)
-        assert invert_unit_series([ring.one, x], 2) == [ring.one, -x, x * x]
+        assert compose_wseries(identity - t, inverse) == identity
+        assert compose_wseries(inverse, identity - t) == identity
 
     def test_non_constant_lead_is_a_usage_error(self):
         ring, x = self.RING, self.RING.indeterminate(self.LABEL)
-        with pytest.raises(UsageError, match="only when constant"):
-            revert_wseries(WSeries(3, ring, {1: x, 2: ring.one}))
+        with pytest.raises(UsageError, match="starts at u\\^2"):
+            partition_normal_form(WSeries(3, ring, {1: x, 2: ring.one}))
 
 
 class TestOneDofPipeline:

@@ -16,7 +16,7 @@ from birkhoff import (
     symbolic_normalize,
 )
 
-from helpers import build_series, gr
+from helpers import build_series, gr, hand_built_form
 
 
 def freq(*values) -> FreqVector:
@@ -186,6 +186,38 @@ class TestCheckStructure:
         report = check_structure(sym)
         assert report.verdict
         assert report.rows == ()
+
+    # one monomial of N at x1 x2 y1 y2 per constraint, breaking that one only
+    PAIR = make_pair((1, 1), (1, 1))
+    BREAKS = {
+        # s = 3 > 4 - 2, with T = (1, 1; 1, 1) of size 2s - 2
+        "degree_bounds": (
+            make_pair((2, 0), (0, 1)), make_pair((0, 2), (1, 0)), make_pair((0, 0), (1, 1)),
+        ),
+        # T_x = (2, -1), T_y = (1, 0)
+        "T_nonnegative": (make_pair((3, 0), (0, 0)), make_pair((0, 0), (2, 1))),
+        # T_x = (2, 0), T_y = (0, 0)
+        "delta_zero": (make_pair((3, 0), (0, 0)), make_pair((0, 1), (1, 1))),
+        # |T| = 4, not 2s - 2 = 2
+        "T_size": (make_pair((2, 0), (1, 1)), make_pair((0, 2), (1, 1))),
+    }
+
+    @pytest.mark.parametrize("broken", sorted(BREAKS))
+    def test_each_constraint_fails_alone(self, broken):
+        # the passing h[1,1;1,1] (s = 1) sorts first; a constant, which
+        # breaks three constraints, sits on a later pair
+        later = make_pair((2, 2), (2, 2))
+        form = hand_built_form(
+            freq(1, 1), 8, {self.PAIR: [(self.PAIR,), self.BREAKS[broken]], later: [()]}
+        )
+        report = check_structure(form)
+        assert not report.verdict
+        assert [row["pass"] for row in report.rows] == [True, False, False]
+        assert report.first_violation is report.rows[1]
+        failed = [name for name, ok in report.first_violation["checks"].items() if not ok]
+        assert failed == [broken]
+        assert report.to_json()["verdict"] == "fail"
+        assert report.to_json()["first_violation"] == report.rows[1]
 
     def test_resonant_lambda_rows(self):
         lam = freq(1, -1)
