@@ -42,7 +42,14 @@ CASES = (
         ("onedof_real", ["structure", "--order", "6"]),
     ]
     + [("onedof_imaginary", argv) for argv in LIE_TREES + ONEDOF]
-    + [("onedof_imaginary", ["check"])]
+    + [
+        ("onedof_imaginary", ["check"]),
+        # w-order 10 on complex coefficients at lambda = i: every weight
+        # q^(m-1) of S, and the inverse, run on Gaussian values
+        ("onedof_imaginary", ["compute", "--method", "onedof", "--order", "20"]),
+        ("onedof_imaginary",
+         ["compute", "--method", "onedof", "--convention", "stated", "--order", "20"]),
+    ]
     + [("resonant_2dof", argv) for argv in LIE_TREES]
     + [
         ("resonant_2dof", ["compute", "--method", "trees", "--no-kernel-correction"]),
