@@ -23,10 +23,17 @@ from birkhoff import (
     partition_normal_form,
 )
 from birkhoff import FreqVector, onedof
-from birkhoff.scalars import GaussianInteger
+from birkhoff.scalars import GaussianInteger, SymScalar
 from birkhoff.series import monomials
 
-from helpers import build_series, compose_wseries, gr, random_series
+from helpers import (
+    build_series,
+    compose_wseries,
+    gr,
+    partition_oracle,
+    random_series,
+    s_oracle,
+)
 
 
 def wser(order, coeffs) -> WSeries:
@@ -153,9 +160,11 @@ class TestComputeS:
     def test_work_count_at_order_20(self, monkeypatch):
         # all nine cubic and quartic monomials with coefficients (1 + i) k/(k+1),
         # so no coefficient cancels and every numerator product in the kernel
-        # has a GaussianInteger operand; the count is that of the reach cut in
-        # compute_S, exactly the pairs that can still reach S on this support
-        # (the unpruned powers at working order 54 take 37 544)
+        # has a GaussianInteger operand.  9 027 are the term pairs of the reach
+        # cut, exactly the pairs that can still reach S on this support (the
+        # unpruned powers at working order 54 take 37 544); the other 39 scale
+        # the complex diagonal numerators of powers 2..mmax by a!/(a-m+1)!,
+        # the step d_w^{m-1} on keys
         pairs = [pair for degree in (3, 4) for pair in monomials(1, degree)]
         entries = {
             (pair.alpha, pair.beta): gr(Fraction(k, k + 1), Fraction(k, k + 1))
@@ -173,7 +182,33 @@ class TestComputeS:
         monkeypatch.setattr(GaussianInteger, "__mul__", counted)
         monkeypatch.setattr(GaussianInteger, "__rmul__", counted)
         compute_S(h, gr(1), 10)
-        assert calls == 9027
+        assert calls == 9066
+
+    def test_imaginary_lambda_keeps_real_powers(self, monkeypatch):
+        # real coefficients at lambda = i: q = -1/lambda = i weighs the parts
+        # of S, not the powers of H_*, so the powers keep int numerators and
+        # no Gaussian integer is multiplied
+        pairs = [pair for degree in (3, 4) for pair in monomials(1, degree)]
+        entries = {
+            (pair.alpha, pair.beta): gr(Fraction(k, k + 1))
+            for k, pair in enumerate(pairs, start=1)
+        }
+        lam = gr(0, 1)
+        h = ham1(20, lam, entries)
+        expected = s_oracle(h, lam, 10)
+        calls = 0
+        multiply = GaussianInteger.__mul__
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return multiply(a, b)
+
+        monkeypatch.setattr(GaussianInteger, "__mul__", counted)
+        monkeypatch.setattr(GaussianInteger, "__rmul__", counted)
+        s = compute_S(h, lam, 10)
+        assert calls == 0
+        assert s == expected
 
 
 def make_key(label):
@@ -351,8 +386,8 @@ class TestNfFromS:
 
     # S with a w^0 term, a w^1 term, w^1 = lambda, and a complex case at
     # lambda = 3i, under both conventions: the exact error or the rendered nu.
-    # c S with a w^1 term has no partition sum, whatever its value.
-    W1_ERROR = (UsageError, "the partition formula needs a series that starts at u^2")
+    # c S with a w^0 or w^1 term has no partition sum, whatever its value.
+    LOW_ERROR = (UsageError, "the partition formula needs a series that starts at u^2")
     EDGE_S = {
         "w0": (wser(4, {0: 1, 2: 3}), gr(2)),
         "w1": (wser(4, {1: Fraction(1, 2), 2: 1}), gr(2)),
@@ -365,12 +400,12 @@ class TestNfFromS:
     @pytest.mark.parametrize(
         "case, convention, expected",
         [
-            ("w0", "proof", (InternalCheckError, "inverse series acquired a constant term")),
-            ("w0", "stated", (InternalCheckError, "inverse series acquired a constant term")),
-            ("w1", "proof", W1_ERROR),
-            ("w1", "stated", W1_ERROR),
-            ("w1-is-lambda", "proof", W1_ERROR),
-            ("w1-is-lambda", "stated", W1_ERROR),
+            ("w0", "proof", LOW_ERROR),
+            ("w0", "stated", LOW_ERROR),
+            ("w1", "proof", LOW_ERROR),
+            ("w1", "stated", LOW_ERROR),
+            ("w1-is-lambda", "proof", LOW_ERROR),
+            ("w1-is-lambda", "stated", LOW_ERROR),
             ("complex", "proof",
              "3i w + (1+2i) w^2 + (7/3+3i) w^3 + (20/3+5i) w^4 + (169/9+307/27i) w^5"),
             ("complex", "stated",
@@ -440,6 +475,29 @@ class TestSymbolicReversion:
         ring, x = self.RING, self.RING.indeterminate(self.LABEL)
         with pytest.raises(UsageError, match="starts at u\\^2"):
             partition_normal_form(WSeries(3, ring, {1: x, 2: ring.one}))
+
+    def test_sum_runs_on_keys(self, monkeypatch):
+        # the nine cubic and quartic labels as indeterminates, one in each T_k:
+        # the inverse is formed on packed keys, with no SymScalar arithmetic
+        labels = tuple(
+            (pair.alpha, pair.beta) for degree in (3, 4) for pair in monomials(1, degree)
+        )
+        ring = SymRing(labels)
+        h = [ring.indeterminate(label) for label in labels]
+        t = WSeries(10, ring, {
+            k: h[k - 2].scaled(Fraction(k, k + 1)) + ring.one.scaled((-1) ** k)
+            for k in range(2, 11)
+        })
+        expected = WSeries(10, ring, {m: partition_oracle(t, m) for m in range(1, 11)})
+
+        def refuse(*args):
+            raise AssertionError("partition_normal_form did arithmetic on SymScalar values")
+
+        monkeypatch.setattr(SymScalar, "__mul__", refuse)
+        monkeypatch.setattr(SymScalar, "__add__", refuse)
+        inverse = partition_normal_form(t)
+        monkeypatch.undo()
+        assert inverse == expected
 
 
 class TestOneDofPipeline:

@@ -1192,7 +1192,7 @@ class TestResultsInContentForm:
     def test_compute_s_powers(self, case):
         with checked_make() as built:
             compute_S(*case)
-        assert len(built) >= 3  # the tail, the unit power and power 1
+        assert len(built) >= 3  # the unit power, power 1 and the sum
 
 
 PIPELINES = settings(max_examples=100, deadline=None)
