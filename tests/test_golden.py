@@ -63,6 +63,9 @@ CASES = (
         ("onedof_deep", ["s-series", "--order", "10"]),
         # n = 3 at lambda = (1, 2, 3), twelve support pairs
         ("threedof_123", ["structure"]),
+        # term rows with six exponent fields and a complex coefficient
+        ("threedof_123", ["compute", "--method", "lie"]),
+        ("threedof_123", ["compute", "--method", "trees"]),
     ]
 )
 
