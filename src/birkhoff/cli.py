@@ -10,6 +10,9 @@ Commands:
 
 All reports are JSON with stable key order; exit codes are 0 (pass),
 1 (check failure or structure violation), 2 (usage or parse error).
+A report holds its series as ``PolySeries`` values, and their term rows
+are written straight from the packed keys (``PolySeries.json_text``);
+``PolySeries.to_json_terms`` is the plain-data view of the same rows.
 """
 
 from __future__ import annotations
@@ -214,8 +217,10 @@ def _json_text(value: object, newline: str) -> str:
     """The text of ``json.dumps(value, indent=2)``, nested below ``newline``
     (a line break and the current indent).
 
-    A report holds only str, int, bool, None, lists, tuples and dicts with
-    str keys; any other value raises TypeError.  Each container is one
+    A report holds only str, int, bool, None, lists, tuples, dicts with
+    str keys and ``PolySeries`` values; any other value raises TypeError.  A
+    series is written as its ``to_json_terms`` rows, straight from its
+    packed keys by ``PolySeries.json_text``.  Each container is one
     ``str.join``, a list of ints joins their reprs without a call per item,
     and strings go through the C escaper that json uses under
     ``ensure_ascii``.
@@ -240,6 +245,8 @@ def _json_text(value: object, newline: str) -> str:
         else:
             body = ("," + inner).join([_json_text(item, inner) for item in value])
         return "[" + inner + body + newline + "]"
+    if kind is PolySeries:
+        return value.json_text(newline)
     if kind is int:
         return int.__repr__(value)
     if value is None:
@@ -276,8 +283,8 @@ def cmd_compute(args) -> int:
             "method": "lie",
             "order": order,
             "kernel_corrected": kernel_corrected,
-            "normal_form": result.normal_form.to_json_terms(),
-            "generator": result.generator.to_json_terms(),
+            "normal_form": result.normal_form,
+            "generator": result.generator,
             "resonant_pairs": pairs,
         }
     elif args.method == "trees":
@@ -286,7 +293,7 @@ def cmd_compute(args) -> int:
             "method": "trees",
             "order": order,
             "kernel_corrected": kernel_corrected,
-            "normal_form": result.normal_form.to_json_terms(),
+            "normal_form": result.normal_form,
             "breakdown": result.rows,
             "resonant_pairs": pairs,
         }
@@ -302,7 +309,7 @@ def cmd_compute(args) -> int:
             "method": "onedof",
             "order": order,
             "convention": args.convention,
-            "normal_form": result.normal_form.to_json_terms(),
+            "normal_form": result.normal_form,
             "s_series": result.s_series.to_rows(),
             "nu": result.nu.to_rows()[1:],  # without the linear row, k = 1
             "resonant_pairs": pairs,
@@ -449,7 +456,7 @@ def cmd_check(args) -> int:
     out = {
         "checks": checks,
         "agreement": all(row["pass"] for row in checks if row["name"].endswith("_agreement")),
-        "normal_form": ctx.lie.normal_form.to_json_terms(),
+        "normal_form": ctx.lie.normal_form,
     }
     _emit_json(out, args.output)
     return 0 if all(row["pass"] for row in checks) else 1

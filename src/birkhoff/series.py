@@ -19,7 +19,9 @@ indeterminates.  ``SymScalar`` values exist only at the edges: the public
 constructor flattens them into keys, and the ``terms`` view, from
 :class:`ExponentPair` to reduced values in canonical term order, groups the
 keys of one exponent pair back into one ``SymScalar``.  The view is built on
-first use and kept.
+first use and kept.  ``to_json_terms`` is the plain-data view of the term
+rows; a report writes them with ``json_text``, straight from the packed keys
+and numerators, without building the view.
 
 A key packs one exponent pair into one int (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -94,6 +96,7 @@ from its packed numerators for each call.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import groupby, repeat
@@ -112,6 +115,7 @@ from .scalars import (
     SymScalar,
     _lowest,
     _ratio_of,
+    _ratio_text,
     _reduced,
     gaussian_integer,
     join_terms,
@@ -441,6 +445,8 @@ class PolySeries:
         return f"PolySeries(n={self.n}, order={self.order}, {self.render()})"
 
     def to_json_terms(self) -> list[dict]:
+        """The plain-data view: one {"alpha", "beta", "coeff"} row per term,
+        in term order."""
         rows = []
         for pair, value in self.sorted_terms():
             rows.append(
@@ -451,6 +457,42 @@ class PolySeries:
                 }
             )
         return rows
+
+    def json_text(self, newline: str) -> str:
+        """The text of ``json.dumps(self.to_json_terms(), indent=2)``, nested
+        below ``newline`` (a line break and the current indent).
+
+        Over Q(i) each row is written straight from a key and its numerator:
+        the keys sort in term order, the 2n exponents are read from their
+        fields, and ``_ratio_text`` writes each component over ``den`` in
+        lowest terms, as ``to_json_terms`` does, so a component past the
+        interpreter's digit limit raises the same usage error.  A symbolic
+        series writes its ``to_json_terms`` rows.
+        """
+        nums = self.nums
+        if isinstance(self.ring, SymRing):
+            return json.dumps(self.to_json_terms(), indent=2).replace("\n", newline)
+        if not nums:
+            return "[]"
+        row = newline + "  "
+        field = row + "  "
+        item = field + "  "
+        exponents = ("," + item).join(["%d"] * self.n)
+        template = (
+            "{" + field + '"alpha": [' + item + exponents + field + "]," + field
+            + '"beta": [' + item + exponents + field + "]," + field
+            + '"coeff": {' + item + '"re": "%s",' + item + '"im": "%s"' + field + "}" + row + "}"
+        )
+        shifts, mask, den = self.layout.shifts, (1 << self.layout.width) - 1, self.den
+        rows = []
+        for key in sorted(nums):
+            num = nums[key]
+            if type(num) is int:
+                re, im = _ratio_text(num, den), "0"
+            else:
+                re, im = _ratio_text(num.re, den), _ratio_text(num.im, den)
+            rows.append(template % (*[key >> s & mask for s in shifts], re, im))
+        return "[" + row + ("," + row).join(rows) + newline + "]"
 
 
 class Layout(NamedTuple):

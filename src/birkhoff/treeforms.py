@@ -275,7 +275,7 @@ def nf_via_trees(
     the plain weighted-tree formula (nonzero rows only) and, in corrected
     mode, one extra row per degree holding the kernel correction (the
     difference between the corrected recursion total and the plain total).
-    Only the audit enumerates trees, so only it is bounded by ``MAX_LEAVES``.
+    A row's ``"contribution"`` holds that piece as a series.  Only the audit enumerates trees, so only it is bounded by ``MAX_LEAVES``.
     """
     validate_hamiltonian(hamiltonian, freq)
     order = hamiltonian.order
@@ -318,7 +318,7 @@ def nf_via_trees(
                                 "tree": t.render(),
                                 "code": format_code(to_code(t)),
                                 "mu": format_rational(tree_weight(t)),
-                                "contribution": piece.to_json_terms(),
+                                "contribution": piece,
                             }
                         )
             if kernel_corrected and not correction.is_zero:
@@ -326,7 +326,7 @@ def nf_via_trees(
                     {
                         "degree": m,
                         "kernel_correction": True,
-                        "contribution": correction.to_json_terms(),
+                        "contribution": correction,
                     }
                 )
 

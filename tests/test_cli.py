@@ -1012,11 +1012,16 @@ class TestReportWriter:
 
     def run_both(self, argv, monkeypatch, capsys):
         """(exit code, stdout, stderr) of main(argv) with the report writer,
-        and again with ``json.dumps(obj, indent=2)`` in its place."""
+        and again with ``json.dumps(obj, indent=2)`` in its place, which
+        writes a series as its ``to_json_terms`` rows."""
         code = main(argv)
         written = (code, *capsys.readouterr())
         with monkeypatch.context() as patched:
-            patched.setattr(cli, "_json_text", lambda obj, newline: json.dumps(obj, indent=2))
+            patched.setattr(
+                cli,
+                "_json_text",
+                lambda obj, newline: json.dumps(obj, indent=2, default=PolySeries.to_json_terms),
+            )
             code = main(argv)
         return written, (code, *capsys.readouterr())
 
@@ -1034,6 +1039,44 @@ class TestReportWriter:
             written, reference = self.run_both(argv, monkeypatch, capsys)
             assert written[0] == 0
             assert written == reference, argv
+
+    @pytest.mark.parametrize("name", ["onedof_real", "threedof_123"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["compute", "--method", "lie"], ["compute", "--method", "trees"], ["check"]],
+        ids=["lie", "trees", "check"],
+    )
+    def test_term_rows_are_written_from_packed_keys(self, name, argv, monkeypatch, capsys):
+        """No report builds the plain-data rows (``to_json_terms``, counted
+        over the whole command, since only a report calls it), and the
+        writer builds no terms view (``terms``, counted while
+        ``_emit_json`` writes; the pipelines may read it)."""
+        calls = {"to_json_terms": 0, "terms": 0}
+        writing = False
+        rows, view, emit = PolySeries.to_json_terms, PolySeries.terms, cli._emit_json
+
+        def counted_rows(series):
+            calls["to_json_terms"] += 1
+            return rows(series)
+
+        def counted_view(series):
+            calls["terms"] += writing
+            return view.fget(series)
+
+        def counted_emit(obj, path):
+            nonlocal writing
+            writing = True
+            try:
+                emit(obj, path)
+            finally:
+                writing = False
+
+        monkeypatch.setattr(PolySeries, "to_json_terms", counted_rows)
+        monkeypatch.setattr(PolySeries, "terms", property(counted_view))
+        monkeypatch.setattr(cli, "_emit_json", counted_emit)
+        assert main(argv + ["--input", str(GOLDEN / f"{name}.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["normal_form"]
+        assert calls == {"to_json_terms": 0, "terms": 0}
 
 
 def long_options(parser: argparse.ArgumentParser) -> set[str]:
@@ -1124,7 +1167,7 @@ class TestMainErrors:
         assert err.startswith("error: term 1: rational literal of 5000 characters")
         assert f"{sys.get_int_max_str_digits()}-digit limit" in err
 
-    def test_oversized_result_coefficient(self, tmp_path, capsys):
+    def assert_oversized_coefficient_refused(self, argv, tmp_path, capsys):
         big = "7" * 3000
         payload = {
             "n": 1,
@@ -1136,13 +1179,20 @@ class TestMainErrors:
             ],
         }
         path = spec_file(tmp_path, payload)
-        code, out, err = run_cli(["compute", "--input", path], capsys)
+        code, out, err = run_cli([*argv, "--input", path], capsys)
         assert code == 2
         assert out == ""
         assert err == (
             "error: a coefficient has more digits than the interpreter's "
             f"{sys.get_int_max_str_digits()}-digit limit for writing an integer\n"
         )
+
+    def test_oversized_result_coefficient(self, tmp_path, capsys):
+        self.assert_oversized_coefficient_refused(["compute"], tmp_path, capsys)
+
+    @pytest.mark.parametrize("argv", [["compute", "--method", "trees"], ["check"]])
+    def test_oversized_coefficient_in_every_term_report(self, argv, tmp_path, capsys):
+        self.assert_oversized_coefficient_refused(argv, tmp_path, capsys)
 
     def test_oversized_json_integer(self, tmp_path, capsys):
         path = tmp_path / "big.json"

@@ -8,6 +8,7 @@ numeric evaluation for symbolic series, and the flow-driven
 rewrite of these layers must keep them passing.
 """
 
+import json
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -71,6 +72,7 @@ from helpers import (
     s_oracle,
     scale_oracle,
     series_like,
+    series_terms,
     with_order_oracle,
 )
 
@@ -1004,10 +1006,12 @@ def numeric_case(draw):
 
 
 # Frequencies per dimension: resonant and non-resonant, real and complex.
-# (1, 8) and (1, i) have no resonance but the diagonal through order 6.
+# (1, 8), (1, i) and (1, 9, 81) have no resonance but the diagonal through
+# order 6.
 FREQUENCIES = {
     1: [(1,), (2,), (Fraction(-1, 2),), (GaussianRational.of(0, 1),)],
     2: [(1, 1), (1, -1), (1, 2), (1, 8), (1, GaussianRational.of(0, 1))],
+    3: [(1, 1, 1), (1, 2, 3), (1, 9, 81)],
 }
 
 
@@ -1199,9 +1203,9 @@ PIPELINES = settings(max_examples=100, deadline=None)
 
 
 @st.composite
-def hamiltonians(draw):
+def hamiltonians(draw, dims=st.integers(1, 2)):
     """H2 of a drawn frequency vector, one to three cubics, up to two higher terms."""
-    n = draw(st.integers(1, 2))
+    n = draw(dims)
     order = draw(st.integers(4, 6))
     freq = FreqVector.of(*draw(st.sampled_from(FREQUENCIES[n])))
     values = gaussians if draw(st.booleans()) else reals
@@ -1249,6 +1253,90 @@ class TestPipelinesAgainstFlowOracle:
         g, s, freq = case
         expected = [form_by_trees([g] * r, freq) for r in range(1, s + 1)]
         assert form_by_recursion(g, s, freq) == expected
+
+
+def times(series: PolySeries, c: GaussianRational) -> PolySeries:
+    """c times a numeric series, value by value."""
+    return series_like(series, {key: c * value for key, value in series_terms(series).items()})
+
+
+# real, imaginary and complex scales, of both signs
+SCALES = [
+    GaussianRational.of(c, d)
+    for c, d in ((0, 1), (1, 1), (Fraction(-2, 3), 0), (2, -1), (0, Fraction(-1, 3)))
+]
+
+
+class TestLambdaScaling:
+    """The map that normalizes H normalizes c H for a nonzero c in Q(i): D
+    and every right-hand side scale by c, so the generator is unchanged and
+    N(c lambda, c h) = c N(lambda, h), h the part of degree >= 3.  A real
+    lambda times c = i drives the complex eigenvalues of B and A and the
+    resonance test, and an imaginary one the converse."""
+
+    @SLOW
+    @given(
+        case=hamiltonians(dims=st.integers(1, 3)),
+        c=st.sampled_from(SCALES),
+        corrected=st.booleans(),
+    )
+    def test_lie_and_trees(self, case, c, corrected):
+        h, freq = case
+        scaled_freq = FreqVector.of(*[c * lam for lam in freq.entries])
+        lie = lie_normalize(h, freq, corrected)
+        scaled = lie_normalize(times(h, c), scaled_freq, corrected)
+        assert scaled.normal_form == times(lie.normal_form, c)
+        assert scaled.generator == lie.generator
+        trees = nf_via_trees(h, freq, corrected).normal_form
+        assert nf_via_trees(times(h, c), scaled_freq, corrected).normal_form == times(trees, c)
+
+    @SLOW
+    @given(case=hamiltonians(dims=st.just(1)), c=st.sampled_from(SCALES))
+    def test_onedof(self, case, c):
+        h, freq = case
+        (lam,) = freq.entries
+        nf = onedof_normal_form(h, lam).normal_form
+        assert onedof_normal_form(times(h, c), c * lam).normal_form == times(nf, c)
+
+
+@st.composite
+def written_series(draw):
+    """A numeric series, n = 1..3 and order 0..9 (across a key-field width),
+    over one drawn den > 1 with components up to 2**256 of both signs, each
+    value real or complex, so int and Gaussian numerators mix."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 9))
+    den = draw(st.integers(2, 1 << 64))
+    pairs = [pair for degree in range(order + 1) for pair in monomials(n, degree)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True))
+    parts = st.one_of(st.just(0), huge)
+    return PolySeries(n, order, GAUSSIAN_RING, {
+        pair: GaussianRational.of(Fraction(draw(huge), den), Fraction(draw(parts), den))
+        for pair in chosen
+    })
+
+
+def nested_json(series: PolySeries, newline: str) -> str:
+    return json.dumps(series.to_json_terms(), indent=2).replace("\n", newline)
+
+
+class TestSeriesJsonText:
+    """A series writes the text of ``json.dumps`` of its plain-data view."""
+
+    @FAST
+    @given(s=written_series(), indent=st.integers(0, 8))
+    @example(s=PolySeries.zero(2, 4), indent=0)
+    def test_equals_nested_json_dumps(self, s, indent):
+        newline = "\n" + " " * indent
+        assert s.json_text(newline) == nested_json(s, newline)
+
+    @FAST
+    @given(pool=series_pools(dims=st.integers(1, 3), orders=st.integers(0, 9)),
+           indent=st.integers(0, 8))
+    def test_every_ring(self, pool, indent):
+        newline = "\n" + " " * indent
+        for s in pool:
+            assert s.json_text(newline) == nested_json(s, newline)
 
 
 def symbolic_values(nvars: int):

@@ -16,7 +16,6 @@ from birkhoff import (
     form_by_recursion,
     form_by_trees,
     from_code,
-    from_json_terms,
     lie_normalize,
     nf_via_trees,
     parse_code,
@@ -264,7 +263,7 @@ class TestNormalFormViaTrees:
             assert any(row.get("kernel_correction") for row in result.rows) == corrected
             total = lam.quadratic_part(8)
             for row in result.rows:
-                total = total + from_json_terms(1, 8, row["contribution"])
+                total = total + row["contribution"]
             assert total == result.normal_form
 
     def test_audit_rows_have_tree_metadata(self):
