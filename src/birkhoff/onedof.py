@@ -379,12 +379,14 @@ def partition_normal_form(s_series: WSeries) -> WSeries:
     (I. Gessel, "Lagrange inversion", J. Combin. Theory Ser. A 144, 2016).
     A T with a constant or linear term is a ``UsageError``.
     """
-    order, ring = s_series.order, s_series.ring
+    diagonal = s_series.diagonal
     if not (s_series.coefficient(0).is_zero and s_series.coefficient(1).is_zero):
         raise UsageError("the partition formula needs a series that starts at u^2")
-    return _lagrange_sum(s_series.diagonal, GAUSSIAN_ONE, order) + WSeries(
-        order, ring, {1: ring.one}
-    )
+    # u is the term x y, its key built on the diagonal's layout
+    layout = diagonal.layout
+    x, y = layout.shifts
+    u = _view(diagonal._make({2 << layout.top | 1 << x | 1 << y: 1}, 1))
+    return _lagrange_sum(diagonal, GAUSSIAN_ONE, s_series.order) + u
 
 
 def nf_from_S(

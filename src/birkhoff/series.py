@@ -254,7 +254,12 @@ class PolySeries:
 
     @staticmethod
     def zero(n: int, order: int, ring: CoefficientRing = GAUSSIAN_RING) -> "PolySeries":
-        return PolySeries(n, order, ring)
+        """The empty series, built as a kernel value: it has no terms to check."""
+        if n < 1:
+            raise UsageError(f"dimension must be positive, got {n}")
+        if order < 0:
+            raise UsageError(f"truncation order must be non-negative, got {order}")
+        return _fill(_new(PolySeries), n, order, ring, _layout(n, order, ring.nvars), {}, 1)
 
     def _make(self, nums: dict, den: int) -> "PolySeries":
         """The series like self over nums / den, zeros dropped, in content form.
