@@ -61,11 +61,16 @@ CASES = (
         # order 32: a larger partition table and a longer run of cut powers
         ("onedof_deep", ["compute", "--method", "onedof", "--order", "32"]),
         ("onedof_deep", ["s-series", "--order", "10"]),
+        # the structure rows of all nine cubic and quartic monomials at n = 1
+        ("onedof_deep", ["structure", "--order", "6"]),
         # n = 3 at lambda = (1, 2, 3), twelve support pairs
         ("threedof_123", ["structure"]),
         # term rows with six exponent fields and a complex coefficient
         ("threedof_123", ["compute", "--method", "lie"]),
         ("threedof_123", ["compute", "--method", "trees"]),
+        # n = 3 at lambda = (1, 1, 1): 97 monomials, factor lists of three
+        # coordinates and powers above 1
+        ("threedof_111", ["structure"]),
     ]
 )
 
