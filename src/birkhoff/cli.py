@@ -13,6 +13,9 @@ All reports are JSON with stable key order; exit codes are 0 (pass),
 A report holds its series as ``PolySeries`` values, and their term rows
 are written straight from the packed keys (``PolySeries.json_text``);
 ``PolySeries.to_json_terms`` is the plain-data view of the same rows.
+The ``structure`` report is a ``StructureReport``, written row by row from
+one template (``StructureReport.json_text``); ``to_json`` is its
+plain-data view.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .series import ExponentPair, PolySeries, make_pair, term_order
 from .structure import (
     DEFAULT_ORDER_CAP,
     DEFAULT_SUPPORT_CAP,
+    StructureReport,
     check_structure,
     symbolic_normalize,
 )
@@ -218,9 +222,11 @@ def _json_text(value: object, newline: str) -> str:
     (a line break and the current indent).
 
     A report holds only str, int, bool, None, lists, tuples, dicts with
-    str keys and ``PolySeries`` values; any other value raises TypeError.  A
-    series is written as its ``to_json_terms`` rows, straight from its
-    packed keys by ``PolySeries.json_text``.  Each container is one
+    str keys, ``PolySeries`` and ``StructureReport`` values; any other value
+    raises TypeError.  A series is written as its ``to_json_terms`` rows,
+    straight from its packed keys by ``PolySeries.json_text``, and a
+    structure report as its ``to_json`` view by its own ``json_text``,
+    one row template per report.  Each container is one
     ``str.join``, a list of ints joins their reprs without a call per item,
     and strings go through the C escaper that json uses under
     ``ensure_ascii``.
@@ -245,7 +251,7 @@ def _json_text(value: object, newline: str) -> str:
         else:
             body = ("," + inner).join([_json_text(item, inner) for item in value])
         return "[" + inner + body + newline + "]"
-    if kind is PolySeries:
+    if kind is PolySeries or kind is StructureReport:
         return value.json_text(newline)
     if kind is int:
         return int.__repr__(value)
@@ -495,7 +501,7 @@ def cmd_structure(args) -> int:
             "raise --cap-support if this size is intended"
         )
     report = check_structure(symbolic_normalize(support, spec.freq, order))
-    _emit_json(report.to_json(), args.output)
+    _emit_json(report, args.output)
     return 0 if report.verdict else 1
 
 

@@ -584,18 +584,6 @@ class SymRing(CoefficientRing):
             raise UsageError(f"no indeterminate for exponent pair {label}")
         return SymScalar.indeterminate(self.nvars, self.index[label])
 
-    def monomial_weight(self, exponents: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Multiplicity-weighted sum of the label exponent pairs, as (wx, wy)."""
-        _check_arity(self.nvars, exponents)
-        n = len(self.labels[0][0]) if self.labels else 0
-        wx = [0] * n
-        wy = [0] * n
-        for power, (alpha, beta) in zip(exponents, self.labels):
-            for j in range(n):
-                wx[j] += power * alpha[j]
-                wy[j] += power * beta[j]
-        return tuple(wx), tuple(wy)
-
     def _label_text(self, position: int) -> str:
         alpha, beta = self.labels[position]
         return "h[%s;%s]" % (",".join(map(str, alpha)), ",".join(map(str, beta)))

@@ -20,7 +20,11 @@ The checker asserts, for every monomial of every resonant coefficient with
     (4) |T| = 2s - 2
 
 Violations are report rows, not exceptions; the report carries a global
-verdict and the first violating row in full.
+verdict and the first violating row in full.  The rows are built from
+integers: each coefficient's numerators over its denominator, and the
+label exponents read once per report.  ``StructureReport.json_text``
+writes the report with one row template per report, and ``to_json`` is
+its plain-data view.
 
 Only the normal form is read, so the symbolic run asks ``lie_normalize``
 for ``normal_form_only``: the top degree keeps only its resonant terms.
@@ -28,19 +32,15 @@ for ``normal_form_only``: the top degree keeps only its resonant terms.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping, Sequence
 
 from .errors import UsageError
 from .lie import lie_normalize
 from .operators import FreqVector
-from .scalars import (
-    GaussianRational,
-    SymRing,
-    SymScalar,
-    evaluation_map,
-    format_rational,
-)
+from .scalars import GaussianRational, SymRing, SymScalar, _ratio_text, evaluation_map
 from .series import ExponentPair, PolySeries, term_order
 
 DEFAULT_ORDER_CAP = 6
@@ -121,6 +121,63 @@ def specialize(
     return out + PolySeries(symbolic.freq.n, symbolic.order, out.ring, terms)
 
 
+# the four per-monomial constraints, in report order
+CHECK_NAMES = ("degree_bounds", "T_nonnegative", "delta_zero", "T_size")
+_BOOLS = ("false", "true")
+
+
+def _rows_text(rows: Sequence[dict], n: int, newline: str) -> list[str]:
+    """The text of each row dict as ``json.dumps(indent=2)`` writes it below
+    ``newline``, in n degrees of freedom.
+
+    Every row fills one template, with ``%d`` for the ints of alpha, beta,
+    s, the weights and T and ``%s`` for the factor list, the quoted
+    coefficient and the five booleans; every factor fills a factor
+    template.
+    """
+    field = newline + "  "
+    item = field + "  "
+    key = item + "  "
+
+    def ints(at: str) -> str:
+        return "[" + at + "  " + ("," + at + "  ").join(["%d"] * n) + at + "]"
+
+    checks = ("," + item).join(f'"{name}": %s' for name in CHECK_NAMES)
+    row_template = "{" + field + ("," + field).join([
+        '"alpha": ' + ints(field),
+        '"beta": ' + ints(field),
+        '"factors": %s',
+        '"coeff": %s',
+        '"s": %d',
+        '"weight_x": ' + ints(field),
+        '"weight_y": ' + ints(field),
+        '"T_x": ' + ints(field),
+        '"T_y": ' + ints(field),
+        '"checks": {' + item + checks + field + "}",
+        '"pass": %s',
+    ]) + newline + "}"
+    factor_template = (
+        "{" + key + '"alpha": ' + ints(key) + "," + key + '"beta": ' + ints(key)
+        + "," + key + '"power": %d' + item + "}"
+    )
+    texts = []
+    for row in rows:
+        factors = row["factors"]
+        if factors:
+            listed = "[" + item + ("," + item).join([
+                factor_template % (*f["alpha"], *f["beta"], f["power"]) for f in factors
+            ]) + field + "]"
+        else:
+            listed = "[]"
+        checks = row["checks"]
+        texts.append(row_template % (
+            *row["alpha"], *row["beta"], listed, _quote(row["coeff"]), row["s"],
+            *row["weight_x"], *row["weight_y"], *row["T_x"], *row["T_y"],
+            *[_BOOLS[checks[name]] for name in CHECK_NAMES], _BOOLS[row["pass"]],
+        ))
+    return texts
+
+
 @dataclass(frozen=True)
 class StructureReport:
     """Per-monomial bookkeeping rows plus the global verdict."""
@@ -141,40 +198,76 @@ class StructureReport:
             "rows": list(self.rows),
         }
 
+    def json_text(self, newline: str) -> str:
+        """The text of ``json.dumps(self.to_json(), indent=2)``, nested below
+        ``newline`` (a line break and the current indent).
+
+        Each row fills one template built once for n, its factor rows fill
+        a factor template, its booleans come from a two-entry table and its
+        coefficient goes through the C escaper that json uses under
+        ``ensure_ascii``; no row is walked as a generic dict.
+        """
+        inner = newline + "  "
+        n = self.freq.n
+        first = self.first_violation
+        if self.rows:
+            body = inner + "  "
+            rows = "[" + body + ("," + body).join(_rows_text(self.rows, n, body)) + inner + "]"
+        else:
+            rows = "[]"
+        return "{" + inner + ("," + inner).join([
+            '"order": %d' % self.order,
+            '"lambda": ' + json.dumps(self.freq.to_json(), indent=2).replace("\n", inner),
+            '"monomials": %d' % len(self.rows),
+            '"verdict": ' + ('"pass"' if self.verdict else '"fail"'),
+            '"first_violation": ' + ("null" if first is None else _rows_text([first], n, inner)[0]),
+            '"rows": ' + rows,
+        ]) + newline + "}"
+
 
 def check_structure(symbolic: SymbolicNormalForm) -> StructureReport:
-    """Evaluate the four per-monomial constraints on every resonant term."""
-    ring = symbolic.ring
+    """Evaluate the four per-monomial constraints on every resonant term.
+
+    Each coefficient is read as integer numerators over its denominator,
+    and a monomial's weight sums the exponent pairs of its factors, read
+    once per report, over its nonzero powers only.
+    """
+    n = symbolic.freq.n
+    labels = [(alpha, beta, alpha + beta) for alpha, beta in symbolic.ring.labels]
     rows: list[dict] = []
     first_violation: dict | None = None
     for pair, value in sorted(symbolic.resonant.items(), key=lambda item: term_order(item[0])):
-        target_degree = pair.degree
-        for exponents, coeff in value.sorted_terms():
-            s = sum(exponents)
-            wx, wy = ring.monomial_weight(exponents)
-            t_x = tuple(w - a for w, a in zip(wx, pair.alpha))
-            t_y = tuple(w - b for w, b in zip(wy, pair.beta))
-            size = sum(t_x) + sum(t_y)
+        target = pair.alpha + pair.beta
+        top = pair.degree - 2
+        den = value.den
+        for exponents, num in value._sorted_nums():
+            s = 0
+            weight = [0] * (2 * n)
+            factors = []
+            for (alpha, beta, both), power in zip(labels, exponents):
+                if power:
+                    s += power
+                    weight = [w + power * e for w, e in zip(weight, both)]
+                    factors.append({"alpha": list(alpha), "beta": list(beta), "power": power})
+            t = [w - e for w, e in zip(weight, target)]
+            t_x, t_y = t[:n], t[n:]
+            size_x, size_y = sum(t_x), sum(t_y)
             checks = {
-                "degree_bounds": 1 <= s <= target_degree - 2,
-                "T_nonnegative": min(t_x + t_y) >= 0,
-                "delta_zero": sum(t_y) - sum(t_x) == 0,
-                "T_size": size == 2 * s - 2,
+                "degree_bounds": 1 <= s <= top,
+                "T_nonnegative": min(t) >= 0,
+                "delta_zero": size_y - size_x == 0,
+                "T_size": size_x + size_y == 2 * s - 2,
             }
             row = {
                 "alpha": list(pair.alpha),
                 "beta": list(pair.beta),
-                "factors": [
-                    {"alpha": list(label[0]), "beta": list(label[1]), "power": e}
-                    for label, e in zip(ring.labels, exponents)
-                    if e
-                ],
-                "coeff": format_rational(coeff),
+                "factors": factors,
+                "coeff": _ratio_text(num, den),
                 "s": s,
-                "weight_x": list(wx),
-                "weight_y": list(wy),
-                "T_x": list(t_x),
-                "T_y": list(t_y),
+                "weight_x": weight[:n],
+                "weight_y": weight[n:],
+                "T_x": t_x,
+                "T_y": t_y,
                 "checks": checks,
                 "pass": all(checks.values()),
             }

@@ -7,7 +7,9 @@ class, Poisson brackets from partial derivatives and from the formula for
 one term pair, normalization driven purely by flow conjugation, series
 composition instead of reversion, the partition sum of Lagrange
 inversion by enumeration, the invariant series S from unpruned powers,
-dicts of Fractions for symbolic scalars, and the Akiyama-Tanigawa
+dicts of Fractions for symbolic scalars, structure rows from the
+Fraction terms and the weight formula sum(power * label), and the
+Akiyama-Tanigawa
 tableau for Bernoulli numbers.  Tests compare library output against
 these, so a shared bug would have to be implemented twice in two
 different shapes to slip through.  It also holds the environment for
@@ -24,6 +26,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import birkhoff
+from birkhoff.scalars import format_rational
+from birkhoff.series import term_order
 from birkhoff import (
     GAUSSIAN_RING,
     ExponentPair,
@@ -114,6 +118,50 @@ def hand_built_form(freq: FreqVector, order: int, coefficients: dict) -> Symboli
             value = value + term
         resonant[pair] = value
     return SymbolicNormalForm(ring=ring, freq=freq, order=order, resonant=resonant)
+
+
+def structure_rows_oracle(symbolic: SymbolicNormalForm) -> list[dict]:
+    """The rows of ``check_structure`` by the formulas of their definition.
+
+    Each monomial's weight is sum(power * label) over every indeterminate,
+    zero powers included, its coefficient is a ``Fraction`` term written by
+    ``format_rational``, and T, s and the four checks are recomputed per
+    row.
+    """
+    ring = symbolic.ring
+    n = symbolic.freq.n
+    rows = []
+    for pair, value in sorted(symbolic.resonant.items(), key=lambda item: term_order(item[0])):
+        for exponents, coeff in value.sorted_terms():
+            s = sum(exponents)
+            wx = [sum(p * label[0][j] for p, label in zip(exponents, ring.labels)) for j in range(n)]
+            wy = [sum(p * label[1][j] for p, label in zip(exponents, ring.labels)) for j in range(n)]
+            t_x = [w - a for w, a in zip(wx, pair.alpha)]
+            t_y = [w - b for w, b in zip(wy, pair.beta)]
+            checks = {
+                "degree_bounds": 1 <= s <= pair.degree - 2,
+                "T_nonnegative": min(t_x + t_y) >= 0,
+                "delta_zero": sum(t_y) - sum(t_x) == 0,
+                "T_size": sum(t_x) + sum(t_y) == 2 * s - 2,
+            }
+            rows.append({
+                "alpha": list(pair.alpha),
+                "beta": list(pair.beta),
+                "factors": [
+                    {"alpha": list(label[0]), "beta": list(label[1]), "power": e}
+                    for label, e in zip(ring.labels, exponents)
+                    if e
+                ],
+                "coeff": format_rational(coeff),
+                "s": s,
+                "weight_x": wx,
+                "weight_y": wy,
+                "T_x": t_x,
+                "T_y": t_y,
+                "checks": checks,
+                "pass": all(checks.values()),
+            })
+    return rows
 
 
 # ---------------------------------------------------------------------------

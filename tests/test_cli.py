@@ -17,8 +17,17 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from birkhoff import FreqVector, GaussianRational, ParseError, PolySeries, cli, make_pair
+from birkhoff import (
+    FreqVector,
+    GaussianRational,
+    ParseError,
+    PolySeries,
+    SymScalar,
+    cli,
+    make_pair,
+)
 from birkhoff.cli import ProblemSpec, build_parser, main, parse_problem
+from birkhoff.structure import StructureReport
 from birkhoff.treeforms import MU_SUM_MAX_LEAVES
 from birkhoff.trees import catalan_count
 from helpers import REPO_ROOT, child_env, hand_built_form
@@ -1010,17 +1019,25 @@ class TestReportWriter:
             with pytest.raises(TypeError):
                 cli._json_text(value, "\n")
 
+    @staticmethod
+    def plain_data(value):
+        """The plain-data view of a report value: a series' ``to_json_terms``
+        rows, or a structure report's ``to_json``."""
+        if isinstance(value, StructureReport):
+            return value.to_json()
+        return value.to_json_terms()
+
     def run_both(self, argv, monkeypatch, capsys):
         """(exit code, stdout, stderr) of main(argv) with the report writer,
         and again with ``json.dumps(obj, indent=2)`` in its place, which
-        writes a series as its ``to_json_terms`` rows."""
+        writes a series and a structure report as their plain-data views."""
         code = main(argv)
         written = (code, *capsys.readouterr())
         with monkeypatch.context() as patched:
             patched.setattr(
                 cli,
                 "_json_text",
-                lambda obj, newline: json.dumps(obj, indent=2, default=PolySeries.to_json_terms),
+                lambda obj, newline: json.dumps(obj, indent=2, default=self.plain_data),
             )
             code = main(argv)
         return written, (code, *capsys.readouterr())
@@ -1077,6 +1094,38 @@ class TestReportWriter:
         assert main(argv + ["--input", str(GOLDEN / f"{name}.json")]) == 0
         assert json.loads(capsys.readouterr().out)["normal_form"]
         assert calls == {"to_json_terms": 0, "terms": 0}
+
+    STRUCTURE_GOLDENS = [
+        ("onedof_real", ["structure", "--order", "6"]),
+        ("onedof_deep", ["structure", "--order", "6"]),
+        ("resonant_2dof", ["structure"]),
+        ("threedof_111", ["structure"]),
+        ("threedof_123", ["structure"]),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, argv", STRUCTURE_GOLDENS, ids=[name for name, _ in STRUCTURE_GOLDENS]
+    )
+    def test_structure_rows_are_written_from_templates(self, name, argv, monkeypatch, capsys):
+        """The rows read integer numerators, not ``SymScalar.sorted_terms``
+        (counted over the whole command), and the writer never walks a
+        row dict (one holding ``"checks"``) through ``cli._json_text``."""
+        calls = {"sorted_terms": 0, "row dicts": 0}
+        sorted_terms, json_text = SymScalar.sorted_terms, cli._json_text
+
+        def counted_terms(value):
+            calls["sorted_terms"] += 1
+            return sorted_terms(value)
+
+        def counted_text(value, newline):
+            calls["row dicts"] += type(value) is dict and "checks" in value
+            return json_text(value, newline)
+
+        monkeypatch.setattr(SymScalar, "sorted_terms", counted_terms)
+        monkeypatch.setattr(cli, "_json_text", counted_text)
+        assert main(argv + ["--input", str(GOLDEN / f"{name}.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"]
+        assert calls == {"sorted_terms": 0, "row dicts": 0}
 
 
 def long_options(parser: argparse.ArgumentParser) -> set[str]:
@@ -1167,9 +1216,9 @@ class TestMainErrors:
         assert err.startswith("error: term 1: rational literal of 5000 characters")
         assert f"{sys.get_int_max_str_digits()}-digit limit" in err
 
-    def assert_oversized_coefficient_refused(self, argv, tmp_path, capsys):
+    def assert_oversized_coefficient_refused(self, argv, tmp_path, capsys, payload=None):
         big = "7" * 3000
-        payload = {
+        payload = payload or {
             "n": 1,
             "lambda": ["1"],
             "order": 8,
@@ -1193,6 +1242,16 @@ class TestMainErrors:
     @pytest.mark.parametrize("argv", [["compute", "--method", "trees"], ["check"]])
     def test_oversized_coefficient_in_every_term_report(self, argv, tmp_path, capsys):
         self.assert_oversized_coefficient_refused(argv, tmp_path, capsys)
+
+    def test_oversized_coefficient_in_the_structure_rows(self, tmp_path, capsys):
+        # the order-6 row coefficients carry 1/lambda^2, of 4400 digits
+        payload = {
+            "n": 1,
+            "lambda": ["1/" + "7" * 2200],
+            "order": 6,
+            "terms": [{"alpha": [2], "beta": [1]}, {"alpha": [1], "beta": [2]}],
+        }
+        self.assert_oversized_coefficient_refused(["structure"], tmp_path, capsys, payload)
 
     def test_oversized_json_integer(self, tmp_path, capsys):
         path = tmp_path / "big.json"

@@ -8,10 +8,13 @@ numeric evaluation for symbolic series, and the flow-driven
 rewrite of these layers must keep them passing.
 """
 
+import dataclasses
+import io
 import json
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -28,6 +31,7 @@ from birkhoff import (
     UsageError,
     WSeries,
     check_structure,
+    cli,
     compute_S,
     form_by_recursion,
     form_by_trees,
@@ -60,6 +64,7 @@ from helpers import (
     direct_normalize,
     mul_oracle,
     partial_inverse_oracle,
+    hand_built_form,
     partition_oracle,
     poisson_oracle,
     poisson_pairwise_oracle,
@@ -73,6 +78,7 @@ from helpers import (
     scale_oracle,
     series_like,
     series_terms,
+    structure_rows_oracle,
     with_order_oracle,
 )
 
@@ -995,6 +1001,140 @@ class TestStructureOnDrawnSupports:
         assert specialize(symbolic, values) == lie_normalize(h, freq).normal_form
         report = check_structure(symbolic)
         assert report.verdict, report.first_violation
+
+
+# lambda in 1:1, 1:2 and 1:-1 resonance, per dimension
+RESONANT_FREQUENCIES = {
+    1: [(1,), (2,), (-1,)],
+    2: [(1, 1), (1, 2), (1, -1)],
+    3: [(1, 1, 1), (1, 1, 2), (1, -1, 2)],
+}
+
+
+@st.composite
+def drawn_structure_forms(draw):
+    """The symbolic normal form of a drawn support: n = 1..3, order 3..6,
+    one to four pairs of degree 3 to min(order, 4), at a resonant lambda."""
+    n = draw(st.integers(1, 3))
+    freq = FreqVector.of(*draw(st.sampled_from(RESONANT_FREQUENCIES[n])))
+    order = draw(st.integers(3, 6))
+    candidates = [pair for degree in range(3, min(order, 4) + 1) for pair in monomials(n, degree)]
+    support = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True))
+    return symbolic_normalize(support, freq, order)
+
+
+def scaled_form(form, scales):
+    """The form with the value at each resonant pair times its scale."""
+    resonant = {pair: value.scaled(q) for (pair, value), q in zip(form.resonant.items(), scales)}
+    return dataclasses.replace(form, resonant=resonant)
+
+
+@st.composite
+def hand_built_forms(draw):
+    """A hand-built symbolic form at n = 1..3: up to three resonant pairs
+    of degree 3..6, each a sum of up to three monomials of up to three
+    factor labels of degree 3..4 (repeats give powers above 1, the empty
+    monomial is the constant 1), scaled by a nonzero rational.  Most break
+    some constraint."""
+    n = draw(st.integers(1, 3))
+    freq = FreqVector.of(*draw(st.sampled_from(RESONANT_FREQUENCIES[n])))
+    pairs = [pair for degree in range(3, 7) for pair in monomials(n, degree)]
+    labels = [pair for degree in (3, 4) for pair in monomials(n, degree)]
+    monomial = st.lists(st.sampled_from(labels), max_size=3).map(tuple)
+    coefficients = draw(st.dictionaries(
+        st.sampled_from(pairs), st.lists(monomial, min_size=1, max_size=3), max_size=3
+    ))
+    form = hand_built_form(freq, 6, coefficients)
+    return scaled_form(form, draw(st.lists(nonzero_fractions, min_size=3, max_size=3)))
+
+
+# a failing n = 3 form: h[pair] itself passes and sorts first; the label
+# h[1,0,0;0,0,2] alone and squared (a power of 2) give T_x = (0, -1, 0)
+# and (1, -1, 0); the constant on a later pair breaks three constraints;
+# the scales make the coefficients -3/2 and 5/4
+N3_PAIR = make_pair((1, 1, 0), (0, 1, 1))
+N3_LABEL = make_pair((1, 0, 0), (0, 0, 2))
+VIOLATING_N3 = scaled_form(
+    hand_built_form(
+        FreqVector.of(1, 1, 1), 6,
+        {
+            N3_PAIR: [(N3_LABEL, N3_LABEL), (N3_LABEL,), (N3_PAIR,)],
+            make_pair((2, 1, 1), (1, 1, 0)): [()],
+        },
+    ),
+    [Fraction(-3, 2), Fraction(5, 4)],
+)
+EMPTY_FORM = hand_built_form(FreqVector.of(1, 2), 5, {})
+STRUCTURE_INPUT = str(Path(__file__).resolve().parent / "golden" / "onedof_real.json")
+
+
+class TestStructureRowsAgainstOracle:
+    """``check_structure`` builds the oracle's rows, in order, with the
+    verdict and the first failing row itself."""
+
+    @staticmethod
+    def assert_rows(form):
+        report = check_structure(form)
+        assert list(report.rows) == structure_rows_oracle(form)
+        assert report.verdict == all(row["pass"] for row in report.rows)
+        failing = [row for row in report.rows if not row["pass"]]
+        if failing:
+            assert report.first_violation is failing[0]
+        else:
+            assert report.first_violation is None
+        # every row owns its lists
+        lists = [id(v) for row in report.rows for v in row.values() if type(v) is list]
+        assert len(lists) == len(set(lists))
+
+    @SLOW
+    @given(form=drawn_structure_forms())
+    def test_drawn_supports(self, form):
+        self.assert_rows(form)
+
+    @FAST
+    @given(form=hand_built_forms())
+    @example(form=VIOLATING_N3)
+    @example(form=EMPTY_FORM)
+    def test_hand_built_forms(self, form):
+        self.assert_rows(form)
+
+
+class TestStructureJsonText:
+    """A structure report writes the text of ``json.dumps`` of its
+    ``to_json`` view, and ``structure`` prints it."""
+
+    @staticmethod
+    def nested_json(report, newline: str) -> str:
+        return json.dumps(report.to_json(), indent=2).replace("\n", newline)
+
+    @SLOW
+    @given(form=drawn_structure_forms(), indent=st.integers(0, 8))
+    def test_drawn_supports(self, form, indent):
+        report = check_structure(form)
+        newline = "\n" + " " * indent
+        assert report.json_text(newline) == self.nested_json(report, newline)
+
+    @FAST
+    @given(form=hand_built_forms(), indent=st.integers(0, 8))
+    @example(form=VIOLATING_N3, indent=0)
+    @example(form=EMPTY_FORM, indent=3)
+    def test_hand_built_forms(self, form, indent):
+        report = check_structure(form)
+        newline = "\n" + " " * indent
+        assert report.json_text(newline) == self.nested_json(report, newline)
+
+    @FAST
+    @given(form=hand_built_forms())
+    @example(form=VIOLATING_N3)
+    @example(form=EMPTY_FORM)
+    def test_structure_prints_the_report(self, form):
+        report = check_structure(form)
+        out = io.StringIO()
+        with patch("birkhoff.cli.symbolic_normalize", lambda support, freq, order: form):
+            with redirect_stdout(out):
+                code = cli.main(["structure", "--order", "4", "--input", STRUCTURE_INPUT])
+        assert code == (0 if report.verdict else 1)
+        assert out.getvalue() == json.dumps(report.to_json(), indent=2) + "\n"
 
 
 @st.composite

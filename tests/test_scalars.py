@@ -253,13 +253,6 @@ class TestSymScalar:
         degrees = [sum(exps) for exps, _ in expr.sorted_terms()]
         assert degrees == sorted(degrees)
 
-    def test_monomial_weight(self):
-        ring = self._ring()
-        wx, wy = ring.monomial_weight((1, 1, 0))
-        assert wx == (3, 3) and wy == (0, 0)
-        wx, wy = ring.monomial_weight((0, 0, 2))
-        assert wx == (4, 0) and wy == (0, 4)
-
     def test_render_names_factors(self):
         ring = self._ring()
         assert ring.render(ring.indeterminate(LABEL_A)) == "1*h[3,0;0,0]"

@@ -151,6 +151,21 @@ class TestCheckStructure:
         assert quadratic["T_x"] == [1] and quadratic["T_y"] == [1]
         assert quadratic["coeff"] == "-3"
 
+    def test_row_weights_sum_the_factor_labels(self):
+        # w = sum of power * (alpha, beta) over the factors of the monomial
+        a, b, c = make_pair((3, 0), (0, 0)), make_pair((0, 3), (0, 0)), make_pair((2, 0), (0, 2))
+        pair = make_pair((2, 2), (2, 2))
+        form = hand_built_form(freq(1, 1), 8, {pair: [(a, b), (c, c)]})
+        weights = {
+            tuple((tuple(f["alpha"]), tuple(f["beta"]), f["power"]) for f in row["factors"]):
+            (row["weight_x"], row["weight_y"])
+            for row in check_structure(form).rows
+        }
+        assert weights == {
+            (((3, 0), (0, 0), 1), ((0, 3), (0, 0), 1)): ([3, 3], [0, 0]),
+            (((2, 0), (0, 2), 2),): ([4, 0], [0, 4]),
+        }
+
     def test_report_json_shape(self):
         sym = symbolic_normalize(CUBIC_QUARTIC_1DOF, freq(1), 4)
         data = check_structure(sym).to_json()
