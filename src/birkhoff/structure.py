@@ -122,7 +122,7 @@ def specialize(
 
 
 # the four per-monomial constraints, in report order
-CHECK_NAMES = ("degree_bounds", "T_nonnegative", "delta_zero", "T_size")
+_CHECK_NAMES = ("degree_bounds", "T_nonnegative", "delta_zero", "T_size")
 _BOOLS = ("false", "true")
 
 
@@ -142,7 +142,7 @@ def _rows_text(rows: Sequence[dict], n: int, newline: str) -> list[str]:
     def ints(at: str) -> str:
         return "[" + at + "  " + ("," + at + "  ").join(["%d"] * n) + at + "]"
 
-    checks = ("," + item).join(f'"{name}": %s' for name in CHECK_NAMES)
+    checks = ("," + item).join(f'"{name}": %s' for name in _CHECK_NAMES)
     row_template = "{" + field + ("," + field).join([
         '"alpha": ' + ints(field),
         '"beta": ' + ints(field),
@@ -173,7 +173,7 @@ def _rows_text(rows: Sequence[dict], n: int, newline: str) -> list[str]:
         texts.append(row_template % (
             *row["alpha"], *row["beta"], listed, _quote(row["coeff"]), row["s"],
             *row["weight_x"], *row["weight_y"], *row["T_x"], *row["T_y"],
-            *[_BOOLS[checks[name]] for name in CHECK_NAMES], _BOOLS[row["pass"]],
+            *[_BOOLS[checks[name]] for name in _CHECK_NAMES], _BOOLS[row["pass"]],
         ))
     return texts
 

@@ -62,9 +62,9 @@ from helpers import (
     bracket_pair_count,
     combination_oracle,
     direct_normalize,
+    hand_built_form,
     mul_oracle,
     partial_inverse_oracle,
-    hand_built_form,
     partition_oracle,
     poisson_oracle,
     poisson_pairwise_oracle,
