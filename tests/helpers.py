@@ -26,8 +26,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import birkhoff
-from birkhoff.scalars import format_rational
-from birkhoff.series import term_order
 from birkhoff import (
     GAUSSIAN_RING,
     ExponentPair,
@@ -38,9 +36,11 @@ from birkhoff import (
     SymRing,
     WSeries,
     exp_lie,
+    format_rational,
     make_pair,
     partial_inverse,
 )
+from birkhoff.series import term_order
 
 Coeff = GaussianRational
 
