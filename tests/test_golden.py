@@ -63,6 +63,15 @@ CASES = (
         ("onedof_deep", ["s-series", "--order", "10"]),
         # the structure rows of all nine cubic and quartic monomials at n = 1
         ("onedof_deep", ["structure", "--order", "6"]),
+        # the degree-by-degree table 13 degrees deep, in both modes
+        ("onedof_deep", ["compute", "--method", "lie", "--order", "16"]),
+        ("onedof_deep", ["compute", "--method", "lie", "--no-kernel-correction", "--order", "16"]),
+        # lie_trees_agreement runs the leaf-count table at smax = 10
+        ("onedof_deep", ["check", "--order", "12"]),
+        # the leaf-count table and the audit rows together, nine degrees deep
+        ("onedof_deep", ["compute", "--method", "trees", "--order", "9"]),
+        # n = 2, complex, with the kernel correction active
+        ("resonant_2dof", ["compute", "--method", "lie", "--order", "8"]),
         # n = 3 at lambda = (1, 2, 3), twelve support pairs
         ("threedof_123", ["structure"]),
         # term rows with six exponent fields and a complex coefficient
