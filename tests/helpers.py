@@ -4,7 +4,8 @@ Everything here recomputes results through a different route than the
 library code under test: dense dict arithmetic on the values (over Q(i)
 or, with ``SymScalar`` arithmetic, over a ``SymRing``) instead of the series
 class, Poisson brackets from partial derivatives and from the formula for
-one term pair, normalization driven purely by flow conjugation, series
+one term pair, normalization driven purely by flow conjugation, the
+``lie`` and ``trees`` recursions as two tables each instead of one, series
 composition instead of reversion, the partition sum of Lagrange
 inversion by enumeration, the invariant series S from unpruned powers,
 dicts of Fractions for symbolic scalars, structure rows from the
@@ -22,6 +23,7 @@ import math
 import os
 import random
 import runpy
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,16 +33,20 @@ from birkhoff import (
     ExponentPair,
     FreqVector,
     GaussianRational,
+    NormalizationResult,
     PolySeries,
     SymbolicNormalForm,
     SymRing,
     WSeries,
     exp_lie,
     format_rational,
+    image_projection,
     make_pair,
     partial_inverse,
+    resonant_projection,
+    validate_hamiltonian,
 )
-from birkhoff.series import term_order
+from birkhoff.series import bracket_sum, combination, term_order
 
 Coeff = GaussianRational
 
@@ -396,6 +402,115 @@ def direct_normalize(hamiltonian: PolySeries, freq: FreqVector):
         generator = generator + partial_inverse(residue, freq)
     normal_form = exp_lie(generator, hamiltonian) if not generator.is_zero else hamiltonian
     return normal_form, generator
+
+
+def count_calls(monkeypatch, module, *names: str) -> Counter:
+    """Count, in the Counter returned, the pairs that module hands to
+    ``bracket_sum`` and the calls of each named function of module."""
+    calls: Counter = Counter()
+    kernel = module.bracket_sum
+
+    def bracket_sum(pairs, like, top=None):
+        pairs = list(pairs)
+        calls["bracket_sum"] += len(pairs)
+        return kernel(pairs, like, top)
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(module, "bracket_sum", bracket_sum)
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# two-table recursion oracles
+
+
+def deprit_tables_oracle(
+    hamiltonian: PolySeries,
+    freq: FreqVector,
+    kernel_corrected: bool = True,
+    normal_form_only: bool = False,
+) -> NormalizationResult:
+    """``lie_normalize`` through two Deprit tables, T1 seeded with H and T2
+    with R, each bracket taken once per table:
+
+        T[k][d] = sum_{j>=3} {F_j, T[k-1][d+2-j]},
+        Phi_m = H_m + sum_{k>=1} T1[k][m] / k!  -  T2[k][m] / (k+1)!.
+    """
+    validate_hamiltonian(hamiltonian, freq)
+    order, ring = hamiltonian.order, hamiltonian.ring
+    zero = PolySeries.zero(hamiltonian.n, order, ring)
+    rhs, res, gen = {}, {}, {}
+    t1 = {(0, d): hamiltonian.grade(d) for d in range(3, order + 1)}
+    t2 = {}
+
+    def entry(table: dict, k: int, m: int) -> PolySeries:
+        return bracket_sum(
+            [(gen[j], table[k - 1, m + 2 - j]) for j in range(3, m - k + 1)],
+            zero,
+            freq if normal_form_only and m == order else None,
+        )
+
+    for m in range(3, order + 1):
+        for k in range(1, m - 2):
+            t1[k, m], t2[k, m] = entry(t1, k, m), entry(t2, k, m)
+        weighted = [(1, t1[0, m])]
+        weighted += [(Fraction(1, math.factorial(k)), t1[k, m]) for k in range(1, m - 2)]
+        weighted += [(Fraction(-1, math.factorial(k + 1)), t2[k, m]) for k in range(1, m - 2)]
+        rhs[m] = combination(weighted, zero)
+        res[m] = resonant_projection(rhs[m], freq)
+        gen[m] = partial_inverse(rhs[m], freq)
+        t2[0, m] = image_projection(rhs[m], freq) if kernel_corrected else rhs[m]
+
+    normal_form = combination(
+        [(1, part) for part in (freq.quadratic_part(order, ring), *res.values())], zero
+    )
+    if normal_form_only:
+        return NormalizationResult(normal_form, None, None, res, None)
+    generator = combination([(1, part) for part in gen.values()], zero)
+    return NormalizationResult(normal_form, generator, rhs, res, gen)
+
+
+def leaf_tables_oracle(
+    g: PolySeries,
+    smax: int,
+    freq: FreqVector,
+    kernel_corrected: bool = False,
+    top_resonant: bool = False,
+) -> list[PolySeries]:
+    """``form_by_recursion`` through two leaf-count tables, U1 seeded with g
+    at r = 1 and U2 with R L_c at r = c:
+
+        U[k][r] = sum_{c=1}^{r-k} {B L_c, U[k-1][r-c]},
+        L_s = sum_{k=1}^{s-1} U1[k][s] / k!  -  U2[k][s] / (k+1)!.
+    """
+    zero = PolySeries.zero(g.n, g.order, g.ring)
+    top = freq if top_resonant else None
+    forms, blocks = [zero, g], [zero]
+    u1, u2 = {(0, 1): g}, {}
+
+    def entry(table: dict, k: int, r: int) -> PolySeries:
+        return bracket_sum(
+            [(blocks[c], table.get((k - 1, r - c), zero)) for c in range(1, r - k + 1)], zero, top
+        )
+
+    for s in range(2, smax + 1):
+        last = forms[-1]
+        blocks.append(partial_inverse(last, freq))
+        u2[0, s - 1] = image_projection(last, freq) if kernel_corrected else last
+        for k in range(1, s):
+            u1[k, s], u2[k, s] = entry(u1, k, s), entry(u2, k, s)
+        weighted = [(Fraction(1, math.factorial(k)), u1[k, s]) for k in range(1, s)]
+        weighted += [(Fraction(-1, math.factorial(k + 1)), u2[k, s]) for k in range(1, s)]
+        forms.append(combination(weighted, zero))
+    return forms[1:]
 
 
 # ---------------------------------------------------------------------------

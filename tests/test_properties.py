@@ -3,9 +3,10 @@
 Drawn values and series are checked against independent computations:
 plain (re, im) pairs of Fractions for Q(i), the dict oracles in
 ``helpers`` for symbolic scalars and for the series product and bracket,
-numeric evaluation for symbolic series, and the flow-driven
-``helpers.direct_normalize`` for every pipeline's normal form.  Any
-rewrite of these layers must keep them passing.
+numeric evaluation for symbolic series, the flow-driven
+``helpers.direct_normalize`` for every pipeline's normal form, and the
+two-table recursions of ``helpers`` for the one-table ``lie`` and
+``trees`` recursions.  Any rewrite of these layers must keep them passing.
 """
 
 import dataclasses
@@ -61,8 +62,10 @@ from helpers import (
     add_oracle,
     bracket_pair_count,
     combination_oracle,
+    deprit_tables_oracle,
     direct_normalize,
     hand_built_form,
+    leaf_tables_oracle,
     mul_oracle,
     partial_inverse_oracle,
     partition_oracle,
@@ -1343,16 +1346,17 @@ PIPELINES = settings(max_examples=100, deadline=None)
 
 
 @st.composite
-def hamiltonians(draw, dims=st.integers(1, 2)):
+def hamiltonians(draw, dims=st.integers(1, 2), orders=st.integers(4, 6)):
     """H2 of a drawn frequency vector, one to three cubics, up to two higher terms."""
     n = draw(dims)
-    order = draw(st.integers(4, 6))
+    order = draw(orders)
     freq = FreqVector.of(*draw(st.sampled_from(FREQUENCIES[n])))
     values = gaussians if draw(st.booleans()) else reals
     cubics = list(monomials(n, 3))
     higher = [pair for degree in range(4, order + 1) for pair in monomials(n, degree)]
     chosen = draw(st.lists(st.sampled_from(cubics), min_size=1, max_size=3, unique=True))
-    chosen += draw(st.lists(st.sampled_from(higher), max_size=2, unique=True))
+    if higher:
+        chosen += draw(st.lists(st.sampled_from(higher), max_size=2, unique=True))
     tail = PolySeries(n, order, GAUSSIAN_RING, {p: draw(values) for p in chosen})
     return freq.quadratic_part(order, GAUSSIAN_RING) + tail, freq
 
@@ -1393,6 +1397,53 @@ class TestPipelinesAgainstFlowOracle:
         g, s, freq = case
         expected = [form_by_trees([g] * r, freq) for r in range(1, s + 1)]
         assert form_by_recursion(g, s, freq) == expected
+
+
+def deep_table_case(values: tuple, seed: int) -> tuple[PolySeries, FreqVector]:
+    """H2 and up to six cubics at order 8."""
+    freq = FreqVector.of(*values)
+    return random_hamiltonian(freq, 8, seed, max_degree=3), freq
+
+
+DEEP_TABLE_CASES = [
+    deep_table_case((1, 1, 1), 1),
+    deep_table_case((1, GaussianRational.of(0, 1)), 6),
+]
+
+
+class TestOneTableAgainstTwoTables:
+    """Each recursion's one Horner table gives what its two tables gave,
+    every part and every mode, on real, complex and resonant frequencies.
+    The examples fill both tables to order 8 at n = 3 and n = 2."""
+
+    @PIPELINES
+    @given(case=hamiltonians(dims=st.integers(1, 3), orders=st.integers(3, 8)))
+    @example(case=DEEP_TABLE_CASES[0])
+    @example(case=DEEP_TABLE_CASES[1])
+    def test_lie_normalize(self, case):
+        h, freq = case
+        for corrected in (True, False):
+            for only in (False, True):
+                result = lie_normalize(h, freq, corrected, only)
+                expected = deprit_tables_oracle(h, freq, corrected, only)
+                assert result.normal_form == expected.normal_form
+                assert result.generator == expected.generator
+                assert result.rhs_parts == expected.rhs_parts
+                assert result.resonant_parts == expected.resonant_parts
+                assert result.generator_parts == expected.generator_parts
+
+    @PIPELINES
+    @given(case=hamiltonians(dims=st.integers(1, 3), orders=st.integers(3, 8)))
+    @example(case=DEEP_TABLE_CASES[0])
+    @example(case=DEEP_TABLE_CASES[1])
+    def test_form_by_recursion(self, case):
+        h, freq = case
+        tail = h.filter_terms(lambda pair: pair.degree >= 3)
+        smax = max(h.order - 2, 1)
+        for corrected in (True, False):
+            for top in (False, True):
+                forms = form_by_recursion(tail, smax, freq, corrected, top_resonant=top)
+                assert forms == leaf_tables_oracle(tail, smax, freq, corrected, top)
 
 
 def times(series: PolySeries, c: GaussianRational) -> PolySeries:
