@@ -8,23 +8,40 @@ the already-chosen generator parts, then splits it:
     N_m = A Phi_m        (resonant part, kept in the normal form)
     F_m = B Phi_m        (generator part, removing the rest)
 
-The recursion for Phi_m has two groups of nested brackets of generator
-parts, each read off a table with one recurrence (the Deprit triangle,
-Deprit, Celest. Mech. 1 (1969) 12-30):
+With L X = sum_{j>=3} {F_j, X}, which takes degree d to degrees above d,
+the right-hand side is the degree-m part of two sums of nested brackets
+(the Deprit triangle, Deprit, Celest. Mech. 1 (1969) 12-30):
 
-    T[0][d] = seed_d,    T[k][d] = sum_{j>=3} {F_j, T[k-1][d+2-j]},
-    Phi_m = H_m + sum_{k>=1} T1[k][m] / k!  -  sum_{k>=1} T2[k][m] / (k+1)!.
+    Phi_m = [sum_{k>=0} L^k H / k!  -  sum_{k>=1} L^k R / (k+1)!]_m
+          = [sum_{k>=0} L^k (c_k H + d_k R)]_m,
 
-Table T1 is seeded with H_d and T2 with R_d.  Every inner degree is below m,
-so each entry is final when first computed and each bracket is taken once.
-Each entry is one ``bracket_sum`` and Phi_m one ``combination``: every
+with c_k = 1/k!, d_0 = 0 and d_k = -1/(k+1)!.  Horner's rule over the
+nesting depth evaluates both sums in one table,
+
+    W[k][d] = c_k H_d + d_k R_d + sum_{j=3}^{d-1} {F_j, W[k+1][d+2-j]},
+
+the degree-d part of W[k] = sum_{i>=0} L^i (c_{k+i} H + d_{k+i} R), which
+satisfies W[k] = c_k H + d_k R + L W[k+1]; so Phi_m = W[0][m].  The entry
+W[k][d] is read only by entries W[k-1][d'] of degree d' > d, so it reaches
+W[0] at degree d + k or above: the truncation order M needs it only for
+k <= M - d.  One pair (j, W[k+1][d+2-j]) per j, k and d then makes
+sum_d (M - d + 1)(d - 3) = C(M - 1, 3) bracket pairs.  The table is filled
+in ascending d: at each d first W[0][d] = Phi_d, which gives N_d, F_d and
+R_d, then W[k][d] for k = 1..M-d.  Every inner degree is below d, so each
+input is final when read and each bracket is taken once.  Each entry is
+one ``bracket_sum`` and one ``combination`` of at most three items: every
 sum accumulates in one dict, and an entry builds its derivative lists once
-however often it is bracketed.  With ``normal_form_only`` the entries of
-the top degree M are bracketed given the frequencies, whose label table
-``bracket_sum`` reads, so they keep only resonant terms: N_M = A Phi_M
-is exact, while F_M and Phi_M are not, and the result holds None in their
-place.  The series the result holds keep no derivative lists.
-The seed R_j of T2 depends on the mode:
+however often it is bracketed.  Nothing reads R_M, which is not formed.
+
+With ``normal_form_only`` the one entry of the top degree, W[0][M], is
+bracketed given the frequencies, whose label table ``bracket_sum`` reads,
+so its bracket sum keeps only resonant terms of degree M.  A degree-M term
+feeds no later bracket, so the cut changes nothing else, and
+N_M = A Phi_M is exact while Phi_M is not: the result holds None for the
+right-hand sides and the generator, and F_M is not formed.  The series the
+result holds keep no derivative lists.
+
+The term R_j depends on the mode:
 
 * ``kernel_corrected=True`` (default): R_j = (I - A) Phi_j = Phi_j - N_j,
   the image part of the right-hand side, taken by ``image_projection``.
@@ -79,8 +96,8 @@ def lie_normalize(
 ) -> NormalizationResult:
     """Normalize H by the degree-by-degree recursion up to its truncation order.
 
-    With ``normal_form_only`` the entries of the top degree M keep only
-    their resonant terms, and the result holds None for the generator,
+    With ``normal_form_only`` the bracket sum of the top degree M keeps
+    only its resonant terms, and the result holds None for the generator,
     its parts and the right-hand sides, whose degree-M parts are cut.
     """
     validate_hamiltonian(hamiltonian, freq)
@@ -91,31 +108,36 @@ def lie_normalize(
     rhs: dict[int, PolySeries] = {}
     res: dict[int, PolySeries] = {}
     gen: dict[int, PolySeries] = {}
-    # t1[k, d], t2[k, d]: the sum of the k-fold brackets of degree d
-    t1 = {(0, d): hamiltonian.grade(d) for d in range(3, order + 1)}
-    t2: dict[tuple[int, int], PolySeries] = {}
-
+    seeds = {d: hamiltonian.grade(d) for d in range(3, order + 1)}
+    images: dict[int, PolySeries] = {}  # images[d] = R_d
+    # w[k, d]: degree d of sum_{i>=0} L^i (c_{k+i} H + d_{k+i} R)
+    w: dict[tuple[int, int], PolySeries] = {}
     zero = PolySeries.zero(n, order, ring)
 
-    def bracket_entry(table: dict, k: int, m: int) -> PolySeries:
-        """T[k][m] = sum_{j>=3} {F_j, T[k-1][m+2-j]}; every inner degree is below m."""
-        return bracket_sum(
-            [(gen[j], table[k - 1, m + 2 - j]) for j in range(3, m - k + 1)],
-            zero,
-            freq if normal_form_only and m == order else None,
-        )
+    def entry(k: int, d: int) -> PolySeries:
+        """W[k][d] = c_k H_d + d_k R_d + sum_{j=3}^{d-1} {F_j, W[k+1][d+2-j]}."""
+        weighted = [
+            (Fraction(1, math.factorial(k)), seeds[d]),
+            (1, bracket_sum(
+                [(gen[j], w[k + 1, d + 2 - j]) for j in range(3, d)],
+                zero,
+                freq if normal_form_only and d == order else None,
+            )),
+        ]
+        if k:
+            weighted.append((Fraction(-1, math.factorial(k + 1)), images[d]))
+        return combination(weighted, zero)
 
-    for m in range(3, order + 1):
-        for k in range(1, m - 2):
-            t1[k, m], t2[k, m] = bracket_entry(t1, k, m), bracket_entry(t2, k, m)
-        weighted = [(1, t1[0, m])]
-        weighted += [(Fraction(1, math.factorial(k)), t1[k, m]) for k in range(1, m - 2)]
-        weighted += [(Fraction(-1, math.factorial(k + 1)), t2[k, m]) for k in range(1, m - 2)]
-        acc = combination(weighted, zero)
-        rhs[m] = acc
-        res[m] = resonant_projection(acc, freq)
-        gen[m] = partial_inverse(acc, freq)
-        t2[0, m] = image_projection(acc, freq) if kernel_corrected else acc
+    # ascending d: every inner degree d + 2 - j is below d, so each input is final
+    for d in range(3, order + 1):
+        rhs[d] = phi = entry(0, d)
+        res[d] = resonant_projection(phi, freq)
+        if d < order or not normal_form_only:
+            gen[d] = partial_inverse(phi, freq)
+        if d < order:
+            images[d] = image_projection(phi, freq) if kernel_corrected else phi
+        for k in range(1, order - d + 1):
+            w[k, d] = entry(k, d)
 
     normal_form = combination(
         [(1, part) for part in (freq.quadratic_part(order, ring), *res.values())], zero
@@ -129,7 +151,7 @@ def lie_normalize(
             generator_parts=None,
         )
     # the returned parts need not keep the lists of the brackets they entered
-    for part in (*rhs.values(), *gen.values()):
+    for part in gen.values():
         part._release()
     return NormalizationResult(
         normal_form=normal_form,

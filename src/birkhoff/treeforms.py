@@ -19,14 +19,26 @@ pipeline, R is identity in the plain ("printed") variant and I - A
 
 ``form_by_recursion`` evaluates the forms on equal arguments, L_s(g, .., g),
 which is all the normal form needs.  Every block of c arguments then has the
-form L_c, so both sums fold into two tables over leaf count r:
+form L_c.  With L X = sum_{c>=1} {B L_c, X}, which adds c leaves, and R
+the series holding R L_c at c leaves, both sums are the s-leaf part of
 
-    U[k][r] = sum_{c=1}^{r-k} {B L_c, U[k-1][r-c]},
-    L_s = sum_{k=1}^{s-1} U1[k][s] / k!  -  U2[k][s] / (k+1)!,
+    L_s = [sum_{k>=0} L^k (c_k g + d_k R)]_s,
 
-U1 seeded with g at r = 1 and U2 with R L_c at r = c.  Filled in ascending
-s, each entry is final when first computed and each B L_c is computed once.
-Each entry is one ``bracket_sum`` and L_s one ``combination``, as in the
+g holding one leaf, c_k = 1/k!, d_0 = 0 and d_k = -1/(k+1)!: the first
+sum is [L^k g]_s / k! and the second [L^(k-1) R]_s / k!, with k - 1
+brackets around the innermost block.  Horner's rule over the nesting depth
+folds them into one table over leaf count r,
+
+    V[k][r] = [r = 1] g / k! + d_k R L_r + sum_{c=1}^{r-1} {B L_c, V[k+1][r-c]},
+    L_s = V[0][s],
+
+where V[k] = c_k g + d_k R + L V[k+1].  An entry V[k][r] reaches V[0] at
+r + k leaves or more, so ``smax`` needs it only for k <= smax - r, and the
+table holds sum_r (smax - r + 1)(r - 1) = C(smax + 1, 3) bracket pairs.
+Filled in ascending r, first L_r = V[0][r] and then V[k][r] for k >= 1,
+each entry is final when first computed and each B L_c is computed once;
+nothing reads B L_smax or R L_smax, which are not formed.
+Each entry is one ``bracket_sum`` and one ``combination``, as in the
 degree-by-degree pipeline, with no table or step shared between the two.
 
 The plain variant has a closed form: a sum over full binary trees,
@@ -43,9 +55,11 @@ other, as is the recursion-equals-trees identity on equal arguments.
 With H* = H - H2 and M the truncation order, the normal form is one
 recursion, N = H2 + sum_{s=1}^{M-2} A L_s(H*, .., H*).  It reads the forms
 only through A, so ``nf_via_trees`` asks ``form_by_recursion`` for
-``top_resonant`` forms: each table entry is bracketed given the
+``top_resonant`` forms: each entry's bracket sum is taken given the
 frequencies, whose label table ``bracket_sum`` reads, and keeps only the
-resonant terms of degree M (a degree-M term feeds no later bracket).  By
+resonant terms of degree M.  A degree-M term feeds no later bracket, and
+for s >= 2 the form L_s = V[0][s] is a bracket sum alone, so the forms stay
+exact below M and under A.  By
 multilinearity its degree-m part is the sum over tuples of homogeneous
 parts of H,
 
@@ -143,9 +157,9 @@ def total_tree_weight_by_recursion(s: int) -> Fraction:
     of t, whose leaf counts add up to s - 1.  So the sum W(s) is
     sum_k J_{k+1} P[k][s-1], where P[k][r] sums prod W(c_i) over the
     compositions of r into k leaf counts: P[0][0] = 1 and
-    P[k][r] = sum_c W(c) P[k-1][r-c].  This is the leaf-count table of
-    ``form_by_recursion`` with numbers in place of series, O(s^3) rational
-    operations.
+    P[k][r] = sum_c W(c) P[k-1][r-c].  This is a leaf-count table like
+    that of ``form_by_recursion``, with numbers in place of series, O(s^3)
+    rational operations.
     """
     if s < 1:
         raise UsageError(f"leaf count must be positive, got {s}")
@@ -216,43 +230,46 @@ def form_by_recursion(
     *,
     top_resonant: bool = False,
 ) -> list[PolySeries]:
-    """[L_1(g), L_2(g, g), .., L_smax(g, .., g)] from the leaf-count tables.
+    """[L_1(g), L_2(g, g), .., L_smax(g, .., g)] from the leaf-count table.
 
     With ``kernel_corrected=False`` each form equals ``form_by_trees`` on s
-    copies of g.  With ``kernel_corrected=True`` the U2 seeds are
+    copies of g.  With ``kernel_corrected=True`` the terms R L_c are
     (I - A) L_c, stripped of their resonant part by ``image_projection``,
     matching the exact degree-by-degree pipeline.
-    With ``top_resonant`` every table entry is bracketed given freq and
-    keeps only the resonant terms of the truncation degree M, so the forms
-    are exact below M and under A.
+    With ``top_resonant`` every bracket sum is taken given freq and keeps
+    only the resonant terms of the truncation degree M, so the forms are
+    exact below M and under A.
     """
     if smax < 1:
         raise UsageError("the form needs at least one argument")
     zero = PolySeries.zero(g.n, g.order, g.ring)
     top = freq if top_resonant else None
-    forms = [zero, g]  # forms[c] = L_c
+    forms = [zero]  # forms[c] = L_c
     blocks = [zero]  # blocks[c] = B L_c
-    # u1[k, r], u2[k, r]: the k-fold brackets holding r leaves
-    u1 = {(0, 1): g}
-    u2: dict[tuple[int, int], PolySeries] = {}
+    images = [zero]  # images[c] = R L_c
+    # v[k, r]: the part with r leaves of sum_{i>=0} L^i (c_{k+i} g + d_{k+i} R)
+    v: dict[tuple[int, int], PolySeries] = {}
 
-    def entry(table: dict, k: int, r: int) -> PolySeries:
-        """U[k][r] = sum_{c=1}^{r-k} {B L_c, U[k-1][r-c]}; every r - c is below r."""
-        return bracket_sum(
-            [(blocks[c], table.get((k - 1, r - c), zero)) for c in range(1, r - k + 1)], zero, top
-        )
+    def entry(k: int, r: int) -> PolySeries:
+        """V[k][r] = [r = 1] g / k! + d_k R L_r + sum_{c=1}^{r-1} {B L_c, V[k+1][r-c]}."""
+        weighted = [
+            (1, bracket_sum([(blocks[c], v[k + 1, r - c]) for c in range(1, r)], zero, top))
+        ]
+        if r == 1:
+            weighted.append((Fraction(1, math.factorial(k)), g))
+        if k:
+            weighted.append((Fraction(-1, math.factorial(k + 1)), images[r]))
+        return combination(weighted, zero)
 
-    for s in range(2, smax + 1):
-        last = forms[-1]
-        blocks.append(partial_inverse(last, freq))
-        u2[0, s - 1] = image_projection(last, freq) if kernel_corrected else last
-        for k in range(1, s):
-            u1[k, s], u2[k, s] = entry(u1, k, s), entry(u2, k, s)
-        weighted = [(Fraction(1, math.factorial(k)), u1[k, s]) for k in range(1, s)]
-        weighted += [(Fraction(-1, math.factorial(k + 1)), u2[k, s]) for k in range(1, s)]
-        forms.append(combination(weighted, zero))
-    # the returned forms need not keep the lists of the brackets they entered
-    return [form._release() for form in forms[1:]]
+    # ascending r: every inner leaf count r - c is below r, so each input is final
+    for r in range(1, smax + 1):
+        forms.append(entry(0, r))
+        if r < smax:
+            blocks.append(partial_inverse(forms[r], freq))
+            images.append(image_projection(forms[r], freq) if kernel_corrected else forms[r])
+        for k in range(1, smax - r + 1):
+            v[k, r] = entry(k, r)
+    return forms[1:]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Degree-by-degree normalization tests, including the kernel correction."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from birkhoff import series
+from birkhoff import lie, series
 from birkhoff import (
     FreqVector,
     PolySeries,
@@ -22,6 +23,7 @@ from birkhoff.series import monomials
 
 from helpers import (
     build_series,
+    count_calls,
     direct_normalize,
     exp_lie_oracle,
     gr,
@@ -247,11 +249,12 @@ class TestClosedForms:
 class TestBracketTables:
     @pytest.mark.parametrize("corrected", [True, False])
     def test_derivative_lists_built_once_per_operand_side(self, monkeypatch, corrected):
-        # all nine cubic and quartic monomials at order M = 8.  The tables
-        # bracket F_j on the left for j = 3..M-1 (5 series) and, on the
-        # right, every entry T[k][d] with d <= M-1 and k <= d-3: d - 2
-        # entries per degree, 15 per table; the seeds T1[0][5..7] = H_5..H_7
-        # are zero and never bracketed, which leaves 5 + 12 + 15 = 32
+        # all nine cubic and quartic monomials at order M = 8.  The table
+        # brackets F_j on the left for j = 3..M-1 (5 series) and, on the
+        # right, every entry W[k][d] with k >= 1 and d <= M - k: M - d
+        # entries of degree d = 3..7, 5 + 4 + 3 + 2 + 1 = 15.  Each holds
+        # H_d / k! - R_d / (k+1)! or a bracket sum and none is zero, which
+        # leaves 5 + 15 = 20
         pairs = [pair for degree in (3, 4) for pair in monomials(1, degree)]
         lam = freq(1)
         h = ham(1, 8, lam, {(p.alpha, p.beta): Fraction(k, k + 1) for k, p in enumerate(pairs, 1)})
@@ -265,11 +268,31 @@ class TestBracketTables:
 
         monkeypatch.setattr(series, "_derivatives", counted)
         result = lie_normalize(h, lam, kernel_corrected=corrected)
-        assert calls == 32
+        assert calls == 20
         assert not any(part.is_zero for part in result.generator_parts.values())
         # the returned parts keep none of the lists the tables built
         for part in (*result.rhs_parts.values(), *result.generator_parts.values()):
             assert part._left is part._right is part._partners is None
+
+    @pytest.mark.parametrize("order", [3, 4, 8, 10])
+    @pytest.mark.parametrize("corrected", [True, False])
+    @pytest.mark.parametrize("normal_form_only", [False, True])
+    def test_table_work_in_closed_form(self, monkeypatch, order, corrected, normal_form_only):
+        # W[k][d] brackets the d - 3 pairs j = 3..d-1 for each k = 0..M-d, so
+        # the table hands sum_{d=3}^{M} (M - d + 1)(d - 3) = C(M - 1, 3)
+        # pairs to bracket_sum: 84 at M = 10, where two tables took 168.
+        # It forms F_d for d = 3..M and R_d for d = 3..M-1: nothing reads
+        # R_M, nor, with normal_form_only, F_M
+        pairs = [pair for degree in (3, 4) if degree <= order for pair in monomials(1, degree)]
+        lam = freq(1)
+        terms = {(p.alpha, p.beta): Fraction(k, k + 1) for k, p in enumerate(pairs, 1)}
+        h = ham(1, order, lam, terms)
+        expected = lie_normalize(h, lam, corrected, normal_form_only)
+        calls = count_calls(monkeypatch, lie, "partial_inverse", "image_projection")
+        assert lie_normalize(h, lam, corrected, normal_form_only) == expected
+        assert calls["bracket_sum"] == comb(order - 1, 3)
+        assert calls["partial_inverse"] == order - 2 - normal_form_only
+        assert calls["image_projection"] == (order - 3) * corrected
 
 
 class TestExpLie:

@@ -1,7 +1,7 @@
 """Weighted-tree normal form tests: weights, forms, pipeline agreement."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -32,7 +32,13 @@ from birkhoff import (
 from birkhoff.series import monomials
 from birkhoff.treeforms import MU_SUM_MAX_LEAVES
 
-from helpers import bernoulli_plus, build_series, random_hamiltonian, random_series
+from helpers import (
+    bernoulli_plus,
+    build_series,
+    count_calls,
+    random_hamiltonian,
+    random_series,
+)
 
 
 def freq(*values) -> FreqVector:
@@ -282,11 +288,12 @@ class TestNormalFormViaTrees:
             assert tree_weight(from_code(code)) == Fraction(row["mu"])
 
     def test_audit_brackets_each_subtree_once(self, monkeypatch):
-        # all nine cubic and quartic monomials at order 8: 60 brackets for
-        # the recursion, 201 for the audit rows (747 with one bracket per
-        # subtree of every tree and composition); the recursion brackets
-        # whole table entries in one bracket_sum call, and each audit
-        # bracket is one PolySeries.poisson call, a one-pair bracket_sum
+        # all nine cubic and quartic monomials at order 8: C(7, 3) = 35
+        # pairs for the recursion at smax = 6, none of them zero, and 201
+        # for the audit rows (747 with one bracket per subtree of every tree
+        # and composition); the recursion brackets whole table entries in
+        # one bracket_sum call, and each audit bracket is one
+        # PolySeries.poisson call, a one-pair bracket_sum
         pairs = [pair for degree in (3, 4) for pair in monomials(1, degree)]
         lam = freq(1)
         h = lam.quadratic_part(8) + build_series(
@@ -306,17 +313,16 @@ class TestNormalFormViaTrees:
         for corrected in (True, False):
             calls = 0
             result = nf_via_trees(h, lam, kernel_corrected=corrected, audit=True)
-            assert calls == 261
+            assert calls == 236
             assert result.normal_form == nf_via_trees(h, lam, kernel_corrected=corrected).normal_form
 
-    @pytest.mark.parametrize("corrected, expected", [(True, 31), (False, 30)])
+    @pytest.mark.parametrize("corrected, expected", [(True, 20), (False, 20)])
     def test_derivative_lists_built_once_per_operand_side(self, monkeypatch, corrected, expected):
-        # all nine cubic and quartic monomials, smax = 6: the tables bracket
+        # all nine cubic and quartic monomials, smax = 6: the table brackets
         # B L_c on the left for c = 1..5 (5 series) and, on the right, every
-        # U1[k][r] and U2[k][r] with r <= 5: g = U1[0][1], U2[0][1..5] and
-        # the 10 entries with 1 <= k < r of each table, 5 + 1 + 5 + 20 = 31.
-        # In the plain variant U2[0][1] is g itself, whose right lists are
-        # built once for both tables: 30
+        # V[k][r] with k >= 1 and r <= 6 - k: 6 - r entries with r = 1..5
+        # leaves, 5 + 4 + 3 + 2 + 1 = 15.  V[k][1] = g / k! - R g / (k+1)!
+        # is a new series in both variants, so each builds 5 + 15 = 20
         pairs = [pair for degree in (3, 4) for pair in monomials(1, degree)]
         g = build_series(
             1, 8, {(pair.alpha, pair.beta): Fraction(k, k + 1) for k, pair in enumerate(pairs, 1)}
@@ -336,6 +342,27 @@ class TestNormalFormViaTrees:
         # the returned forms keep none of the lists the tables built
         for form in forms:
             assert form._left is form._right is form._partners is None
+
+    @pytest.mark.parametrize("smax", [1, 2, 6, 10])
+    @pytest.mark.parametrize("corrected", [True, False])
+    @pytest.mark.parametrize("top_resonant", [False, True])
+    def test_table_work_in_closed_form(self, monkeypatch, smax, corrected, top_resonant):
+        # V[k][r] brackets the r - 1 pairs c = 1..r-1 for each k = 0..smax-r,
+        # so the table hands sum_{r=1}^{smax} (smax - r + 1)(r - 1)
+        # = C(smax + 1, 3) pairs to bracket_sum: 35 at smax = 6, where two
+        # tables took 60.  It forms B L_c and R L_c for c = 1..smax-1:
+        # nothing reads them at smax
+        pairs = [pair for degree in (3, 4) for pair in monomials(1, degree)]
+        g = build_series(
+            1, 8, {(pair.alpha, pair.beta): Fraction(k, k + 1) for k, pair in enumerate(pairs, 1)}
+        )
+        args = (g, smax, freq(1), corrected)
+        expected = form_by_recursion(*args, top_resonant=top_resonant)
+        calls = count_calls(monkeypatch, treeforms, "partial_inverse", "image_projection")
+        assert form_by_recursion(*args, top_resonant=top_resonant) == expected
+        assert calls["bracket_sum"] == comb(smax + 1, 3)
+        assert calls["partial_inverse"] == smax - 1
+        assert calls["image_projection"] == (smax - 1) * corrected
 
     def test_leaf_cap_enforced(self, monkeypatch):
         # order 18 needs forms of 16 arguments and passes the guard; order 19
