@@ -80,6 +80,9 @@ CASES = (
         # n = 3 at lambda = (1, 1, 1): 97 monomials, factor lists of three
         # coordinates and powers above 1
         ("threedof_111", ["structure"]),
+        # check at n = 3: exp_lie_closure and the leaf-count table on wide series
+        ("threedof_123", ["check"]),
+        ("threedof_111", ["check"]),
     ]
 )
 
