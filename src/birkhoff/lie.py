@@ -65,7 +65,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalCheckError, UsageError
+from .errors import UsageError
 from .operators import (
     FreqVector,
     image_projection,
@@ -165,11 +165,17 @@ def lie_normalize(
 def exp_lie(generator: PolySeries, target: PolySeries) -> PolySeries:
     """Time-1 Lie transform: exp(L_F) G = G + {F,G} + (1/2!){F,{F,G}} + ...
 
-    Each k-fold bracket L_F^k G = {F, L_F^(k-1) G} is formed from the last,
-    and the sum is one ``combination`` of them weighted 1/k!.
-    The generator must contain only terms of degree >= 3, so each nested
-    bracket strictly raises the minimum degree and the truncated sum is
-    finite.
+    The generator must contain only terms of degree >= 3, so each bracket
+    with F raises the degree by at least 1 and L_F^k G starts at degree
+    g + k, g the lowest degree of G: the sum ends after K = M - g
+    brackets.  Horner's rule over the nesting depth evaluates it as
+
+        W[K] = G / K!,   W[k] = G / k! + L_F W[k+1],   exp(L_F) G = W[0],
+
+    W[k] = sum_{i>=0} L_F^i G / (k+i)!.  W[k] reaches W[0] through k more
+    brackets, so only its degrees up to M - k matter: each level is one
+    ``bracket_sum`` of the one pair (F, W[k+1]) taken through degree M - k,
+    and one ``combination``.
     """
     min_deg = generator.min_degree()
     if min_deg is not None and min_deg < 3:
@@ -177,16 +183,18 @@ def exp_lie(generator: PolySeries, target: PolySeries) -> PolySeries:
             f"generator has a term of degree {min_deg}; "
             "only degrees 3 and higher are allowed"
         )
-    brackets = [target]  # brackets[k] = L_F^k G
-    while not brackets[-1].is_zero:
-        if len(brackets) > target.order + 2:
-            raise InternalCheckError(
-                "exp_lie failed to terminate within the truncation bound"
-            )
-        brackets.append(generator.poisson(brackets[-1]))
-    return combination(
-        [(Fraction(1, math.factorial(k)), term) for k, term in enumerate(brackets)], target
-    )
+    order = target.order
+    depth = 0 if target.is_zero else order - target.min_degree()
+    w = combination([(Fraction(1, math.factorial(depth)), target)], target)
+    for k in range(depth - 1, -1, -1):
+        w = combination(
+            [
+                (Fraction(1, math.factorial(k)), target),
+                (1, bracket_sum([(generator, w)], target, through=order - k)),
+            ],
+            target,
+        )
+    return w
 
 
 def random_generator(

@@ -48,8 +48,12 @@ numerator and the minus sign into the left list.  Every sum of products
 runs through one loop over sorted right lists, so each row stops at the
 first key whose degree passes the truncation order: ``F * G`` is one
 product and ``bracket_sum`` is sum {F, G} over a list of pairs (``poisson``
-is the one-pair call).  Every linear sum is one ``combination``, sum q S
-over a list of scalings; ``+``, ``-``, unary ``-`` and ``scale`` call it.
+is the one-pair call).  Given a degree bound t <= M, ``bracket_sum``
+stops each row at the first key whose degree passes t instead, so a
+nested bracket whose outer levels can raise the degree by k forms no
+term above M - k that nothing could read.  Every linear sum is one
+``combination``, sum q S over a list of scalings; ``+``, ``-``, unary
+``-`` and ``scale`` call it.
 As Monagan and Pearce form a sum of products in one pass, each sum
 accumulates in one dict over L, the lcm of its denominators: the integer
 factor of a term, such as L / (D_F D_G) for a bracket, scales each of its
@@ -323,7 +327,7 @@ class PolySeries:
         shift = _packed([(self, other, 1)], 1, 1)
         lists = [([_pack(self, shift).items()], [sorted(_pack(other, shift).items())], 1,
                   _NO_PARTNERS)]
-        return _sum_of_products(self, lists, self.den * other.den, shift)
+        return _sum_of_products(self, lists, self.den * other.den, shift, self.order)
 
     def scale(self, q: int | Fraction) -> "PolySeries":
         return combination([(q, self)], self)
@@ -538,7 +542,11 @@ def _key(pair: ExponentPair, layout: Layout, order: int) -> int | None:
 
 
 def bracket_sum(
-    pairs: Iterable[tuple[PolySeries, PolySeries]], like: PolySeries, top=None
+    pairs: Iterable[tuple[PolySeries, PolySeries]],
+    like: PolySeries,
+    top=None,
+    *,
+    through: int | None = None,
 ) -> PolySeries:
     """The sum of {F, G} over the (F, G) pairs, a series of like's shape.
 
@@ -549,8 +557,13 @@ def bracket_sum(
     Given the frequencies ``top`` (a ``FreqVector``), the sum keeps of
     like's truncation degree M only its resonant terms, found through the
     frequencies' label table for like's key layout; every term of lower
-    degree is as without them.
+    degree is as without them.  Given a degree ``through`` instead, the sum
+    keeps only its terms of degree at most min(through, M), the rest
+    never formed; the two are not combined, as the resonant cut is one of
+    degree M.
     """
+    if top is not None and through is not None:
+        raise UsageError("a bracket sum takes a resonant top or a degree bound, not both")
     kept = []
     for f, g in pairs:
         like._require_compatible(f)
@@ -566,7 +579,8 @@ def bracket_sum(
          _partners(g, right, labels) if cut else _NO_PARTNERS)
         for f, g, d in kept
     ]
-    return _sum_of_products(like, products, den, shift, labels)
+    last = like.order if through is None else min(through, like.order)
+    return _sum_of_products(like, products, den, shift, last, labels)
 
 
 def combination(items: Iterable[tuple[int | Fraction, PolySeries]], like: PolySeries) -> PolySeries:
@@ -752,20 +766,26 @@ def _unpacked(result: dict, shift: int) -> dict:
 
 
 def _sum_of_products(
-    like: PolySeries, products: Iterable, den: int, shift: int, labels: Mapping | None = None
+    like: PolySeries,
+    products: Iterable,
+    den: int,
+    shift: int,
+    last: int,
+    labels: Mapping | None = None,
 ) -> PolySeries:
     """The series like ``like`` over den holding the sum of factor times the
     truncated products of the (left, right) term lists of each (lefts,
     rights, factor, partners) product; the factor scales each left value
     once, and each right list is sorted, so a row stops at the first key
-    that takes the pair past the order.  With a label table a row stops
-    before the order M instead and then takes the partners, of degree M,
-    that the label of its left key's series part picks from the right
-    list's partner dict (``_partners``), if it has partners.  With a nonzero
+    that takes the pair past degree ``last`` <= M.  With a label table,
+    and ``last`` the order M, a row stops before M instead and then takes
+    the partners, of degree M, that the label of its left key's series
+    part picks from the right list's partner dict (``_partners``), if it
+    has partners.  With a nonzero
     shift K the numerators are packed by ``_pack`` and each sum is read
     back from its balanced base-2**K digits."""
     high, low = like.layout.top, like.layout.low
-    stop = like.order + 1 if labels is None else like.order
+    stop = last + 1 if labels is None else last
     result: dict[int, object] = {}
     get = result.get
     for lefts, rights, factor, partners in products:

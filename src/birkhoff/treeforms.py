@@ -37,7 +37,11 @@ r + k leaves or more, so ``smax`` needs it only for k <= smax - r, and the
 table holds sum_r (smax - r + 1)(r - 1) = C(smax + 1, 3) bracket pairs.
 Filled in ascending r, first L_r = V[0][r] and then V[k][r] for k >= 1,
 each entry is final when first computed and each B L_c is computed once;
-nothing reads B L_smax or R L_smax, which are not formed.
+nothing reads B L_smax or R L_smax, which are not formed.  B L_c has
+degree >= c + 2 >= 3, so each bracket with it raises the degree by at
+least 1, and V[k] reaches L_s through k more brackets: with M the
+truncation order, the bracket sum of every entry with k >= 1 stops at
+degree M - k, and only those of the forms L_s = V[0][s] run to M.
 Each entry is one ``bracket_sum`` and one ``combination``, as in the
 degree-by-degree pipeline, with no table or step shared between the two.
 
@@ -55,11 +59,11 @@ other, as is the recursion-equals-trees identity on equal arguments.
 With H* = H - H2 and M the truncation order, the normal form is one
 recursion, N = H2 + sum_{s=1}^{M-2} A L_s(H*, .., H*).  It reads the forms
 only through A, so ``nf_via_trees`` asks ``form_by_recursion`` for
-``top_resonant`` forms: each entry's bracket sum is taken given the
-frequencies, whose label table ``bracket_sum`` reads, and keeps only the
-resonant terms of degree M.  A degree-M term feeds no later bracket, and
-for s >= 2 the form L_s = V[0][s] is a bracket sum alone, so the forms stay
-exact below M and under A.  By
+``top_resonant`` forms: the bracket sum of each form L_s = V[0][s], the
+only sums that reach degree M, is taken given the frequencies, whose label
+table ``bracket_sum`` reads, and keeps only the resonant terms of degree
+M.  A degree-M term feeds no later bracket, and for s >= 2 the form L_s is
+a bracket sum alone, so the forms stay exact below M and under A.  By
 multilinearity its degree-m part is the sum over tuples of homogeneous
 parts of H,
 
@@ -236,9 +240,10 @@ def form_by_recursion(
     copies of g.  With ``kernel_corrected=True`` the terms R L_c are
     (I - A) L_c, stripped of their resonant part by ``image_projection``,
     matching the exact degree-by-degree pipeline.
-    With ``top_resonant`` every bracket sum is taken given freq and keeps
-    only the resonant terms of the truncation degree M, so the forms are
-    exact below M and under A.
+    The bracket sum of V[k][r] stops at degree M - k for k >= 1.  With
+    ``top_resonant`` those of the forms, k = 0, are taken given freq and
+    keep only the resonant terms of the truncation degree M, so the forms
+    are exact below M and under A.
     """
     if smax < 1:
         raise UsageError("the form needs at least one argument")
@@ -252,9 +257,13 @@ def form_by_recursion(
 
     def entry(k: int, r: int) -> PolySeries:
         """V[k][r] = [r = 1] g / k! + d_k R L_r + sum_{c=1}^{r-1} {B L_c, V[k+1][r-c]}."""
-        weighted = [
-            (1, bracket_sum([(blocks[c], v[k + 1, r - c]) for c in range(1, r)], zero, top))
-        ]
+        pairs = [(blocks[c], v[k + 1, r - c]) for c in range(1, r)]
+        # k more brackets, each raising the degree, stand between V[k] and L_s
+        if k:
+            summed = bracket_sum(pairs, zero, through=g.order - k)
+        else:
+            summed = bracket_sum(pairs, zero, top)
+        weighted = [(1, summed)]
         if r == 1:
             weighted.append((Fraction(1, math.factorial(k)), g))
         if k:

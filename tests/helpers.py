@@ -406,14 +406,17 @@ def direct_normalize(hamiltonian: PolySeries, freq: FreqVector):
 
 def count_calls(monkeypatch, module, *names: str) -> Counter:
     """Count, in the Counter returned, the pairs that module hands to
-    ``bracket_sum`` and the calls of each named function of module."""
+    ``bracket_sum``, its calls under ("bound", through, top is not None)
+    for the degree bound and the resonant top each was given, and the
+    calls of each named function of module."""
     calls: Counter = Counter()
     kernel = module.bracket_sum
 
-    def bracket_sum(pairs, like, top=None):
+    def bracket_sum(pairs, like, top=None, *, through=None):
         pairs = list(pairs)
         calls["bracket_sum"] += len(pairs)
-        return kernel(pairs, like, top)
+        calls["bound", through, top is not None] += 1
+        return kernel(pairs, like, top, through=through)
 
     def counted(name, original):
         def wrapper(*args):

@@ -302,11 +302,11 @@ class TestNormalFormViaTrees:
         calls = 0
         kernel = series.bracket_sum
 
-        def counted(pairs, like, top=None):
+        def counted(pairs, like, top=None, *, through=None):
             nonlocal calls
             pairs = list(pairs)
             calls += sum(not f.is_zero and not g.is_zero for f, g in pairs)
-            return kernel(pairs, like, top)
+            return kernel(pairs, like, top, through=through)
 
         monkeypatch.setattr(series, "bracket_sum", counted)
         monkeypatch.setattr(treeforms, "bracket_sum", counted)
