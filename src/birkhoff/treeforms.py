@@ -240,13 +240,20 @@ def form_by_recursion(
     copies of g.  With ``kernel_corrected=True`` the terms R L_c are
     (I - A) L_c, stripped of their resonant part by ``image_projection``,
     matching the exact degree-by-degree pipeline.
-    The bracket sum of V[k][r] stops at degree M - k for k >= 1.  With
+    The bracket sum of V[k][r] stops at degree M - k for k >= 1, which
+    needs g to hold only terms of degree >= 3.  With
     ``top_resonant`` those of the forms, k = 0, are taken given freq and
     keep only the resonant terms of the truncation degree M, so the forms
     are exact below M and under A.
     """
     if smax < 1:
         raise UsageError("the form needs at least one argument")
+    min_deg = g.min_degree()
+    if min_deg is not None and min_deg < 3:
+        raise UsageError(
+            f"the argument has a term of degree {min_deg}; "
+            "only degrees 3 and higher are allowed"
+        )
     zero = PolySeries.zero(g.n, g.order, g.ring)
     top = freq if top_resonant else None
     forms = [zero]  # forms[c] = L_c

@@ -312,6 +312,26 @@ class TestExpLie:
         with pytest.raises(UsageError):
             exp_lie(build_series(1, 6, {((1,), (0,)): 1}), h)
 
+    @pytest.mark.parametrize("order", [3, 6, 9])
+    @pytest.mark.parametrize("lowest", [0, 2, 3, None])
+    def test_work_in_closed_form(self, monkeypatch, order, lowest):
+        # L_F^k G starts at degree g + k, g = lowest, so Horner's rule runs
+        # K = M - g levels k = K-1..0, each one bracket_sum of the one pair
+        # (F, W[k+1]) bounded at M - k and one combination, after the
+        # combination W[K] = G / K!: K calls and K + 1 combinations.  A zero
+        # target has K = 0
+        generator = build_series(1, order, {((3,), (0,)): 1, ((1,), (2,)): Fraction(-1, 2)})
+        terms = {} if lowest is None else {((lowest,), (0,)): 1, ((1,), (order - 1,)): 2}
+        target = build_series(1, order, terms)
+        depth = 0 if lowest is None else order - lowest
+        expected = exp_lie(generator, target)
+        calls = count_calls(monkeypatch, lie, "combination")
+        assert exp_lie(generator, target) == expected
+        assert calls["bracket_sum"] == depth
+        assert calls["combination"] == depth + 1
+        bounds = {key: count for key, count in calls.items() if key[0] == "bound"}
+        assert bounds == {("bound", order - k, False): 1 for k in range(depth)}
+
     def test_flow_composes_additively_on_commuting_generators(self):
         # generators in involution: exp(F+G) = exp(F) after exp(G)
         f = build_series(1, 8, {((3,), (0,)): 1})

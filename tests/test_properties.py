@@ -34,6 +34,7 @@ from birkhoff import (
     check_structure,
     cli,
     compute_S,
+    exp_lie,
     form_by_recursion,
     form_by_trees,
     homological_operator,
@@ -61,9 +62,11 @@ from birkhoff.series import (
 from helpers import (
     add_oracle,
     bracket_pair_count,
+    build_series,
     combination_oracle,
     deprit_tables_oracle,
     direct_normalize,
+    exp_lie_oracle,
     hand_built_form,
     leaf_tables_oracle,
     mul_oracle,
@@ -640,6 +643,23 @@ class TestFusedSums:
         result = bracket_sum(pairs, pool[0])
         assert_content_form(result)
         assert fields(result) == fields(bracket_sum_oracle(pairs, pool[0]))
+
+    @FAST
+    @given(pool=series_pools(dims=st.integers(1, 3), orders=st.integers(3, 9)), data=st.data())
+    def test_bracket_sum_through_a_degree(self, pool, data):
+        # a bound t stops every row past degree t, so the sum is the
+        # unbounded one restricted to degrees <= t, and t = M is the default
+        picks = data.draw(st.lists(st.tuples(indices, indices), min_size=2, max_size=5))
+        pairs = [(pool[i], pool[j]) for i, j in picks]
+        like = pool[0]
+        whole = bracket_sum(pairs, like)
+        for t in range(like.order + 1):
+            bounded = bracket_sum(pairs, like, through=t)
+            assert_content_form(bounded)
+            assert fields(bounded) == fields(whole.filter_terms(lambda pair: pair.degree <= t))
+        assert fields(bracket_sum(pairs, like, through=like.order)) == fields(whole)
+        with pytest.raises(UsageError, match="not both"):
+            bracket_sum(pairs, like, FreqVector.of(*[1] * like.n), through=like.order)
 
     @FAST
     @given(pool=series_pools(), data=st.data())
@@ -1397,6 +1417,54 @@ class TestPipelinesAgainstFlowOracle:
         g, s, freq = case
         expected = [form_by_trees([g] * r, freq) for r in range(1, s + 1)]
         assert form_by_recursion(g, s, freq) == expected
+
+
+@st.composite
+def exp_lie_cases(draw):
+    """A generator F and a target G of one shape, n = 1..3, order M = 3..9,
+    with real or complex values.  F holds terms of one degree 3..M (the
+    top degree alone among them) or of several; the lowest degree g of G
+    is drawn from 0..M, so the Horner depth M - g runs from M down to 0,
+    and about one G in ten is zero."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(3, 9))
+    values = draw(st.sampled_from([reals, gaussians]))
+
+    def one_series(degrees, min_size: int) -> PolySeries:
+        pool = [pair for degree in degrees for pair in monomials(n, degree)]
+        chosen = draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=3, unique=True))
+        return PolySeries(n, order, GAUSSIAN_RING, {p: draw(values) for p in chosen})
+
+    single = draw(st.one_of(st.none(), st.integers(3, order)))
+    generator = one_series(range(3, order + 1) if single is None else [single], 1)
+    if draw(st.integers(0, 9)) == 0:
+        return generator, PolySeries.zero(n, order)
+    lowest = draw(st.integers(0, order))
+    return generator, one_series([lowest], 1) + one_series(range(lowest, order + 1), 0)
+
+
+I_ONLY, I_PLUS_2 = GaussianRational.of(0, 1), GaussianRational.of(2, 1)
+
+
+def one_dof_case(order: int, generator: dict, target: dict) -> tuple:
+    """(F, G) at n = 1 from their {(alpha, beta): value} entries."""
+    return build_series(1, order, generator), build_series(1, order, target)
+
+
+class TestExpLieAgainstOracle:
+    @FAST
+    @given(case=exp_lie_cases())
+    # the top degree alone, on a target of degrees 0 and 2
+    @example(case=one_dof_case(6, {((6,), (0,)): I_PLUS_2}, {((0,), (0,)): 3, ((1,), (1,)): 1}))
+    # a constant target at depth K = M, W[K] = G / K! needed at degree 0
+    @example(case=one_dof_case(9, {((3,), (0,)): 1, ((2,), (1,)): I_ONLY}, {((0,), (0,)): 1}))
+    # the zero target: no level at all
+    @example(case=one_dof_case(5, {((4,), (0,)): 2}, {}))
+    def test_exp_lie(self, case):
+        generator, target = case
+        result = exp_lie(generator, target)
+        assert_content_form(result)
+        assert fields(result) == fields(exp_lie_oracle(generator, target))
 
 
 def deep_table_case(values: tuple, seed: int) -> tuple[PolySeries, FreqVector]:

@@ -223,6 +223,14 @@ class TestFormEquivalence:
         with pytest.raises(UsageError):
             form_by_trees([], freq(1))
 
+    @pytest.mark.parametrize("low", [((0,), (0,)), ((1,), (0,)), ((2,), (0,))])
+    def test_low_degree_argument_rejected(self, low):
+        # the entries V[k], k >= 1, stop at degree M - k because a bracket
+        # with B L_c raises the degree; B of a quadratic term would not
+        g = build_series(1, 6, {low: 1, ((3,), (0,)): 1})
+        with pytest.raises(UsageError, match=f"term of degree {sum(low[0])};"):
+            form_by_recursion(g, 3, freq(1))
+
     def test_corrected_variant_differs_when_kernel_hit(self):
         # cubic arguments whose pair bracket is entirely resonant
         lam = freq(1)
@@ -351,7 +359,11 @@ class TestNormalFormViaTrees:
         # so the table hands sum_{r=1}^{smax} (smax - r + 1)(r - 1)
         # = C(smax + 1, 3) pairs to bracket_sum: 35 at smax = 6, where two
         # tables took 60.  It forms B L_c and R L_c for c = 1..smax-1:
-        # nothing reads them at smax
+        # nothing reads them at smax.  Each of the smax - k entries
+        # V[k][r], r = 1..smax-k, is one bracket_sum call: for k >= 1 it is
+        # bounded at M - k = 8 - k without a top (at smax = 10 the bounds of
+        # k = 9 fall below zero, past every term), and the smax forms V[0][r]
+        # take the top alone, or nothing without top_resonant
         pairs = [pair for degree in (3, 4) for pair in monomials(1, degree)]
         g = build_series(
             1, 8, {(pair.alpha, pair.beta): Fraction(k, k + 1) for k, pair in enumerate(pairs, 1)}
@@ -363,6 +375,11 @@ class TestNormalFormViaTrees:
         assert calls["bracket_sum"] == comb(smax + 1, 3)
         assert calls["partial_inverse"] == smax - 1
         assert calls["image_projection"] == (smax - 1) * corrected
+        bounds = {key: count for key, count in calls.items() if key[0] == "bound"}
+        assert bounds == {
+            ("bound", None, top_resonant): smax,
+            **{("bound", 8 - k, False): smax - k for k in range(1, smax)},
+        }
 
     def test_leaf_cap_enforced(self, monkeypatch):
         # order 18 needs forms of 16 arguments and passes the guard; order 19
